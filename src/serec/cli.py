@@ -24,11 +24,9 @@ import numpy as np
 
 from serec import data as dm
 from serec import engine, metrics, synthetic
-from serec.exposure.popularity import FixedExposure, PopularityExposure
-from serec.exposure.social_boost import BoostExposure
-from serec.exposure.social_regular import RegularExposure
+from serec.exposure import PROVIDERS
 
-MODEL_KINDS = ("wmf", "expomf", "serec-regular", "serec-boost")
+MODEL_KINDS = tuple(PROVIDERS)
 
 
 class UsageError(Exception):
@@ -73,20 +71,9 @@ class RunConfig:
     deterministic: bool = False
 
     def train_config(self) -> engine.TrainConfig:
-        n_threads = 1 if self.deterministic else (self.n_threads or os.cpu_count() or 1)
-        return engine.TrainConfig(
-            k=self.k,
-            lambda_theta=self.lambda_theta,
-            lambda_beta=self.lambda_beta,
-            lambda_y=self.lambda_y,
-            max_em_iters=self.max_em_iters,
-            convergence_tol=self.convergence_tol,
-            seed=self.seed,
-            init_scale=self.init_scale,
-            n_threads=n_threads,
-            dense_budget=self.dense_budget,
-            block_size=self.block_size,
-        )
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(engine.TrainConfig)}
+        values["n_threads"] = 1 if self.deterministic else (self.n_threads or os.cpu_count() or 1)
+        return engine.TrainConfig(**values)
 
 
 def _coerce(name: str, value, current):
@@ -140,62 +127,26 @@ def load_config(config_path: str | None, overrides: list[str] | None) -> RunConf
     return cfg
 
 
-def make_provider(cfg: RunConfig, y: dm.InteractionMatrix, graph: dm.SocialGraph | None):
-    """Build the exposure provider for the configured model kind.
+def _provider_graph(cls, y: dm.InteractionMatrix, graph: dm.SocialGraph | None):
+    """The loaded graph, else an empty one unless the provider requires it."""
+    if graph is not None:
+        return graph
+    if getattr(cls, "requires_social", False):
+        raise UsageError(f"{cls.kind} requires --social")
+    return dm.SocialGraph(y.n_users, np.empty((0, 2), dtype=np.int64))
 
-    The boost model tolerates a missing social file (it degenerates to the
-    popularity prior); the regularized model cannot express itself without
-    a graph and refuses.
-    """
-    if cfg.model == "wmf":
-        return FixedExposure(y, mu_unobserved=cfg.mu_unobserved)
-    if cfg.model == "expomf":
-        return PopularityExposure(y, alpha1=cfg.alpha1, alpha2=cfg.alpha2)
-    if cfg.model == "serec-boost":
-        if graph is None:
-            graph = dm.SocialGraph(y.n_users, np.empty((0, 2), dtype=np.int64))
-        return BoostExposure(
-            y,
-            graph,
-            s_coeff=cfg.s_coeff,
-            alpha1=cfg.alpha1,
-            alpha2=cfg.alpha2,
-            dense_budget=cfg.dense_budget,
-        )
-    if cfg.model == "serec-regular":
-        if graph is None:
-            raise UsageError("serec-regular requires --social")
-        return RegularExposure(
-            y,
-            graph,
-            k_sr=cfg.k_sr,
-            lambda_sr=cfg.lambda_sr,
-            lambda_x=cfg.lambda_x,
-            lambda_t=cfg.lambda_t,
-            lambda_b=cfg.lambda_b,
-            lambda_gamma=cfg.lambda_gamma,
-            learning_rate=cfg.learning_rate,
-            n_sgd_epochs=cfg.n_sgd_epochs,
-            refit_every=cfg.refit_every,
-            seed=cfg.seed,
-        )
-    raise UsageError(f"unknown model kind {cfg.model!r}")
+
+def make_provider(cfg: RunConfig, y: dm.InteractionMatrix, graph: dm.SocialGraph | None):
+    """Build the exposure provider for the configured model kind."""
+    cls = PROVIDERS[cfg.model]
+    return cls.from_config(cfg, y, _provider_graph(cls, y, graph))
 
 
 def load_provider(model_dir: Path, kind: str, y, graph):
-    if kind == "wmf":
-        return FixedExposure.load(model_dir, y)
-    if kind == "expomf":
-        return PopularityExposure.load(model_dir, y)
-    if kind == "serec-boost":
-        if graph is None:
-            graph = dm.SocialGraph(y.n_users, np.empty((0, 2), dtype=np.int64))
-        return BoostExposure.load(model_dir, y, graph)
-    if kind == "serec-regular":
-        if graph is None:
-            raise UsageError("serec-regular models need --social to reload")
-        return RegularExposure.load(model_dir, y, graph)
-    raise ValueError(f"model directory has unknown kind {kind!r}")
+    if kind not in PROVIDERS:
+        raise ValueError(f"model directory has unknown kind {kind!r}")
+    cls = PROVIDERS[kind]
+    return cls.load(model_dir, y, _provider_graph(cls, y, graph))
 
 
 def _load_graph(path: str | None, id_map: dm.IdMap) -> dm.SocialGraph | None:
@@ -255,6 +206,7 @@ def _train_once(cfg: RunConfig, train, graph):
     t0 = time.perf_counter()
     result = engine.fit(train, provider, cfg.train_config())
     elapsed = time.perf_counter() - t0
+    result.posterior.close()  # save_model needs only the factors and the provider
     return result, provider, elapsed
 
 
@@ -262,8 +214,6 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.model:
         cfg.model = args.model
-        if cfg.model not in MODEL_KINDS:
-            raise UsageError(f"model must be one of {', '.join(MODEL_KINDS)}")
     if args.deterministic:
         cfg.deterministic = True
     if args.repeats is not None:
@@ -355,17 +305,21 @@ def cmd_exposure_curve(args) -> int:
     y = split.train
     graph = _load_graph(args.social, id_map)
     provider = load_provider(Path(args.model_dir), meta.get("kind"), y, graph)
-    post = engine.e_step(y, model, provider)
-    if meta.get("kind") == "serec-boost":
-        # the stored prior is a click proxy; one refresh sweep restores the
-        # training-time prior from the actual posterior
-        provider.update(post, y)
-        post = engine.e_step(y, model, provider)
+    posts = [engine.e_step(y, model, provider)]
+    try:
+        if getattr(provider, "refresh_on_load", False):
+            # one refresh sweep restores the training-time prior from the
+            # actual posterior
+            provider.update(posts[0], y)
+            posts.append(engine.e_step(y, model, provider))
+        mu_user = np.concatenate(
+            [provider.mu_block(j0, j1)[u] for j0, j1 in engine._iter_blocks(y.n_items, 8192)]
+        )
+        p_user = np.array(posts[-1].p[u])
+    finally:
+        for post in posts:
+            post.close()
     popularity = y.item_counts()
-    mu_user = np.concatenate(
-        [provider.mu_block(j0, j1)[u] for j0, j1 in engine._iter_blocks(y.n_items, 8192)]
-    )
-    p_user = np.asarray(post.p[u])
     edges = np.linspace(0, popularity.max() + 1, args.bins + 1)
     which = np.clip(np.digitize(popularity, edges) - 1, 0, args.bins - 1)
     lines = ["bin_lo\tbin_hi\tn_items\tmean_popularity\tmean_mu\tmean_p"]
@@ -402,8 +356,7 @@ def cmd_robustness(args) -> int:
     rows = []
     for kp in keep_probs:
         pruned = dm.prune_social(graph, kp, seed=args.seed)
-        provider = make_provider(cfg, split.train, pruned)
-        result = engine.fit(split.train, provider, cfg.train_config())
+        result, _, _ = _train_once(cfg, split.train, pruned)
         report = metrics.evaluate(
             result.model, cfg.model, split, cutoffs=cutoffs, target=cfg.target
         )

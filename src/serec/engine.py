@@ -233,24 +233,30 @@ def e_step(
     flagged ``bypass_bayes`` have their prior stored as p directly (the
     fixed-weight mode).  Priors are clamped to [1e-6, 1 - 1e-6] before the
     Bayes rule so the posterior stays numerically stable; values outside
-    [0, 1] are a provider contract violation and raise.
+    [0, 1] are a provider contract violation and raise.  Without ``out``
+    the caller owns the new posterior and closes it.
     """
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
     bypass = bool(getattr(provider, "bypass_bayes", False))
-    for j0, j1 in _iter_blocks(y.n_items, block_size):
-        mu = _provider_mu_block(provider, y, j0, j1)
-        if bypass:
-            p_block = np.array(mu, dtype=np.float64)
-        else:
-            mu = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
-            scores = model.theta @ model.beta[j0:j1].T
-            num = mu * _gaussian_pdf0(scores, model.lambda_y)
-            p_block = num / (num + (1.0 - mu))
-        rows, cols = _clicked_in_block(y, j0, j1)
-        p_block[rows, cols] = 1.0
-        post.p[:, j0:j1] = p_block
+    try:
+        for j0, j1 in _iter_blocks(y.n_items, block_size):
+            mu = _provider_mu_block(provider, y, j0, j1)
+            if bypass:
+                p_block = np.array(mu, dtype=np.float64)
+            else:
+                mu = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+                scores = model.theta @ model.beta[j0:j1].T
+                num = mu * _gaussian_pdf0(scores, model.lambda_y)
+                p_block = num / (num + (1.0 - mu))
+            rows, cols = _clicked_in_block(y, j0, j1)
+            p_block[rows, cols] = 1.0
+            post.p[:, j0:j1] = p_block
+    except BaseException:
+        if out is None:  # the caller never receives it, so never closes it
+            post.close()
+        raise
     return post
 
 
@@ -258,16 +264,18 @@ def _posterior_array(p) -> np.ndarray:
     return p.p if isinstance(p, ExposurePosterior) else np.asarray(p)
 
 
-def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
-    """p values at the clicked pairs, in entry order."""
-    # memmap-safe: row-wise gather instead of one giant fancy index
-    out = np.empty(y.n_entries, dtype=np.float64)
-    csr = y.to_csr()
-    for u in range(y.n_users):
-        s, e = csr.indptr[u], csr.indptr[u + 1]
-        if s != e:
-            out[s:e] = p_arr[u][csr.indices[s:e]]
+def posterior_column_sums(post) -> np.ndarray:
+    """Column sums of ``post.p``, blockwise so memmap-backed posteriors stream."""
+    arr = post.p
+    out = np.empty(arr.shape[1], dtype=np.float64)
+    for j0, j1 in _iter_blocks(arr.shape[1], 8192):
+        out[j0:j1] = np.asarray(arr[:, j0:j1]).sum(axis=0)
     return out
+
+
+def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
+    """p values at the clicked pairs, in entry order (which is CSR order)."""
+    return np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
 
 
 def _run_phase(work, n_rows: int, n_threads: int) -> None:
@@ -407,7 +415,9 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     contract).  Each iteration runs {E-step; theta solve; beta solve with
     the new theta; provider.update}, then records the log likelihood.
     Stops when the relative likelihood change drops below
-    ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.
+    ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.  The
+    caller owns the returned posterior and closes it, since a spilled one
+    is a temporary file; when fit raises, it closes the posterior itself.
     """
     rng = np.random.default_rng(cfg.seed)
     theta = rng.normal(0.0, cfg.init_scale, size=(train.n_users, cfg.k))
@@ -417,25 +427,29 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     trace: list[float] = []
     converged = False
     n_iters = 0
-    for it in range(1, cfg.max_em_iters + 1):
-        n_iters = it
-        e_step(train, model, provider, out=post, block_size=cfg.block_size)
-        model.theta = update_user_factors(train, post, model, cfg.n_threads)
-        model.beta = update_item_factors(train, post, model, cfg.n_threads)
-        try:
-            model.validate_finite(f"EM iteration {it}")
-        except TrainingError:
-            raise TrainingError(f"non-finite factors after EM iteration {it}") from None
-        provider.update(post, train)
-        ll = log_likelihood(train, model, provider, block_size=cfg.block_size)
-        if not math.isfinite(ll):
-            raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
-        trace.append(ll)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(ll - prev) / max(abs(prev), 1e-12) < cfg.convergence_tol:
-                converged = True
-                break
+    try:
+        for it in range(1, cfg.max_em_iters + 1):
+            n_iters = it
+            e_step(train, model, provider, out=post, block_size=cfg.block_size)
+            model.theta = update_user_factors(train, post, model, cfg.n_threads)
+            model.beta = update_item_factors(train, post, model, cfg.n_threads)
+            try:
+                model.validate_finite(f"EM iteration {it}")
+            except TrainingError:
+                raise TrainingError(f"non-finite factors after EM iteration {it}") from None
+            provider.update(post, train)
+            ll = log_likelihood(train, model, provider, block_size=cfg.block_size)
+            if not math.isfinite(ll):
+                raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
+            trace.append(ll)
+            if len(trace) >= 2:
+                prev = trace[-2]
+                if abs(ll - prev) / max(abs(prev), 1e-12) < cfg.convergence_tol:
+                    converged = True
+                    break
+    except BaseException:
+        post.close()  # a failed fit hands no posterior back, so nothing else can
+        raise
     return FitResult(model=model, trace=trace, converged=converged, n_iters=n_iters, posterior=post)
 
 

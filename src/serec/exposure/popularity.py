@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, _clicked_in_block, _iter_blocks
+from serec.engine import MU_EPS, _clicked_in_block, posterior_column_sums
 
 
 def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -40,15 +40,6 @@ def fixed_exposure_p(y_ui, mu_unobserved: float):
     return out
 
 
-def _posterior_column_sums(post) -> np.ndarray:
-    """Column sums of p, blockwise so memmap-backed posteriors stream."""
-    arr = post.p
-    out = np.empty(arr.shape[1], dtype=np.float64)
-    for j0, j1 in _iter_blocks(arr.shape[1], 8192):
-        out[j0:j1] = np.asarray(arr[:, j0:j1]).sum(axis=0)
-    return out
-
-
 class PopularityExposure:
     """Item-popularity exposure prior (no social information).
 
@@ -69,12 +60,16 @@ class PopularityExposure:
             y.item_counts().astype(np.float64), y.n_users, alpha1, alpha2
         )
 
+    @classmethod
+    def from_config(cls, cfg, y: InteractionMatrix, graph) -> "PopularityExposure":
+        return cls(y, alpha1=cfg.alpha1, alpha2=cfg.alpha2)
+
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         return np.broadcast_to(self.mu_items[j0:j1], (self.n_users, j1 - j0))
 
     def update(self, post, y: InteractionMatrix) -> None:
         self.mu_items = popularity_update_mu(
-            _posterior_column_sums(post), self.n_users, self.alpha1, self.alpha2
+            posterior_column_sums(post), self.n_users, self.alpha1, self.alpha2
         )
 
     def save(self, out_dir) -> None:
@@ -84,7 +79,7 @@ class PopularityExposure:
             json.dump({"alpha1": self.alpha1, "alpha2": self.alpha2}, fh, indent=2)
 
     @classmethod
-    def load(cls, model_dir, y: InteractionMatrix) -> "PopularityExposure":
+    def load(cls, model_dir, y: InteractionMatrix, graph=None) -> "PopularityExposure":
         model_dir = Path(model_dir)
         with open(model_dir / "exposure.json", encoding="utf-8") as fh:
             params = json.load(fh)
@@ -110,6 +105,10 @@ class FixedExposure:
         self.mu_unobserved = mu_unobserved
         self._y = y
 
+    @classmethod
+    def from_config(cls, cfg, y: InteractionMatrix, graph) -> "FixedExposure":
+        return cls(y, mu_unobserved=cfg.mu_unobserved)
+
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         block = np.full((self._y.n_users, j1 - j0), self.mu_unobserved, dtype=np.float64)
         rows, cols = _clicked_in_block(self._y, j0, j1)
@@ -124,7 +123,7 @@ class FixedExposure:
             json.dump({"mu_unobserved": self.mu_unobserved}, fh, indent=2)
 
     @classmethod
-    def load(cls, model_dir, y: InteractionMatrix) -> "FixedExposure":
+    def load(cls, model_dir, y: InteractionMatrix, graph=None) -> "FixedExposure":
         with open(Path(model_dir) / "exposure.json", encoding="utf-8") as fh:
             params = json.load(fh)
         return cls(y, mu_unobserved=params["mu_unobserved"])

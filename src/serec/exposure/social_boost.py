@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import DEFAULT_DENSE_BUDGET, MU_EPS, _iter_blocks
+from serec.engine import DEFAULT_DENSE_BUDGET, MU_EPS, _iter_blocks, posterior_column_sums
 
 
 def phi_social(graph: SocialGraph, p, u: int, i: int, s_coeff: float) -> float:
@@ -77,6 +77,7 @@ class BoostExposure:
     """
 
     kind = "serec-boost"
+    refresh_on_load = True  # load() restores the click-proxy prior, not the fitted one
 
     def __init__(
         self,
@@ -109,6 +110,17 @@ class BoostExposure:
         if self._dense:
             self._materialize()
 
+    @classmethod
+    def from_config(cls, cfg, y: InteractionMatrix, graph: SocialGraph) -> "BoostExposure":
+        return cls(
+            y,
+            graph,
+            s_coeff=cfg.s_coeff,
+            alpha1=cfg.alpha1,
+            alpha2=cfg.alpha2,
+            dense_budget=cfg.dense_budget,
+        )
+
     def _block_from_source(self, j0: int, j1: int) -> np.ndarray:
         src = self._source
         if hasattr(src, "p"):  # posterior handed over by the engine
@@ -130,7 +142,7 @@ class BoostExposure:
         return self._block_from_source(j0, j1)
 
     def update(self, post, y: InteractionMatrix) -> None:
-        self._col = np.asarray(post.p).sum(axis=0) if post.is_dense else _col_sums(post)
+        self._col = posterior_column_sums(post)
         self._source = post
         if self._dense:
             self._materialize()
@@ -149,17 +161,4 @@ class BoostExposure:
         proxy and callers refresh it with an E-step plus update()."""
         with open(Path(model_dir) / "boost.json", encoding="utf-8") as fh:
             params = json.load(fh)
-        return cls(
-            y,
-            graph,
-            s_coeff=params["s_coeff"],
-            alpha1=params["alpha1"],
-            alpha2=params["alpha2"],
-        )
-
-
-def _col_sums(post) -> np.ndarray:
-    out = np.empty(post.n_items, dtype=np.float64)
-    for j0, j1 in _iter_blocks(post.n_items, 8192):
-        out[j0:j1] = np.asarray(post.p[:, j0:j1]).sum(axis=0)
-    return out
+        return cls(y, graph, **params)

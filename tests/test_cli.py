@@ -4,14 +4,19 @@ Every test drives cli.main(argv) in process, so exit codes, stdout and the
 files each command writes are all observable without subprocesses.
 """
 
+import dataclasses
+import inspect
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from serec import cli
+from serec import cli, engine
 from serec import data as dm
+from serec.exposure import PROVIDERS
 
 
 def run(argv):
@@ -250,6 +255,16 @@ def test_train_regular_requires_social(split_dir, tmp_path, capsys):
     assert "--social" in capsys.readouterr().err
 
 
+def test_train_repeats_leave_no_spill_files(split_dir, tmp_path, monkeypatch):
+    spill = tmp_path / "tmp"
+    spill.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    rc = _train(split_dir, tmp_path / "m", "expomf",
+                extra=["--repeats", "3", "--set", "dense_budget=1"])
+    assert rc == 0
+    assert os.listdir(spill) == []
+
+
 def test_train_regular_with_social(dataset, split_dir, tmp_path):
     rc = _train(
         split_dir, tmp_path / "m", "serec-regular",
@@ -424,6 +439,17 @@ def test_exposure_curve_boost_model(dataset, boost_dir, split_dir, capsys):
     assert sum(int(line.split("\t")[2]) for line in lines[1:]) == 60
 
 
+def test_exposure_curve_regular_model_needs_social(dataset, split_dir, tmp_path, capsys):
+    model_dir = tmp_path / "m"
+    assert _train(split_dir, model_dir, "serec-regular", social=dataset / "social.tsv",
+                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=1"]) == 0
+    capsys.readouterr()
+    rc = run(["exposure-curve", "--model-dir", str(model_dir),
+              "--split-dir", str(split_dir), "--user", _raw_user_ids(dataset)[0]])
+    assert rc == 1
+    assert "--social" in capsys.readouterr().err
+
+
 def test_exposure_curve_unknown_user_exits_2(expomf_dir, split_dir, capsys):
     rc = run(["exposure-curve", "--model-dir", str(expomf_dir),
               "--split-dir", str(split_dir), "--user", "no-such-user"])
@@ -492,6 +518,18 @@ def test_robustness_matches_direct_train_and_evaluate(dataset, split_dir, tmp_pa
         assert report["metrics"][name] == pytest.approx(value, rel=1e-12)
 
 
+def test_robustness_leaves_no_spill_files(dataset, split_dir, tmp_path, monkeypatch):
+    spill = tmp_path / "tmp"
+    spill.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    rc = run(["robustness", "--split-dir", str(split_dir),
+              "--social", str(dataset / "social.tsv"),
+              "--model", "serec-boost", "--keep-probs", "1.0,0.5",
+              "--set", "dense_budget=1", "--out", str(tmp_path / "rob.tsv")] + ROBUST_FAST)
+    assert rc == 0
+    assert os.listdir(spill) == []
+
+
 def test_robustness_rejects_bad_keep_prob(dataset, split_dir, capsys):
     rc = run(["robustness", "--split-dir", str(split_dir),
               "--social", str(dataset / "social.tsv"),
@@ -525,6 +563,42 @@ def test_boost_without_social_matches_popularity_model(split_dir, tmp_path):
     ra = json.loads((tmp_path / "ra" / "report.json").read_text())
     rb = json.loads((tmp_path / "rb" / "report.json").read_text())
     assert ra["metrics"] == rb["metrics"]
+
+
+def _model_choices(command):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    parser = sub.choices[command]
+    return tuple(next(a for a in parser._actions if a.dest == "model").choices)
+
+
+def test_model_kinds_match_provider_table():
+    assert cli.MODEL_KINDS == tuple(PROVIDERS) == (
+        "wmf", "expomf", "serec-regular", "serec-boost"
+    )
+    assert all(PROVIDERS[kind].kind == kind for kind in PROVIDERS)
+    assert _model_choices("train") == cli.MODEL_KINDS
+    assert _model_choices("robustness") == cli.MODEL_KINDS
+
+
+def test_run_config_defaults_match_their_consumers():
+    """RunConfig restates the defaults of the TrainConfig fields and the
+    provider parameters it feeds; n_threads differs on purpose (0 means all
+    cores)."""
+    run_defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+    consumers = [(f.name, f.default) for f in dataclasses.fields(engine.TrainConfig)]
+    for cls in PROVIDERS.values():
+        consumers += [
+            (name, param.default)
+            for name, param in inspect.signature(cls.__init__).parameters.items()
+            if param.default is not inspect.Parameter.empty and name in run_defaults
+        ]
+    checked = 0
+    for name, default in consumers:
+        if name == "n_threads":
+            continue
+        assert run_defaults[name] == default, name
+        checked += 1
+    assert checked >= 20
 
 
 def test_usage_errors_exit_1():

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -106,6 +108,16 @@ class TestEStep:
             e_step(y, model, MatrixProvider(np.full((4, 5), np.nan)))
         with pytest.raises(ValueError, match="shape"):
             e_step(y, model, MatrixProvider(np.full((3, 5), 0.5)))
+
+    def test_failed_e_step_removes_the_posterior_it_spilled(self, rng, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spilling = functools.partial(ExposurePosterior, dense_budget=0)
+        monkeypatch.setattr(serec.engine, "ExposurePosterior", spilling)
+        y = random_interactions(rng, 4, 5)
+        model = make_model(np.zeros((4, 2)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="contract violation"):
+            e_step(y, model, MatrixProvider(np.full((4, 5), 1.5)))
+        assert os.listdir(tmp_path) == []
 
 
 class TestFactorUpdates:
@@ -257,6 +269,19 @@ class TestFit:
         path = res_spill.posterior.p.filename
         res_spill.posterior.close()
         assert not os.path.exists(path)
+
+    def test_failed_fit_removes_spilled_posterior(self, rng, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        y = random_interactions(rng, 4, 5)
+
+        def poisoned(*args, **kwargs):
+            return np.full((4, 2), np.nan)
+
+        monkeypatch.setattr(serec.engine, "update_user_factors", poisoned)
+        cfg = TrainConfig(k=2, max_em_iters=3, dense_budget=1)
+        with pytest.raises(TrainingError):
+            fit(y, MatrixProvider(np.full((4, 5), 0.5)), cfg)
+        assert os.listdir(tmp_path) == []
 
     def test_posterior_storage_mode_thresholds(self):
         dense = ExposurePosterior(None, 4, 5, dense_budget=20)
