@@ -85,9 +85,8 @@ def _coerce(name: str, value, current):
         except (TypeError, ValueError):
             raise UsageError('refit_every must be "once" or a positive integer') from None
     if name == "cutoffs":
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v]
-        return tuple(int(v) for v in value)
+        text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+        return tuple(_parse_cutoffs(text, "cutoffs"))
     if isinstance(current, bool):
         if isinstance(value, bool):
             return value
@@ -164,6 +163,13 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     if not values:
         raise UsageError(f"{flag} must not be empty")
     return values
+
+
+def _parse_cutoffs(text: str, flag: str) -> list[int]:
+    values = _parse_floats(text, flag)
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise UsageError(f"{flag} must be positive integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 # ---------------------------------------------------------------- commands
@@ -269,7 +275,7 @@ def _evaluate_model(args, cutoffs, groups=None):
 
 
 def cmd_evaluate(args) -> int:
-    cutoffs = [int(c) for c in _parse_floats(args.cutoffs, "--cutoffs")]
+    cutoffs = _parse_cutoffs(args.cutoffs, "--cutoffs")
     report, _, _, _, _ = _evaluate_model(args, cutoffs)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.model_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -352,13 +358,12 @@ def cmd_robustness(args) -> int:
     graph = _load_graph(args.social, id_map)
     if graph is None:
         raise UsageError("robustness needs --social")
-    cutoffs = sorted(set(int(c) for c in cfg.cutoffs))
     rows = []
     for kp in keep_probs:
         pruned = dm.prune_social(graph, kp, seed=args.seed)
         result, _, _ = _train_once(cfg, split.train, pruned)
         report = metrics.evaluate(
-            result.model, cfg.model, split, cutoffs=cutoffs, target=cfg.target
+            result.model, cfg.model, split, cutoffs=cfg.cutoffs, target=cfg.target
         )
         rows.append((kp, report.metrics))
     names = sorted(rows[0][1])

@@ -26,7 +26,6 @@ class RankedList:
 
     user: int
     items: np.ndarray
-    excluded: frozenset = frozenset()
 
 
 @dataclass
@@ -69,95 +68,129 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _top_n(scores: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n best-scoring items among those ``keep`` marks.
+
+    Equal scores rank by ascending item index.  ``np.partition`` finds the
+    n-th best score; every item above it, then the tied items in index
+    order, fill the n places, and a stable sort orders that small set.
+    NaN scores rank last, as in a sort.
+    """
+    candidates = np.flatnonzero(keep)
+    neg = -scores[candidates]
+    if len(neg) > n:
+        cut = np.partition(neg, n - 1)[n - 1]
+        above, tied = (~np.isnan(neg), np.isnan(neg)) if np.isnan(cut) else (neg < cut, neg == cut)
+        above[np.flatnonzero(tied)[: n - np.count_nonzero(above)]] = True
+        chosen = np.flatnonzero(above)
+        return candidates[chosen[np.argsort(neg[chosen], kind="stable")]]
+    return candidates[np.argsort(neg, kind="stable")]
+
+
+def _metric_table(hits: np.ndarray, n_relevant: np.ndarray, cutoffs) -> dict[str, np.ndarray]:
+    """Recall, MAP and NDCG at each cutoff, one entry per row of ``hits``.
+
+    ``hits[r, j]`` says whether rank j + 1 of row r holds a relevant item;
+    ``n_relevant[r]`` (>= 1) counts that row's relevant items.  Running
+    sums along each row give every cutoff at once.  ``np.cumsum`` adds in
+    rank order, unlike the pairwise ``np.sum``, and the discounts come from
+    ``math.log2``, so each value is bit for bit what a loop over ranks gives.
+    """
+    ranks = np.arange(1, hits.shape[1] + 1)
+    discount = np.array([1.0 / math.log2(r + 1) for r in ranks.tolist()])
+    found = np.cumsum(hits, axis=1)
+    precision_sum = np.cumsum(np.where(hits, found / ranks, 0.0), axis=1)
+    dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)
+    ideal_dcg = np.cumsum(discount)
+    norms = {k: np.minimum(k, n_relevant) for k in cutoffs}
+    return {
+        **{f"recall@{k}": found[:, k - 1] / norm for k, norm in norms.items()},
+        **{f"map@{k}": precision_sum[:, k - 1] / norm for k, norm in norms.items()},
+        **{f"ndcg@{k}": dcg[:, k - 1] / ideal_dcg[norm - 1] for k, norm in norms.items()},
+    }
+
+
 def rank_items(scores: np.ndarray, excluded, n: int) -> RankedList:
     """Indices of the n best-scoring items, excluded ones removed first.
 
-    Stable argsort of the negated scores: equal scores rank by ascending
-    item index.
+    Equal scores rank by ascending item index.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scores = np.asarray(scores)
-    order = np.argsort(-scores, kind="stable")
-    exc = frozenset(int(e) for e in excluded)
-    if exc:
-        keep = np.fromiter((i not in exc for i in order), dtype=bool, count=len(order))
-        order = order[keep]
-    return RankedList(user=-1, items=order[:n], excluded=exc)
+    exc = np.fromiter(excluded, dtype=np.int64)
+    keep = np.ones(len(scores), dtype=bool)
+    keep[exc[(exc >= 0) & (exc < len(scores))]] = False
+    return RankedList(user=-1, items=_top_n(scores, keep, n))
 
 
-def _check_relevant(relevant) -> set:
-    rel = set(int(r) for r in relevant)
-    if not rel:
+def _point_metric(metric: str, ranked: RankedList, relevant, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rel = np.unique(np.fromiter(relevant, dtype=np.int64))
+    if not len(rel):
         raise ValueError("relevant set is empty; user should be skipped, not scored")
-    return rel
+    top = np.asarray(ranked.items)[:k]
+    hits = np.zeros((1, k), dtype=bool)
+    hits[0, : len(top)] = np.isin(top, rel)
+    return float(_metric_table(hits, np.array([len(rel)]), (k,))[f"{metric}@{k}"][0])
 
 
 def recall_at_k(ranked: RankedList, relevant, k: int) -> float:
-    rel = _check_relevant(relevant)
-    hits = sum(1 for i in ranked.items[:k] if int(i) in rel)
-    return hits / min(k, len(rel))
+    """Relevant items in the top k over min(k, |relevant|)."""
+    return _point_metric("recall", ranked, relevant, k)
 
 
 def map_at_k(ranked: RankedList, relevant, k: int) -> float:
     """Average precision at k, normalized by min(k, |relevant|)."""
-    rel = _check_relevant(relevant)
-    hits = 0
-    total = 0.0
-    for rank, item in enumerate(ranked.items[:k], start=1):
-        if int(item) in rel:
-            hits += 1
-            total += hits / rank
-    return total / min(k, len(rel))
+    return _point_metric("map", ranked, relevant, k)
 
 
 def ndcg_at_k(ranked: RankedList, relevant, k: int) -> float:
-    rel = _check_relevant(relevant)
-    dcg = sum(
-        1.0 / math.log2(rank + 1)
-        for rank, item in enumerate(ranked.items[:k], start=1)
-        if int(item) in rel
-    )
-    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, min(k, len(rel)) + 1))
-    return dcg / idcg
+    """Binary-relevance DCG at k over the ideal DCG."""
+    return _point_metric("ndcg", ranked, relevant, k)
 
 
 def _per_user_metrics(
     model: FactorModel, split: DatasetSplit, cutoffs, target: str
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Metric arrays (one entry per evaluated user) plus the user indices."""
+    """Metric arrays (one entry per evaluated user) plus the user indices.
+
+    Scores are ``model.beta @ model.theta[u]``, one user at a time: a
+    batched ``theta @ beta.T`` rounds differently in the last bits, which
+    reorders near-ties.
+    """
     if target not in ("test", "validation"):
         raise ValueError('target must be "test" or "validation"')
     if model.n_users != split.n_users or model.n_items != split.n_items:
         raise ValueError("model and split disagree on dimensions")
-    cutoffs = sorted(int(c) for c in cutoffs)
+    cutoffs = np.unique([int(c) for c in cutoffs]).tolist()  # sorted, each once
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError("cutoffs must be positive")
     target_matrix = split.test if target == "test" else split.validation
-    names = [
-        f"{metric}@{k}" for metric in ("recall", "map", "ndcg") for k in cutoffs
-    ]
-    values: dict[str, list[float]] = {name: [] for name in names}
-    users = []
-    n_max = max(cutoffs)
+    seen = (split.train, split.validation) if target == "test" else (split.train,)
+    n_max = cutoffs[-1]
+    hits = np.zeros((split.n_users, n_max), dtype=bool)
+    n_relevant = np.zeros(split.n_users, dtype=np.int64)
+    keep = np.ones(split.n_items, dtype=bool)
+    is_relevant = np.zeros(split.n_items, dtype=bool)
     for u in range(split.n_users):
-        excluded = set(split.train.items_of(u).tolist())
-        if target == "test":
-            excluded |= set(split.validation.items_of(u).tolist())
-        relevant = set(target_matrix.items_of(u).tolist()) - excluded
-        if not relevant:
+        keep[:] = True
+        for part in seen:
+            keep[part.items_of(u)] = False
+        relevant = target_matrix.items_of(u)
+        relevant = relevant[keep[relevant]]
+        if not len(relevant):
             continue
-        scores = model.beta @ model.theta[u]
-        ranked = rank_items(scores, excluded, n_max)
-        ranked.user = u
-        for k in cutoffs:
-            values[f"recall@{k}"].append(recall_at_k(ranked, relevant, k))
-            values[f"map@{k}"].append(map_at_k(ranked, relevant, k))
-            values[f"ndcg@{k}"].append(ndcg_at_k(ranked, relevant, k))
-        users.append(u)
-    if not users:
+        top = _top_n(model.beta @ model.theta[u], keep, n_max)
+        is_relevant[relevant] = True
+        hits[u, : len(top)] = is_relevant[top]
+        is_relevant[relevant] = False
+        n_relevant[u] = len(relevant)
+    users = np.flatnonzero(n_relevant)
+    if not len(users):
         raise ValueError("no users with relevant items in the target split")
-    return {name: np.asarray(vals) for name, vals in values.items()}, np.asarray(users)
+    return _metric_table(hits[users], n_relevant[users], cutoffs), users
 
 
 def evaluate(
@@ -185,11 +218,14 @@ def evaluate(
         target=target,
     )
     if groups is not None:
-        position = {int(u): idx for idx, u in enumerate(users)}
+        position = np.full(split.n_users, -1)
+        position[users] = np.arange(len(users))
         report.groups = {}
         for label, members in groups.items():
-            idx = [position[int(u)] for u in members if int(u) in position]
-            if not idx:
+            members = np.asarray(members, dtype=np.int64)
+            idx = position[members[(members >= 0) & (members < split.n_users)]]
+            idx = idx[idx >= 0]
+            if not len(idx):
                 continue
             report.groups[label] = {
                 "n_users": len(idx),

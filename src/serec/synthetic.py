@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from serec.data import InteractionMatrix, SocialGraph
 
@@ -92,6 +91,8 @@ def brute_force_posterior(mu: float, score: float, lambda_y: float) -> float:
     prior mu, the response is Gaussian around the score.  Uses the scipy
     density on purpose, as an implementation independent of the engine.
     """
+    from scipy import stats  # here, not at module level: importing serec must stay cheap
+
     prior = np.array([1.0 - mu, mu])
     likelihood = np.array(
         [1.0, stats.norm.pdf(0.0, loc=score, scale=1.0 / math.sqrt(lambda_y))]

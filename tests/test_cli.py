@@ -8,6 +8,8 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -361,6 +363,35 @@ def test_evaluate_rejects_bad_cutoffs(wmf_dir, split_dir, capsys):
               "--cutoffs", "ten"])
     assert rc == 1
     assert "comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoffs", ["10.7", "0", "-5", "10,0"])
+def test_evaluate_cutoffs_must_be_positive_integers(wmf_dir, split_dir, tmp_path, capsys, cutoffs):
+    # 10.7 used to report @10; 0 and -5 exited 2 from inside evaluate
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(split_dir),
+              "--cutoffs", cutoffs, "--out-dir", str(tmp_path / "r")])
+    assert rc == 1
+    assert "--cutoffs must be positive integers" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_cutoffs_must_be_positive_integers():
+    # train records them and robustness evaluates them; 10.7 used to become
+    # 10, and a single value (JSON-decoded to a number) raised TypeError
+    assert cli.load_config(None, ["cutoffs=5,20"]).cutoffs == (5, 20)
+    assert cli.load_config(None, ["cutoffs=50"]).cutoffs == (50,)
+    for bad in ("10.7", "0", "-5"):
+        with pytest.raises(cli.UsageError, match="cutoffs must be positive integers"):
+            cli.load_config(None, [f"cutoffs={bad}"])
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of every CLI process's start-up
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import serec.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_evaluate_dimension_mismatch_exits_2(wmf_dir, tmp_path, capsys):

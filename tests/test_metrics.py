@@ -18,6 +18,7 @@ from serec import (
     rank_items,
     recall_at_k,
 )
+from serec import metrics
 from serec.metrics import EvalReport, RankedList
 
 
@@ -53,6 +54,28 @@ class TestRankItems:
             n = int(rng.integers(1, n_items + 1))
             got = rank_items(scores, excluded, n).items.tolist()
             assert got == brute_rank(scores, excluded, n)
+
+    def test_tie_heavy_scores_match_sorted_oracle(self, rng):
+        # few distinct integer scores, so the n-th best score is almost
+        # always shared and the cut falls inside a run of ties
+        for _ in range(300):
+            n_items = int(rng.integers(1, 40))
+            scores = rng.integers(-2, 3, n_items)
+            n_excluded = int(rng.integers(0, n_items + 1))
+            excluded = set(rng.choice(n_items, size=n_excluded, replace=False).tolist())
+            n = int(rng.integers(1, n_items + 5))  # may exceed the candidates left
+            got = rank_items(scores, excluded, n).items.tolist()
+            assert got == brute_rank(scores.tolist(), excluded, n)
+
+    def test_everything_excluded_gives_empty_list(self):
+        out = rank_items(np.array([3.0, 1.0, 2.0]), excluded=[0, 1, 2], n=2)
+        assert out.items.tolist() == []
+
+    def test_nan_scores_rank_last_like_a_stable_sort(self):
+        scores = np.array([np.nan, 1.0, np.nan, 2.0, 1.0, np.nan])
+        for n in range(1, 7):
+            want = np.argsort(-scores, kind="stable")[:n].tolist()
+            assert rank_items(scores, (), n).items.tolist() == want
 
     def test_invariant_under_monotone_transform(self, rng):
         scores = rng.permutation(20).astype(float)
@@ -145,6 +168,59 @@ class TestEvaluate:
                 assert report.n_users_evaluated == count
                 for name, val in want.items():
                     assert report.metrics[name] == pytest.approx(val, abs=1e-12), (trial, name)
+
+    def test_matches_brute_force_with_exact_ties(self, rng):
+        # integer factors give integer scores: many exact ties at every
+        # cutoff, and the matrix-vector product computes them exactly
+        for trial in range(30):
+            n_users = int(rng.integers(1, 16))
+            n_items = int(rng.integers(2, 30))
+            split = self.random_split(rng, n_users, n_items)
+            model = FactorModel(
+                rng.integers(-1, 2, (n_users, 2)).astype(float),
+                rng.integers(-1, 2, (n_items, 2)).astype(float),
+            )
+            sets = [
+                [set(part.items_of(u).tolist()) for u in range(n_users)]
+                for part in (split.train, split.validation, split.test)
+            ]
+            for target in ("test", "validation"):
+                try:
+                    want, count = brute_evaluate(model.theta, model.beta, *sets, (1, 4, 8), target)
+                except ValueError:
+                    continue
+                report = evaluate(model, None, split, cutoffs=(1, 4, 8), target=target)
+                assert report.n_users_evaluated == count
+                for name, val in want.items():
+                    assert report.metrics[name] == pytest.approx(val, abs=1e-12), (trial, name)
+
+    def test_per_user_values_equal_point_metrics(self, rng):
+        split = self.random_split(rng, 30, 40)
+        model = FactorModel(rng.integers(-2, 3, (30, 3)).astype(float), rng.normal(0, 1, (40, 3)))
+        cutoffs = (1, 5, 20)
+        for target in ("test", "validation"):
+            per_user, users = metrics._per_user_metrics(model, split, cutoffs, target)
+            parts = (split.train, split.validation) if target == "test" else (split.train,)
+            truth = split.test if target == "test" else split.validation
+            for pos, u in enumerate(users.tolist()):
+                excluded = np.concatenate([m.items_of(u) for m in parts])
+                relevant = np.setdiff1d(truth.items_of(u), excluded)
+                ranked = rank_items(model.beta @ model.theta[u], excluded, max(cutoffs))
+                for k in cutoffs:
+                    assert per_user[f"recall@{k}"][pos] == recall_at_k(ranked, relevant, k)
+                    assert per_user[f"map@{k}"][pos] == map_at_k(ranked, relevant, k)
+                    assert per_user[f"ndcg@{k}"][pos] == ndcg_at_k(ranked, relevant, k)
+
+    def test_duplicate_cutoffs_count_each_user_once(self, rng):
+        # a repeated cutoff used to append each user's value twice, so the
+        # group means indexed the wrong users
+        split = self.random_split(rng, 40, 30)
+        model = FactorModel(rng.normal(0, 1, (40, 3)), rng.normal(0, 1, (30, 3)))
+        groups = {"a": np.arange(0, 20), "b": np.arange(20, 40)}
+        once = evaluate(model, None, split, cutoffs=(10,), groups=groups)
+        twice = evaluate(model, None, split, cutoffs=(10, 10), groups=groups)
+        assert twice.metrics == once.metrics
+        assert twice.groups == once.groups
 
     def test_perfect_model_scores_one(self):
         # item factors aligned with each user's test items
