@@ -421,11 +421,18 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
     n_users, n_items = meta["n_users"], meta["n_items"]
 
     def read(name):
+        path = in_dir / name
         pairs = []
-        for lineno, fields in _records(in_dir / name):
+        for lineno, fields in _records(path):
             if len(fields) != 2:
-                raise DataFormatError(f"{in_dir / name}:{lineno}: expected 'user item'")
-            pairs.append((id_map.user_index[fields[0]], id_map.item_index[fields[1]]))
+                raise DataFormatError(f"{path}:{lineno}: expected 'user item'")
+            u = id_map.user_index.get(fields[0])
+            i = id_map.item_index.get(fields[1])
+            if u is None:
+                raise DataFormatError(f"{path}:{lineno}: unknown user id '{fields[0]}'")
+            if i is None:
+                raise DataFormatError(f"{path}:{lineno}: unknown item id '{fields[1]}'")
+            pairs.append((u, i))
         if not pairs:
             pairs = np.empty((0, 2), dtype=np.int64)
         return InteractionMatrix(n_users, n_items, pairs)

@@ -4,7 +4,10 @@ people they trust.
 The prior is a low-rank bilinear form mu_ui = X_u . T_i + gamma_i.  The
 trust graph enters as a second factorization task sharing X: for an edge
 (u, k) the product X_u . B_k should approach 1, for a non-edge 0.  Both
-tasks are fit jointly by SGD over (i, u, k) triplets.
+tasks are fit jointly by SGD over (i, u, k) triplets.  Consecutive
+triplets that share no item, truster or trustee touch disjoint rows, so
+each maximal run of them is applied as one batched step; the result is
+sequential SGD up to dot-product rounding.
 
 Regression targets: an observed pair pulls mu toward the item's audience
 share n_i / U; a sampled unobserved pair pulls it toward the current
@@ -58,27 +61,68 @@ def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
     )
 
 
-def triplet_gradients(state, triplet, target: float, s_uk: int):
-    """The four half-gradients of the sampled loss at one (i, u, k) triplet.
+def _run_gradients(state, i, u, k, target, s_uk):
+    """The four half-gradients of the sampled loss at each triplet of a run.
 
-    err = X_u.T_i + gamma_i - target, serr = X_u.B_k - s_uk:
+    For triplet j with err = X_u.T_i + gamma_i - target and
+    serr = X_u.B_k - s_uk:
         dT_i    = err * X_u + lambda_t * T_i
         dX_u    = err * T_i + lambda_sr * serr * B_k + lambda_x * X_u
         dB_k    = lambda_sr * serr * X_u + lambda_b * B_k
         dgamma  = err + lambda_gamma * gamma_i
+    Row j of each result belongs to triplet (i[j], u[j], k[j]); all rows
+    are evaluated at the current point.
     """
-    i, u, k = triplet
     h = state.hyper
     xu, ti, bk = state.x[u], state.t[i], state.b[k]
+    gamma = state.gamma[i]
     # overflow lands on the finite-guard in the step, not on a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        err = float(xu @ ti) + state.gamma[i] - target
-        serr = float(xu @ bk) - s_uk
-        g_t = err * xu + h["lambda_t"] * ti
-        g_x = err * ti + h["lambda_sr"] * serr * bk + h["lambda_x"] * xu
-        g_b = h["lambda_sr"] * serr * xu + h["lambda_b"] * bk
-        g_gamma = err + h["lambda_gamma"] * state.gamma[i]
+        err = np.einsum("ij,ij->i", xu, ti) + gamma - target
+        pull = h["lambda_sr"] * (np.einsum("ij,ij->i", xu, bk) - s_uk)  # lambda_sr * serr
+        g_t = err[:, None] * xu + h["lambda_t"] * ti
+        g_x = err[:, None] * ti + pull[:, None] * bk + h["lambda_x"] * xu
+        g_b = pull[:, None] * xu + h["lambda_b"] * bk
+        g_gamma = err + h["lambda_gamma"] * gamma
     return g_t, g_x, g_b, g_gamma
+
+
+def _sgd_run(state, i, u, k, target, s_uk, lr: float) -> None:
+    """One simultaneous SGD step for every triplet of a conflict-free run.
+
+    No item, truster or trustee repeats within the run, so each triplet
+    reads and writes rows no other one touches, and the batched step
+    equals the same steps taken one after another.
+    """
+    g_t, g_x, g_b, g_gamma = _run_gradients(state, i, u, k, target, s_uk)
+    finite = (
+        np.isfinite(g_t).all(axis=1)
+        & np.isfinite(g_x).all(axis=1)
+        & np.isfinite(g_b).all(axis=1)
+        & np.isfinite(g_gamma)
+    )
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise TrainingError(
+            f"non-finite gradient at triplet (i={int(i[j])}, u={int(u[j])}, k={int(k[j])})"
+        )
+    state.t[i] -= lr * g_t
+    state.x[u] -= lr * g_x
+    state.b[k] -= lr * g_b
+    state.gamma[i] -= lr * g_gamma
+
+
+def _one(triplet, target, s_uk):
+    """A single triplet as a run of length one."""
+    i, u, k = triplet
+    return np.array([i]), np.array([u]), np.array([k]), np.array([target]), np.array([s_uk])
+
+
+def triplet_gradients(state, triplet, target: float, s_uk: int):
+    """The four half-gradients of the sampled loss at one (i, u, k) triplet
+    (formulas in :func:`_run_gradients`)."""
+    g_t, g_x, g_b, g_gamma = _run_gradients(state, *_one(triplet, target, s_uk))
+    return g_t[0], g_x[0], g_b[0], g_gamma[0]
 
 
 def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
@@ -102,52 +146,75 @@ def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
 def sgd_triplet_step(state, triplet, target: float, s_uk: int, lr: float):
     """One simultaneous SGD step: all four gradients evaluated at the
     current point, then applied together."""
-    i, u, k = triplet
-    g_t, g_x, g_b, g_gamma = triplet_gradients(state, triplet, target, s_uk)
-    if not (
-        np.all(np.isfinite(g_t))
-        and np.all(np.isfinite(g_x))
-        and np.all(np.isfinite(g_b))
-        and np.isfinite(g_gamma)
-    ):
-        raise TrainingError(f"non-finite gradient at triplet (i={i}, u={u}, k={k})")
-    state.t[i] -= lr * g_t
-    state.x[u] -= lr * g_x
-    state.b[k] -= lr * g_b
-    state.gamma[i] -= lr * g_gamma
+    _sgd_run(state, *_one(triplet, target, s_uk), lr)
     return state
 
 
+def _conflict_free_runs(*columns) -> list[int]:
+    """Boundaries of the greedy maximal runs in which no column repeats a value.
+
+    Returns offsets ``[0, b_1, ..., n]``: run r is ``[b_r, b_{r+1})``, and
+    each run ends just before the first row that repeats a value of its
+    own run in some column.
+    """
+    n = len(columns[0])
+    prev = np.full(n, -1, dtype=np.int64)  # latest earlier row sharing a value
+    for col in columns:
+        order = np.argsort(col, kind="stable")
+        later, earlier = order[1:], order[:-1]
+        same = col[later] == col[earlier]
+        later, earlier = later[same], earlier[same]
+        prev[later] = np.maximum(prev[later], earlier)
+    bounds = [0]
+    for row, p in enumerate(prev.tolist()):
+        if p >= bounds[-1]:
+            bounds.append(row)
+    bounds.append(n)
+    return bounds
+
+
+def _sgd_epoch(state, pairs, t_vals, partners, s_flags, lr: float) -> None:
+    """Sequential SGD over one epoch's triplets, one batched step per
+    conflict-free run."""
+    u, i = pairs[:, 0], pairs[:, 1]
+    bounds = _conflict_free_runs(i, u, partners)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        _sgd_run(state, i[a:b], u[a:b], partners[a:b], t_vals[a:b], s_flags[a:b], lr)
+
+
 def _sample_negatives(y: InteractionMatrix, n: int, rng) -> np.ndarray:
-    """n unobserved (u, i) pairs, rejection-sampled."""
-    observed = set((y.user_idx * y.n_items + y.item_idx).tolist())
-    if len(observed) >= y.n_users * y.n_items:
+    """n unobserved (u, i) pairs, rejection-sampled in draw order."""
+    n_pairs = y.n_users * y.n_items
+    if y.n_entries >= n_pairs:
         raise ValueError("every pair is observed; nothing to sample")
+    # ascending, since pairs are stored in (user, item) order; the sentinel
+    # above every key keeps searchsorted's position in bounds
+    observed = np.append(y.user_idx * y.n_items + y.item_idx, n_pairs)
     out = np.empty((n, 2), dtype=np.int64)
     filled = 0
     while filled < n:
         m = max(2 * (n - filled), 16)
         cand_u = rng.integers(0, y.n_users, size=m)
         cand_i = rng.integers(0, y.n_items, size=m)
-        for u, i in zip(cand_u, cand_i):
-            if int(u) * y.n_items + int(i) in observed:
-                continue
-            out[filled] = (u, i)
-            filled += 1
-            if filled == n:
-                break
+        keys = cand_u * y.n_items + cand_i
+        keep = np.flatnonzero(observed[np.searchsorted(observed, keys)] != keys)[: n - filled]
+        out[filled : filled + keep.size, 0] = cand_u[keep]
+        out[filled : filled + keep.size, 1] = cand_i[keep]
+        filled += keep.size
     return out
 
 
-def _draw_trust_partner(graph: SocialGraph, u: int, rng) -> tuple[int, int]:
-    """A trustee for u: a friend with s=1, or a random non-friend with s=0."""
-    friends = graph.friends_of(u)
-    if friends.size:
-        return int(friends[rng.integers(friends.size)]), 1
-    k = int(rng.integers(graph.n_users))
-    while k == u and graph.n_users > 1:
-        k = int(rng.integers(graph.n_users))
-    return k, 0
+def _draw_trust_partners(graph: SocialGraph, users: np.ndarray, rng):
+    """A trustee for each user: a uniform friend with s=1, or, for a user
+    without friends, a uniform other user with s=0.  One draw per user."""
+    adj = graph.adjacency()
+    degree = np.diff(adj.indptr)[users]
+    has_friends = degree > 0
+    draw = rng.integers(0, np.where(has_friends, degree, max(graph.n_users - 1, 1)))
+    # skip past u itself; a lone user (n_users == 1) has no other and keeps u
+    partners = np.minimum(draw + (draw >= users), graph.n_users - 1)
+    partners[has_friends] = adj.indices[adj.indptr[users[has_friends]] + draw[has_friends]]
+    return partners, has_friends.astype(np.int64)
 
 
 def _epoch_sample(y, graph, targets: ExposureTargets, seed: int, epoch: int):
@@ -159,14 +226,8 @@ def _epoch_sample(y, graph, targets: ExposureTargets, seed: int, epoch: int):
     pairs = np.vstack([pos, neg])
     t_vals = np.empty(len(pairs))
     t_vals[: len(pos)] = targets.observed_per_item[pos[:, 1]]
-    arr = targets.posterior
-    t_vals[len(pos) :] = np.clip(
-        np.asarray([arr[u, i] for u, i in neg]), MU_EPS, 1.0 - MU_EPS
-    )
-    partners = np.empty(len(pairs), dtype=np.int64)
-    s_flags = np.empty(len(pairs), dtype=np.int64)
-    for idx, (u, _) in enumerate(pairs):
-        partners[idx], s_flags[idx] = _draw_trust_partner(graph, int(u), rng)
+    t_vals[len(pos) :] = np.clip(targets.posterior[neg[:, 0], neg[:, 1]], MU_EPS, 1.0 - MU_EPS)
+    partners, s_flags = _draw_trust_partners(graph, pairs[:, 0], rng)
     order = rng.permutation(len(pairs))
     return pairs[order], t_vals[order], partners[order], s_flags[order]
 
@@ -210,8 +271,7 @@ def fit_exposure(state, y: InteractionMatrix, p, social: SocialGraph, seed: int 
             ref = (pairs, t_vals, partners, s_flags)
             initial = _sampled_objective(state, *ref)
         try:
-            for (u, i), tgt, k, s_uk in zip(pairs, t_vals, partners, s_flags):
-                sgd_triplet_step(state, (int(i), int(u), int(k)), float(tgt), int(s_uk), lr)
+            _sgd_epoch(state, pairs, t_vals, partners, s_flags, lr)
         except TrainingError as exc:
             raise TrainingError(f"{exc}; try a smaller learning_rate") from None
         current = _sampled_objective(state, *ref)

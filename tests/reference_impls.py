@@ -131,3 +131,83 @@ def beta_mode_oracle(successes, failures, alpha1, alpha2):
     a = alpha1 + successes
     b = alpha2 + failures
     return (a - 1.0) / (a + b - 2.0)
+
+
+# The serec-regular exposure refit, one triplet and one draw at a time:
+# oracles for the vectorized sampler and the batched SGD runs.
+
+REF_MU_EPS = 1e-6
+
+
+def sample_negatives_reference(y, n, rng):
+    """n unobserved (u, i) pairs, rejected against a Python set of clicks."""
+    observed = set((y.user_idx * y.n_items + y.item_idx).tolist())
+    out = np.empty((n, 2), dtype=np.int64)
+    filled = 0
+    while filled < n:
+        m = max(2 * (n - filled), 16)
+        cand_u = rng.integers(0, y.n_users, size=m)
+        cand_i = rng.integers(0, y.n_items, size=m)
+        for u, i in zip(cand_u, cand_i):
+            if int(u) * y.n_items + int(i) in observed:
+                continue
+            out[filled] = (u, i)
+            filled += 1
+            if filled == n:
+                break
+    return out
+
+
+def draw_trust_partner_reference(graph, u, rng):
+    """A trustee for u: a friend with s=1, or a random non-friend with s=0,
+    redrawn while it is u itself."""
+    friends = graph.friends_of(u)
+    if friends.size:
+        return int(friends[rng.integers(friends.size)]), 1
+    k = int(rng.integers(graph.n_users))
+    while k == u and graph.n_users > 1:
+        k = int(rng.integers(graph.n_users))
+    return k, 0
+
+
+def epoch_sample_reference(y, graph, posterior, seed, epoch):
+    """One epoch's permuted triplets: clicks with target n_i / U, as many
+    negatives with target p_ui, each with a trust partner."""
+    rng = np.random.default_rng([seed, epoch])
+    per_item = np.clip(y.item_counts() / y.n_users, REF_MU_EPS, 1.0 - REF_MU_EPS)
+    pos = np.column_stack([y.user_idx, y.item_idx])
+    neg = sample_negatives_reference(y, len(pos), rng)
+    pairs = np.vstack([pos, neg])
+    t_vals = np.empty(len(pairs))
+    t_vals[: len(pos)] = per_item[pos[:, 1]]
+    t_vals[len(pos) :] = np.clip(
+        np.asarray([posterior[u, i] for u, i in neg]), REF_MU_EPS, 1.0 - REF_MU_EPS
+    )
+    partners = np.empty(len(pairs), dtype=np.int64)
+    s_flags = np.empty(len(pairs), dtype=np.int64)
+    for idx, (u, _) in enumerate(pairs):
+        partners[idx], s_flags[idx] = draw_trust_partner_reference(graph, int(u), rng)
+    order = rng.permutation(len(pairs))
+    return pairs[order], t_vals[order], partners[order], s_flags[order]
+
+
+def sgd_epoch_reference(state, pairs, t_vals, partners, s_flags, lr):
+    """Plain sequential SGD, one simultaneous four-gradient step per triplet."""
+    h = state.hyper
+    for (u, i), target, k, s_uk in zip(pairs, t_vals, partners, s_flags):
+        xu, ti, bk = state.x[u].copy(), state.t[i].copy(), state.b[k].copy()
+        err = float(xu @ ti) + state.gamma[i] - target
+        serr = float(xu @ bk) - s_uk
+        state.t[i] -= lr * (err * xu + h["lambda_t"] * ti)
+        state.x[u] -= lr * (err * ti + h["lambda_sr"] * serr * bk + h["lambda_x"] * xu)
+        state.b[k] -= lr * (h["lambda_sr"] * serr * xu + h["lambda_b"] * bk)
+        state.gamma[i] -= lr * (err + h["lambda_gamma"] * state.gamma[i])
+
+
+def fit_exposure_reference(state, y, posterior, graph, seed):
+    """Every configured epoch of the refit, sequentially, in place."""
+    h = state.hyper
+    for epoch in range(h["n_sgd_epochs"]):
+        sample = epoch_sample_reference(y, graph, posterior, seed, epoch)
+        sgd_epoch_reference(state, *sample, h["learning_rate"])
+    return state

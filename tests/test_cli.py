@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -402,6 +403,18 @@ def test_evaluate_dimension_mismatch_exits_2(wmf_dir, tmp_path, capsys):
     rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(tmp_path / "s")])
     assert rc == 2
     assert "but split is" in capsys.readouterr().err
+
+
+def test_evaluate_unknown_split_id_exits_2_naming_the_file(wmf_dir, split_dir, tmp_path, capsys):
+    bad = tmp_path / "split"
+    shutil.copytree(split_dir, bad)
+    with open(bad / "test.tsv", "a", encoding="utf-8") as fh:
+        fh.write("uX\ti0\n")
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad / 'test.tsv'}:" in err
+    assert "unknown user id 'uX'" in err
 
 
 # ------------------------------------------------------------- friend-groups

@@ -254,6 +254,20 @@ class TestRoundTrips:
         assert loaded.seed == 11 and loaded.ratios == (0.7, 0.2)
         assert loaded_ids.users == ids.users
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("zz\tv\n", "unknown user id 'zz'"), ("a\tqq\n", "unknown item id 'qq'")],
+    )
+    def test_load_split_unknown_id_names_file_and_line(self, tmp_path, toy_matrix, line, message):
+        ids = IdMap(users=list("abcd"), items=list("vwxyz"))
+        save_split(tmp_path / "split", split_interactions(toy_matrix, seed=11), ids)
+        path = tmp_path / "split" / "validation.tsv"
+        n_lines = len(path.read_text().splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        with pytest.raises(DataFormatError, match=f"validation.tsv:{n_lines + 1}: {message}"):
+            load_split(tmp_path / "split")
+
     def test_idmap_round_trip(self, tmp_path):
         ids = IdMap(users=["u9", "u1"], items=["i5"])
         ids.save(tmp_path)

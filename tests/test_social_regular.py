@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_interactions
+from reference_impls import (
+    epoch_sample_reference,
+    fit_exposure_reference,
+    sample_negatives_reference,
+)
 from serec import (
     InteractionMatrix,
     RegularExposure,
@@ -18,7 +23,15 @@ from serec import (
     regular_mu,
     sgd_triplet_step,
 )
-from serec.exposure.social_regular import sampled_triplet_loss, triplet_gradients
+from serec.exposure.social_regular import (
+    _conflict_free_runs,
+    _draw_trust_partners,
+    _epoch_sample,
+    _sample_negatives,
+    _sgd_epoch,
+    sampled_triplet_loss,
+    triplet_gradients,
+)
 
 DEFAULT_HYPER = {
     "k_sr": 1,
@@ -335,3 +348,102 @@ class TestRegularProvider:
         assert res.n_iters == 4
         assert np.all(np.isfinite(res.model.theta))
         assert provider.last_objective is not None
+
+
+def befriended_instance(seed, n_users, n_items, clicks_per_user, friends_per_user):
+    """Clicks with a long-tailed item popularity, and a trust graph in which
+    every user has at least one friend (a ring plus random edges)."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, n_items + 1)
+    users = np.repeat(np.arange(n_users), clicks_per_user)
+    items = rng.choice(n_items, size=users.size, p=weights / weights.sum())
+    y = InteractionMatrix(n_users, n_items, np.column_stack([users, items]))
+    ring = np.column_stack([np.arange(n_users), (np.arange(n_users) + 1) % n_users])
+    extra = rng.integers(0, n_users, size=(n_users * friends_per_user, 2))
+    graph = SocialGraph(n_users, np.vstack([ring, extra]))
+    p = rng.uniform(0, 1, (n_users, n_items))
+    return y, graph, p
+
+
+class TestBatchedRefit:
+    @pytest.mark.parametrize(
+        "shape, epochs",
+        [
+            ((6, 5, 2, 1), 10),  # runs of a few triplets; items and trustees collide
+            ((200, 2000, 30, 13), 3),  # lastfm's clicks and friends per user
+        ],
+    )
+    def test_matches_sequential_reference(self, shape, epochs):
+        y, graph, p = befriended_instance(3, *shape)
+        provider = RegularExposure(
+            y, graph, k_sr=5, learning_rate=0.02, n_sgd_epochs=epochs, seed=4, init_scale=0.3
+        )
+        ref = copy.deepcopy(provider)
+        fit_exposure(provider, y, p, graph, seed=8)
+        fit_exposure_reference(ref, y, p, graph, seed=8)
+        for name in ("x", "t", "b", "gamma"):
+            np.testing.assert_allclose(getattr(provider, name), getattr(ref, name), rtol=1e-10)
+
+    def test_runs_are_conflict_free_and_maximal(self):
+        rng = np.random.default_rng(5)
+        n = 400
+        i, u, k = rng.integers(0, 9, n), rng.integers(0, 5, n), rng.integers(0, 5, n)
+        bounds = _conflict_free_runs(i, u, k)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert np.all(np.diff(bounds) > 0)
+        assert len(bounds) > 20
+        for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for col in (i, u, k):
+                assert len(set(col[a:b].tolist())) == b - a
+            if r:
+                before = slice(bounds[r - 1], a)
+                assert any(col[a] in col[before] for col in (i, u, k))
+
+    def test_epoch_sample_equals_reference_sampler(self):
+        y, graph, p = befriended_instance(6, 40, 120, 10, 4)
+        assert graph.out_degree().min() > 0
+        targets = build_targets(y, p)
+        for seed, epoch in ((0, 0), (3, 1), (11, 7)):
+            got = _epoch_sample(y, graph, targets, seed, epoch)
+            want = epoch_sample_reference(y, graph, p, seed, epoch)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_negatives_equal_reference_and_are_unobserved(self):
+        y, _, _ = befriended_instance(2, 30, 12, 6, 1)  # dense: many rejections
+        got = _sample_negatives(y, 500, np.random.default_rng(1))
+        want = sample_negatives_reference(y, 500, np.random.default_rng(1))
+        assert np.array_equal(got, want)
+        assert not set(map(tuple, got.tolist())) & y.entry_set()
+
+    def test_friendless_users_never_draw_themselves(self):
+        graph = SocialGraph(6, [(0, 1), (0, 2), (4, 5)])
+        users = np.tile(np.arange(6), 500)
+        partners, s_flags = _draw_trust_partners(graph, users, np.random.default_rng(0))
+        lonely = np.isin(users, [1, 2, 3, 5])
+        assert np.all(s_flags == ~lonely)
+        assert np.all(partners[lonely] != users[lonely])
+        assert np.all((partners >= 0) & (partners < 6))
+        for u in (1, 2, 3, 5):
+            assert set(partners[users == u].tolist()) == set(range(6)) - {u}
+        assert set(partners[users == 0].tolist()) == {1, 2}
+        assert set(partners[users == 4].tolist()) == {5}
+
+    def test_single_user_is_own_partner(self):
+        partners, s_flags = _draw_trust_partners(
+            SocialGraph(1, []), np.zeros(4, dtype=np.int64), np.random.default_rng(0)
+        )
+        assert partners.tolist() == [0, 0, 0, 0]
+        assert s_flags.tolist() == [0, 0, 0, 0]
+
+    def test_non_finite_mid_run_names_that_triplet(self):
+        rng = np.random.default_rng(2)
+        state = random_state(rng, n_users=6, n_items=6, k_sr=3)
+        pairs = np.array([[0, 5], [1, 4], [2, 3], [3, 2], [4, 1]])
+        partners = np.array([5, 4, 3, 2, 1])
+        assert _conflict_free_runs(pairs[:, 1], pairs[:, 0], partners) == [0, 5]
+        state.x[2] = np.inf  # triplet 2: (i=3, u=2, k=3)
+        state.b[1, 0] = np.inf  # triplet 4 is bad as well, but later
+        with pytest.raises(TrainingError, match=r"\(i=3, u=2, k=3\)"):
+            _sgd_epoch(state, pairs, np.full(5, 0.2), partners, np.ones(5, dtype=np.int64), 0.1)
