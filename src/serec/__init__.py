@@ -46,7 +46,7 @@ from serec.exposure.popularity import (
     fixed_exposure_p,
     popularity_update_mu,
 )
-from serec.exposure.social_boost import BoostExposure, boost_update_mu, phi_social
+from serec.exposure.social_boost import BoostExposure
 from serec.exposure.social_regular import (
     RegularExposure,
     build_targets,
@@ -93,7 +93,6 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TrainingError",
-    "boost_update_mu",
     "brute_force_posterior",
     "build_targets",
     "dataset_stats",
@@ -113,7 +112,6 @@ __all__ = [
     "log_likelihood",
     "map_at_k",
     "ndcg_at_k",
-    "phi_social",
     "popularity_update_mu",
     "predict_scores",
     "prune_social",

@@ -63,6 +63,15 @@ class IdMap:
         return cls(users=ids["users.tsv"], items=ids["items.tsv"])
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct integer keys in ascending order, as ``np.unique`` gives
+    them: a sort, then a mask that keeps each key unlike its predecessor."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 class InteractionMatrix:
     """Sparse binary user-by-item click matrix.
 
@@ -80,9 +89,7 @@ class InteractionMatrix:
                 raise ValueError("negative index in interaction pairs")
             if pairs[:, 0].max() >= n_users or pairs[:, 1].max() >= n_items:
                 raise ValueError("interaction index out of range")
-        # canonical order + dedup
-        keys = pairs[:, 0] * n_items + pairs[:, 1]
-        keys = np.unique(keys)
+        keys = _sorted_unique(pairs[:, 0] * n_items + pairs[:, 1])
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.user_idx = (keys // n_items).astype(np.int64)
@@ -144,7 +151,7 @@ class SocialGraph:
             if edges.min() < 0 or edges.max() >= n_users:
                 raise ValueError("social edge index out of range")
         edges = edges[edges[:, 0] != edges[:, 1]]
-        keys = np.unique(edges[:, 0] * n_users + edges[:, 1])
+        keys = _sorted_unique(edges[:, 0] * n_users + edges[:, 1])
         self.n_users = int(n_users)
         self.src = (keys // n_users).astype(np.int64)
         self.dst = (keys % n_users).astype(np.int64)

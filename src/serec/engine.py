@@ -35,7 +35,12 @@ import numpy as np
 from serec.data import InteractionMatrix
 
 MU_EPS = 1e-6
+_TINY = np.finfo(np.float64).tiny
 DEFAULT_DENSE_BUDGET = 200_000_000  # posterior entries kept in RAM
+# U x V entries per row chunk of a bounded dense pass (16 MiB).  Chunks of
+# 32 MiB sit at glibc's cap on its mmap threshold, where a freed chunk may stay
+# in the heap: peak RSS then varied by ~70 MiB from run to run.
+CHUNK_ENTRIES = 1 << 21
 META_NAME = "meta.json"
 
 
@@ -208,15 +213,121 @@ def _clicked_in_block(y: InteractionMatrix, j0: int, j1: int):
     return rows, cols
 
 
-def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int) -> np.ndarray:
+def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int):
+    """The provider's prior for items [j0, j1), checked with one min and one
+    max (NaN fails both comparisons).
+
+    Returns the block, which may be the provider's own storage and is
+    never written, and whether the E-step clamp leaves it unchanged.
+    """
     mu = np.asarray(provider.mu_block(j0, j1), dtype=np.float64)
     if mu.shape != (y.n_users, j1 - j0):
         raise ValueError(
             f"provider returned mu of shape {mu.shape}, expected {(y.n_users, j1 - j0)}"
         )
-    if not np.all(np.isfinite(mu)) or mu.min() < 0.0 or mu.max() > 1.0:
+    lo, hi = mu.min(), mu.max()
+    if not (lo >= 0.0 and hi <= 1.0):
         raise ValueError("provider contract violation: mu outside [0, 1]")
-    return mu
+    return mu, bool(lo >= MU_EPS and hi <= 1.0 - MU_EPS)
+
+
+def _block_log_likelihood(model: FactorModel, mu, den, rows, cols, s_obs, j0: int) -> float:
+    """Likelihood terms of the item block starting at ``j0``; consumes ``den``.
+
+    ``den`` holds mu * N0 + 1 - mu for the raw prior, whose log is the
+    unclicked term.  The clicked pairs (``rows``, ``cols``, block-local)
+    are set to 1 there (log 1 = 0) and add log(mu * N(1 | score)) instead,
+    from their scores ``s_obs``.  A clicked pair with mu = 0 is
+    inconsistent (zero exposure prior, observed click) and raises.
+    """
+    ly = model.lambda_y
+    log_c = _log_pdf_const(ly)
+    total = 0.0
+    if rows.size:
+        mu_obs = mu[rows, cols]
+        if np.any(mu_obs == 0.0):
+            raise ValueError("observed click with zero exposure prior")
+        total += float(np.sum(np.log(mu_obs) + log_c - 0.5 * ly * (1.0 - s_obs) ** 2))
+        den[rows, cols] = 1.0
+    # den >= 1 - mu, so only mu = 1 gets below the smallest normal: there den
+    # is N0 itself, underflowed, and its log is taken from the score instead
+    low = np.nonzero(den < _TINY) if den.min() < _TINY else None
+    with np.errstate(divide="ignore"):
+        np.log(den, out=den)
+    if low is not None:
+        r, c = low
+        s = np.einsum("ij,ij->i", model.theta[r], model.beta[j0 + c])
+        den[r, c] = log_c - 0.5 * ly * s**2
+    return total + float(np.sum(den))
+
+
+def _sweep(
+    y: InteractionMatrix,
+    model: FactorModel,
+    provider,
+    p_out,
+    block_size: int,
+    with_ll: bool,
+) -> float:
+    """One pass over item blocks: the E-step, the log likelihood, or both.
+
+    With ``p_out`` the posterior is written there (see :func:`e_step`);
+    with ``with_ll`` the marginal log likelihood is returned, else 0.0.
+    Each block is one call, so its temporaries are freed before the next
+    block allocates its own.
+    """
+    total = 0.0
+    if with_ll:
+        total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
+        total += -0.5 * model.lambda_beta * float(np.sum(model.beta**2))
+    for j0, j1 in _iter_blocks(y.n_items, block_size):
+        total += _sweep_block(y, model, provider, p_out, j0, j1, with_ll)
+    return total
+
+
+def _sweep_block(
+    y: InteractionMatrix, model: FactorModel, provider, p_out, j0: int, j1: int, with_ll: bool
+) -> float:
+    """Items [j0, j1) of :func:`_sweep`; returns their likelihood terms.
+
+    The provider's prior is read once, and the scores become
+    N0 = N(0 | score) in place.  The likelihood's unclicked term is the
+    log of mu * N0 + 1 - mu for the raw prior, which is the E-step's own
+    denominator whenever the clamp leaves mu unchanged, so a sweep that
+    does both computes it once.
+    """
+    bayes = p_out is not None and not getattr(provider, "bypass_bayes", False)
+    mu, unclamped = _provider_mu_block(provider, y, j0, j1)
+    rows, cols = _clicked_in_block(y, j0, j1)
+    if with_ll or bayes:
+        n0 = model.theta @ model.beta[j0:j1].T
+        if with_ll:
+            s_obs = n0[rows, cols]
+        np.square(n0, out=n0)
+        n0 *= -0.5 * model.lambda_y
+        np.exp(n0, out=n0)
+        n0 *= math.sqrt(model.lambda_y / (2.0 * math.pi))
+    shared = bayes and unclamped
+    if with_ll and not shared:
+        # the E-step below still needs N0; otherwise it becomes mu * N0
+        num = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
+        den = 1.0 - mu
+        den += num
+    if p_out is not None:
+        if bayes:
+            mu_e = mu if unclamped else np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+            n0 *= mu_e
+            e_den = 1.0 - mu_e
+            e_den += n0
+            np.divide(n0, e_den, out=p_out[:, j0:j1])
+            if shared:
+                den = e_den
+        else:
+            p_out[:, j0:j1] = mu
+        p_out[rows, j0 + cols] = 1.0
+    if not with_ll:
+        return 0.0
+    return _block_log_likelihood(model, mu, den, rows, cols, s_obs, j0)
 
 
 def e_step(
@@ -239,20 +350,8 @@ def e_step(
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
-    bypass = bool(getattr(provider, "bypass_bayes", False))
     try:
-        for j0, j1 in _iter_blocks(y.n_items, block_size):
-            mu = _provider_mu_block(provider, y, j0, j1)
-            if bypass:
-                p_block = np.array(mu, dtype=np.float64)
-            else:
-                mu = np.clip(mu, MU_EPS, 1.0 - MU_EPS)
-                scores = model.theta @ model.beta[j0:j1].T
-                num = mu * _gaussian_pdf0(scores, model.lambda_y)
-                p_block = num / (num + (1.0 - mu))
-            rows, cols = _clicked_in_block(y, j0, j1)
-            p_block[rows, cols] = 1.0
-            post.p[:, j0:j1] = p_block
+        _sweep(y, model, provider, post.p, block_size, with_ll=False)
     except BaseException:
         if out is None:  # the caller never receives it, so never closes it
             post.close()
@@ -278,14 +377,18 @@ def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
     return np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
 
 
-def _run_phase(work, n_rows: int, n_threads: int) -> None:
+def _run_phase(work, n_rows: int, n_threads: int, row_len: int) -> None:
     """Run ``work(lo, hi)`` over row chunks, in threads when asked.
 
     Chunks write disjoint output rows, so the phase needs no locking; the
-    executor shutdown is the barrier before the next phase.
+    executor shutdown is the barrier before the next phase.  One thread
+    walks chunks of at most ``CHUNK_ENTRIES`` posterior entries
+    (``row_len`` per row), so a chunk's copy of a spilled posterior stays
+    bounded too.
     """
     if n_threads <= 1 or n_rows < 2:
-        work(0, n_rows)
+        for lo, hi in _iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len)):
+            work(lo, hi)
         return
     n_chunks = min(n_threads * 4, n_rows)
     bounds = np.linspace(0, n_rows, n_chunks + 1).astype(int)
@@ -332,7 +435,7 @@ def _ridge_update(
         a[:, diag, diag] += lambda_reg
         out[lo:hi] = np.linalg.solve(a, clicked_rhs[lo:hi, :, None])[:, :, 0]
 
-    _run_phase(work, n_out, n_threads)
+    _run_phase(work, n_out, n_threads, p_arr.shape[0] if transpose else p_arr.shape[1])
     return out
 
 
@@ -380,31 +483,14 @@ def log_likelihood(
 ) -> float:
     """Marginal log likelihood of the clicks plus the Gaussian factor priors.
 
-    Unclicked pairs contribute log(mu * N(0 | score) + 1 - mu), computed
-    via logaddexp so mu = 0 and mu = 1 are exact; clicked pairs contribute
-    log(mu * N(1 | score)).  A clicked pair with mu = 0 is inconsistent
-    (zero exposure prior, observed click) and raises.
+    Unclicked pairs contribute log(mu * N(0 | score) + 1 - mu), the log of
+    the E-step's own denominator for the unclamped prior: exactly 0 at
+    mu = 0, and log N(0 | score) from the score at mu = 1 when N0
+    underflows.  Clicked pairs contribute log(mu * N(1 | score)).  A
+    clicked pair with mu = 0 is inconsistent (zero exposure prior, observed
+    click) and raises.
     """
-    total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
-    total += -0.5 * model.lambda_beta * float(np.sum(model.beta**2))
-    log_c = _log_pdf_const(model.lambda_y)
-    ly = model.lambda_y
-    for j0, j1 in _iter_blocks(y.n_items, block_size):
-        mu = _provider_mu_block(provider, y, j0, j1)
-        scores = model.theta @ model.beta[j0:j1].T
-        log_n0 = log_c - 0.5 * ly * scores**2
-        with np.errstate(divide="ignore"):  # exact mu in {0, 1} is legal here
-            unobs = np.logaddexp(np.log(mu) + log_n0, np.log1p(-mu))
-        rows, cols = _clicked_in_block(y, j0, j1)
-        if rows.size:
-            mu_obs = mu[rows, cols]
-            if np.any(mu_obs == 0.0):
-                raise ValueError("observed click with zero exposure prior")
-            s_obs = scores[rows, cols]
-            obs = np.log(mu_obs) + log_c - 0.5 * ly * (1.0 - s_obs) ** 2
-            total += float(np.sum(obs)) - float(np.sum(unobs[rows, cols]))
-        total += float(np.sum(unobs))
-    return total
+    return _sweep(y, model, provider, None, block_size, with_ll=True)
 
 
 def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
@@ -413,8 +499,11 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     Initialization draws theta then beta from seeded zero-mean Gaussians of
     scale ``cfg.init_scale`` (this order is part of the reproducibility
     contract).  Each iteration runs {E-step; theta solve; beta solve with
-    the new theta; provider.update}, then records the log likelihood.
-    Stops when the relative likelihood change drops below
+    the new theta; provider.update} and records the log likelihood of the
+    new factors and prior.  That likelihood comes from the next
+    iteration's E-step sweep, so n iterations make n + 1 passes over the
+    prior, and the returned posterior is the E-step of the returned model
+    and prior.  Stops when the relative likelihood change drops below
     ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.  The
     caller owns the returned posterior and closes it, since a spilled one
     is a temporary file; when fit raises, it closes the posterior itself.
@@ -428,9 +517,9 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     converged = False
     n_iters = 0
     try:
+        e_step(train, model, provider, out=post, block_size=cfg.block_size)
         for it in range(1, cfg.max_em_iters + 1):
             n_iters = it
-            e_step(train, model, provider, out=post, block_size=cfg.block_size)
             model.theta = update_user_factors(train, post, model, cfg.n_threads)
             model.beta = update_item_factors(train, post, model, cfg.n_threads)
             try:
@@ -438,7 +527,7 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
             except TrainingError:
                 raise TrainingError(f"non-finite factors after EM iteration {it}") from None
             provider.update(post, train)
-            ll = log_likelihood(train, model, provider, block_size=cfg.block_size)
+            ll = _sweep(train, model, provider, post.p, cfg.block_size, with_ll=True)
             if not math.isfinite(ll):
                 raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
             trace.append(ll)

@@ -6,7 +6,7 @@ from serec.exposure.popularity import (
     fixed_exposure_p,
     popularity_update_mu,
 )
-from serec.exposure.social_boost import BoostExposure, boost_update_mu, phi_social
+from serec.exposure.social_boost import BoostExposure
 from serec.exposure.social_regular import (
     RegularExposure,
     build_targets,
@@ -26,11 +26,9 @@ __all__ = [
     "FixedExposure",
     "PopularityExposure",
     "RegularExposure",
-    "boost_update_mu",
     "build_targets",
     "fit_exposure",
     "fixed_exposure_p",
-    "phi_social",
     "popularity_update_mu",
     "regular_mu",
     "sgd_triplet_step",

@@ -17,51 +17,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from serec import engine
 from serec.data import InteractionMatrix, SocialGraph
 from serec.engine import DEFAULT_DENSE_BUDGET, MU_EPS, _iter_blocks, posterior_column_sums
-
-
-def phi_social(graph: SocialGraph, p, u: int, i: int, s_coeff: float) -> float:
-    """Social exposure mass friends contribute to pair (u, i): sum_f s * p_fi.
-
-    The hook other social-effect models would replace; the boost update
-    consumes the same friend sums with the s - 1 discount for the friend's
-    own unit already counted in the column total.
-    """
-    friends = graph.friends_of(u)
-    if friends.size == 0:
-        return 0.0
-    arr = p.p if hasattr(p, "p") else np.asarray(p)
-    return float(s_coeff * np.sum(arr[friends, i]))
-
-
-def _boost_ratio(col: np.ndarray, boost, n_users: int, alpha1: float, alpha2: float):
-    """The Beta-mode ratio, written so zero boost reproduces the popularity
-    arithmetic exactly (x + 0.0 is the identity)."""
-    num = alpha1 + col - 1.0 + boost
-    den = alpha1 + alpha2 + n_users - 2.0 + boost
-    if np.any(den <= 0):
-        raise ValueError("boost update denominator must be positive")
-    return np.clip(num / den, MU_EPS, 1.0 - MU_EPS)
-
-
-def boost_update_mu(
-    p,
-    graph: SocialGraph,
-    s_coeff: float = 5.0,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-    n_users: int | None = None,
-) -> np.ndarray:
-    """Dense (U, V) prior from the posterior and the trust graph."""
-    arr = p.p if hasattr(p, "p") else np.asarray(p, dtype=np.float64)
-    if n_users is None:
-        n_users = arr.shape[0]
-    col = np.asarray(arr).sum(axis=0)
-    friend_mass = graph.adjacency() @ np.asarray(arr)
-    boost = (s_coeff - 1.0) * friend_mass
-    return _boost_ratio(col[None, :], boost, n_users, alpha1, alpha2)
 
 
 class BoostExposure:
@@ -69,11 +29,12 @@ class BoostExposure:
 
     Initialized as if the posterior equalled the click matrix, so before
     the first EM iteration a friend's click already raises the prior.
-    Below the dense budget the full (U, V) prior is materialized on every
-    update; above it, blocks are recomputed on demand from the stored
-    column sums and the posterior the engine last handed over (the engine
-    reads each block before overwriting it, which makes the lazy mode
-    safe).
+    Below the dense budget the full (U, V) prior is held and refreshed in
+    place on every update, in row blocks of friend mass
+    ``adjacency[r0:r1] @ posterior``.  Above it, column blocks are
+    recomputed on demand from the stored column sums and the posterior the
+    engine last handed over (the engine reads each block before
+    overwriting it, which makes the lazy mode safe).
     """
 
     kind = "serec-boost"
@@ -102,13 +63,15 @@ class BoostExposure:
         self.graph = graph
         self.n_users = y.n_users
         self.n_items = y.n_items
-        self._dense = y.n_users * y.n_items <= dense_budget
-        self._mu = None
-        self._col = y.item_counts().astype(np.float64)
+        self._den0 = alpha1 + alpha2 + y.n_users - 2.0
+        self._num0 = alpha1 + y.item_counts().astype(np.float64) - 1.0
         # p proxy at init: the clicks themselves
-        self._source = graph.adjacency() @ y.to_csr()
-        if self._dense:
-            self._materialize()
+        if y.n_users * y.n_items <= dense_budget:
+            self._mu = np.empty((y.n_users, y.n_items), dtype=np.float64)
+            self._fill(y.to_csr())
+        else:
+            self._mu = None
+            self._source = graph.adjacency() @ y.to_csr()
 
     @classmethod
     def from_config(cls, cfg, y: InteractionMatrix, graph: SocialGraph) -> "BoostExposure":
@@ -121,31 +84,49 @@ class BoostExposure:
             dense_budget=cfg.dense_budget,
         )
 
-    def _block_from_source(self, j0: int, j1: int) -> np.ndarray:
-        src = self._source
-        if hasattr(src, "p"):  # posterior handed over by the engine
-            friend_mass = self.graph.adjacency() @ np.asarray(src.p[:, j0:j1])
-        else:  # sparse click proxy from initialization
-            friend_mass = src[:, j0:j1].toarray()
-        boost = (self.s_coeff - 1.0) * friend_mass
-        return _boost_ratio(self._col[j0:j1][None, :], boost, self.n_users, self.alpha1, self.alpha2)
+    def _prior(self, mass: np.ndarray, num0: np.ndarray, out: np.ndarray) -> None:
+        """Write the boosted Beta mode for friend mass ``mass`` (overwritten)
+        into ``out``.
 
-    def _materialize(self) -> None:
-        mu = np.empty((self.n_users, self.n_items), dtype=np.float64)
-        for j0, j1 in _iter_blocks(self.n_items, 8192):
-            mu[:, j0:j1] = self._block_from_source(j0, j1)
-        self._mu = mu
+        The sums keep the popularity update's association,
+        ((a1 + col - 1) + boost) / ((a1 + a2 + U - 2) + boost), so zero
+        boost reproduces it bit for bit (x + 0.0 is the identity).  Both
+        denominators are positive: the constructor checks the first, and
+        the boost is non-negative.
+        """
+        mass *= self.s_coeff - 1.0
+        den = mass + self._den0
+        mass += num0
+        np.divide(mass, den, out=out)
+        np.clip(out, MU_EPS, 1.0 - MU_EPS, out=out)
+
+    def _fill(self, source) -> None:
+        """Refresh the held prior in place from posterior ``source`` (the
+        sparse clicks at init), one row block of friend mass at a time."""
+        adj = self.graph.adjacency()
+        step = max(1, engine.CHUNK_ENTRIES // self.n_items)
+        for r0, r1 in _iter_blocks(self.n_users, step):
+            mass = adj[r0:r1] @ source
+            mass = mass.toarray() if sp.issparse(mass) else mass
+            self._prior(mass, self._num0, self._mu[r0:r1])
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         if self._mu is not None:
             return self._mu[:, j0:j1]
-        return self._block_from_source(j0, j1)
+        src = self._source
+        if hasattr(src, "p"):  # posterior handed over by the engine
+            mass = self.graph.adjacency() @ np.asarray(src.p[:, j0:j1])
+        else:  # sparse click proxy from initialization
+            mass = src[:, j0:j1].toarray()
+        self._prior(mass, self._num0[j0:j1], mass)
+        return mass
 
     def update(self, post, y: InteractionMatrix) -> None:
-        self._col = posterior_column_sums(post)
-        self._source = post
-        if self._dense:
-            self._materialize()
+        self._num0 = self.alpha1 + posterior_column_sums(post) - 1.0
+        if self._mu is not None:
+            self._fill(post.p)
+        else:
+            self._source = post
 
     def save(self, out_dir) -> None:
         with open(Path(out_dir) / "boost.json", "w", encoding="utf-8") as fh:

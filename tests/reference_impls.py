@@ -211,3 +211,30 @@ def fit_exposure_reference(state, y, posterior, graph, seed):
         sample = epoch_sample_reference(y, graph, posterior, seed, epoch)
         sgd_epoch_reference(state, *sample, h["learning_rate"])
     return state
+
+
+# The serec-boost prior, dense and per pair: oracles for BoostExposure's
+# row-block refresh.
+
+
+def phi_social(graph, p, u, i, s_coeff):
+    """Social exposure mass friends contribute to pair (u, i): sum_f s * p_fi."""
+    friends = graph.friends_of(u)
+    if friends.size == 0:
+        return 0.0
+    return float(s_coeff * np.sum(np.asarray(p)[friends, i]))
+
+
+def boost_update_mu(p, graph, s_coeff=5.0, alpha1=1.0, alpha2=1.0):
+    """Dense (U, V) boosted prior in one expression: the Beta mode with the
+    friends' posterior mass, less their own unit already in the column
+    total, as extra pseudo-counts of exposure."""
+    arr = np.asarray(p, dtype=float)
+    n_users = arr.shape[0]
+    col = arr.sum(axis=0)
+    boost = (s_coeff - 1.0) * (graph.adjacency() @ arr)
+    num = alpha1 + col - 1.0 + boost
+    den = alpha1 + alpha2 + n_users - 2.0 + boost
+    if np.any(den <= 0):
+        raise ValueError("boost update denominator must be positive")
+    return np.clip(num / den, REF_MU_EPS, 1.0 - REF_MU_EPS)

@@ -89,6 +89,18 @@ class TestInteractionMatrix:
         assert y.n_entries == 0
         assert y.item_counts().tolist() == [0, 0, 0, 0]
 
+    def test_dedup_keeps_np_unique_order(self, rng):
+        pairs = rng.integers(0, 7, size=(400, 2))
+        keys = np.unique(pairs[:, 0] * 7 + pairs[:, 1])
+        y = InteractionMatrix(7, 7, pairs)
+        assert np.array_equal(y.user_idx, keys // 7)
+        assert np.array_equal(y.item_idx, keys % 7)
+        off = pairs[pairs[:, 0] != pairs[:, 1]]
+        keys = np.unique(off[:, 0] * 7 + off[:, 1])
+        graph = SocialGraph(7, pairs)
+        assert np.array_equal(graph.src, keys // 7)
+        assert np.array_equal(graph.dst, keys % 7)
+
 
 class TestLoadSocial:
     def test_drop_counts(self, tmp_path, caplog):

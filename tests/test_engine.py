@@ -3,18 +3,22 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import serec.engine
-from conftest import MatrixProvider, dense_clicks, random_interactions
+from conftest import MatrixProvider, dense_clicks, random_graph, random_interactions
 from reference_impls import ll_oracle, ridge_row_oracle
 from serec import (
+    BoostExposure,
     ExposurePosterior,
     FactorModel,
+    FixedExposure,
     InteractionMatrix,
     PopularityExposure,
+    RegularExposure,
     TrainConfig,
     TrainingError,
     e_step,
@@ -163,6 +167,24 @@ class TestFactorUpdates:
                 )
                 assert np.allclose(beta[i], ref, atol=1e-10)
 
+    def test_single_thread_item_solve_copies_bounded_chunks(self, rng, monkeypatch):
+        # one thread copies the transposed posterior a chunk at a time, so a
+        # spilled posterior is never copied into RAM whole
+        y = random_interactions(rng, 200, 1500, density=0.01)
+        p = rng.uniform(0, 1, (200, 1500))
+        model = make_model(rng.normal(0, 1, (200, 3)), rng.normal(0, 1, (1500, 3)))
+        whole = update_item_factors(y, p, model, n_threads=1)
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 200 * 50)
+        tracemalloc.start()
+        try:
+            chunked = update_item_factors(y, p, model, n_threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes / 4
+        # rows solve independently; BLAS may round a row apart by batch size
+        assert np.allclose(chunked, whole, rtol=1e-12, atol=0.0)
+
     def test_update_is_local_minimum(self, rng):
         # coordinate perturbations of the solved row never lower the objective
         y = random_interactions(rng, 5, 7, density=0.4)
@@ -201,6 +223,34 @@ class TestLogLikelihood:
         model = make_model(np.zeros((1, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="zero exposure prior"):
             log_likelihood(y, model, MatrixProvider(np.zeros((1, 2))))
+
+    def test_exact_at_prior_zero_and_one(self, rng):
+        y = random_interactions(rng, 5, 6, density=0.3)
+        clicked = dense_clicks(y).astype(bool)
+        mu = np.where(rng.random((5, 6)) < 0.5, 0.0, 1.0)
+        mu[clicked] = 1.0
+        model = make_model(
+            rng.normal(0, 0.5, (5, 2)), rng.normal(0, 0.5, (6, 2)), lt=0.3, lb=0.7, ly=1.7
+        )
+        scores = model.theta @ model.beta.T
+        log_c = 0.5 * math.log(1.7 / (2 * math.pi))
+        want = -0.15 * np.sum(model.theta**2) - 0.35 * np.sum(model.beta**2)
+        want += np.sum(log_c - 0.85 * (1.0 - scores[clicked]) ** 2)
+        # mu = 0 pairs add exactly nothing; mu = 1 pairs add log N(0 | score)
+        want += np.sum(log_c - 0.85 * scores[~clicked & (mu == 1.0)] ** 2)
+        got = log_likelihood(y, model, MatrixProvider(mu), block_size=4)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_unit_prior_with_underflowing_density_stays_finite(self):
+        # pair (0, 1) has score 1600: N(0 | score) = exp(-1.28e6) is 0.0 in
+        # floating point, and its log must come from the score
+        y = InteractionMatrix(1, 2, [(0, 0)])
+        model = make_model([[40.0]], [[0.025], [40.0]], lt=1e-12, lb=1e-12, ly=1.0)
+        ll = log_likelihood(y, model, MatrixProvider(np.ones((1, 2))))
+        log_c = -0.5 * math.log(2 * math.pi)
+        want = -0.5e-12 * (1600.0 + 0.025**2 + 1600.0) + log_c + log_c - 0.5 * 1600.0**2
+        assert math.isfinite(ll)
+        assert ll == pytest.approx(want, rel=1e-14)
 
     def test_matches_summation_oracle(self, rng):
         y = random_interactions(rng, 5, 6, density=0.3)
@@ -270,6 +320,21 @@ class TestFit:
         res_spill.posterior.close()
         assert not os.path.exists(path)
 
+    def test_non_finite_likelihood_names_its_own_iteration(self, rng, monkeypatch):
+        y = random_interactions(rng, 4, 5)
+        solve = serec.engine.update_item_factors
+        calls = []
+
+        def huge_second_time(*args, **kwargs):
+            calls.append(None)
+            beta = solve(*args, **kwargs)
+            return beta * 1e300 if len(calls) == 2 else beta  # finite, but its square is not
+
+        monkeypatch.setattr(serec.engine, "update_item_factors", huge_second_time)
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            fit(y, MatrixProvider(np.full((4, 5), 0.5)), TrainConfig(k=2, max_em_iters=3))
+        assert str(err.value) == "non-finite log likelihood at EM iteration 2"
+
     def test_failed_fit_removes_spilled_posterior(self, rng, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         y = random_interactions(rng, 4, 5)
@@ -289,6 +354,76 @@ class TestFit:
         spilled = ExposurePosterior(None, 4, 5, dense_budget=19)
         assert not spilled.is_dense
         spilled.close()
+
+
+def _provider_of_kind(kind, y, graph):
+    if kind == "clamped":  # priors of exactly 0 and 1, which the E-step clamps
+        mu = np.where(np.arange(y.n_users * y.n_items).reshape(y.n_users, -1) % 3 == 0, 0.0, 1.0)
+        mu[y.user_idx, y.item_idx] = 1.0
+        return MatrixProvider(mu)
+    if kind == "wmf":
+        return FixedExposure(y)
+    if kind == "expomf":
+        return PopularityExposure(y)
+    if kind == "serec-regular":
+        return RegularExposure(y, graph, k_sr=3, n_sgd_epochs=2, refit_every=1)
+    return BoostExposure(y, graph, s_coeff=3.0)
+
+
+class CountingProvider(MatrixProvider):
+    """MatrixProvider that counts the prior entries it serves."""
+
+    def __init__(self, mu):
+        super().__init__(mu)
+        self.entries = 0
+
+    def mu_block(self, j0, j1):
+        block = super().mu_block(j0, j1)
+        self.entries += block.size
+        return block
+
+
+class TestFusedSweep:
+    """fit computes each likelihood inside the next E-step's sweep."""
+
+    @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost", "clamped"])
+    def test_trace_equals_replay_of_the_public_calls(self, rng, kind):
+        y = random_interactions(rng, 12, 14, density=0.2)
+        graph = random_graph(rng, 12, density=0.3)
+        cfg = TrainConfig(k=3, max_em_iters=3, convergence_tol=1e-15, seed=4, block_size=4)
+        res = fit(y, _provider_of_kind(kind, y, graph), cfg)
+
+        provider = _provider_of_kind(kind, y, graph)
+        init = np.random.default_rng(cfg.seed)
+        theta = init.normal(0.0, cfg.init_scale, (12, 3))
+        model = FactorModel(theta, init.normal(0.0, cfg.init_scale, (14, 3)), 0.01, 0.01, 0.01)
+        trace = []
+        for _ in range(cfg.max_em_iters):
+            post = e_step(y, model, provider, block_size=cfg.block_size)
+            model.theta = update_user_factors(y, post, model)
+            model.beta = update_item_factors(y, post, model)
+            provider.update(post, y)
+            trace.append(log_likelihood(y, model, provider, block_size=cfg.block_size))
+        assert res.trace == trace
+        assert np.array_equal(res.model.theta, model.theta)
+        assert np.array_equal(res.model.beta, model.beta)
+
+    def test_two_iterations_read_the_prior_three_times(self, rng):
+        y = random_interactions(rng, 6, 9)
+        provider = CountingProvider(rng.uniform(0.1, 0.9, (6, 9)))
+        res = fit(y, provider, TrainConfig(k=2, max_em_iters=2, convergence_tol=1e-15, block_size=4))
+        assert res.n_iters == 2
+        assert provider.entries == 3 * 6 * 9
+
+    @pytest.mark.parametrize("max_em_iters, tol, converged", [(50, 1e-3, True), (2, 1e-15, False)])
+    def test_posterior_is_the_e_step_of_the_returned_model(self, rng, max_em_iters, tol, converged):
+        y = random_interactions(rng, 10, 12, density=0.2)
+        provider = PopularityExposure(y)
+        cfg = TrainConfig(k=2, max_em_iters=max_em_iters, convergence_tol=tol, block_size=5)
+        res = fit(y, provider, cfg)
+        assert res.converged is converged
+        fresh = e_step(y, res.model, provider, block_size=5)
+        assert np.array_equal(res.posterior.p, fresh.p)
 
 
 class TestPredictScores:

@@ -1,19 +1,37 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_interactions
+from conftest import dense_clicks, random_graph, random_interactions
+from reference_impls import boost_update_mu, phi_social
 from serec import (
     BoostExposure,
     InteractionMatrix,
     PopularityExposure,
     SocialGraph,
     TrainConfig,
-    boost_update_mu,
     e_step,
     fit,
-    phi_social,
     popularity_update_mu,
 )
+import serec.engine
+
+
+class Post:
+    """The part of an engine posterior that a provider update reads."""
+
+    def __init__(self, p):
+        self.p = p
+
+
+def refreshed(p, graph, **params):
+    """BoostExposure's dense prior after one update from posterior ``p``."""
+    n_users, n_items = p.shape
+    y = InteractionMatrix(n_users, n_items, [(0, 0)])
+    provider = BoostExposure(y, graph, **params)
+    provider.update(Post(p), y)
+    return provider.mu_block(0, n_items)
 
 
 class TestPhiSocial:
@@ -40,16 +58,18 @@ class TestBoostUpdate:
     def test_reduces_to_popularity_bit_for_bit_at_s_one(self, rng):
         graph = random_graph(rng, 10, density=0.4)
         p = rng.uniform(0, 1, (10, 6))
-        boosted = boost_update_mu(p, graph, s_coeff=1.0)
+        boosted = refreshed(p, graph, s_coeff=1.0)
         plain = popularity_update_mu(p, 10)
         assert np.array_equal(boosted, np.broadcast_to(plain, (10, 6)))
+        assert np.array_equal(boosted, boost_update_mu(p, graph, s_coeff=1.0))
 
     def test_reduces_to_popularity_bit_for_bit_with_empty_graph(self, rng):
         graph = SocialGraph(10, [])
         p = rng.uniform(0, 1, (10, 6))
-        boosted = boost_update_mu(p, graph, s_coeff=7.0)
+        boosted = refreshed(p, graph, s_coeff=7.0)
         plain = popularity_update_mu(p, 10)
         assert np.array_equal(boosted, np.broadcast_to(plain, (10, 6)))
+        assert np.array_equal(boosted, boost_update_mu(p, graph, s_coeff=7.0))
 
     def test_single_friend_worked_example(self):
         # U=10, sum p = 4, one friend with p = 1, s = 5:
@@ -57,7 +77,7 @@ class TestBoostUpdate:
         p = np.zeros((10, 1))
         p[:4, 0] = 1.0
         graph = SocialGraph(10, [(9, 0)])
-        mu = boost_update_mu(p, graph, s_coeff=5.0)
+        mu = refreshed(p, graph, s_coeff=5.0)
         assert mu[9, 0] == pytest.approx(8.0 / 14.0, abs=1e-15)
         # users without friends keep the popularity value
         assert mu[0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -69,7 +89,7 @@ class TestBoostUpdate:
         vals = []
         for m in range(0, 51):
             graph = SocialGraph(n_users, [(59, f) for f in range(m)])
-            vals.append(boost_update_mu(p, graph, s_coeff=5.0)[59, 0])
+            vals.append(refreshed(p, graph, s_coeff=5.0)[59, 0])
         vals = np.array(vals)
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] < 1.0
@@ -79,7 +99,7 @@ class TestBoostUpdate:
         p = rng.uniform(0.2, 0.9, (12, 5))
         prev = None
         for s in (1.0, 2.0, 5.0, 10.0):
-            mu = boost_update_mu(p, graph, s_coeff=s)
+            mu = refreshed(p, graph, s_coeff=s)
             if prev is not None:
                 has_friends = graph.out_degree() > 0
                 assert np.all(mu[has_friends] >= prev[has_friends] - 1e-15)
@@ -92,7 +112,7 @@ class TestBoostUpdate:
         # while the column total stays below U - 1
         graph = random_graph(rng, 15, density=0.3)
         p = rng.uniform(0.0, 0.9, (15, 8))
-        boosted = boost_update_mu(p, graph, s_coeff=5.0)
+        boosted = refreshed(p, graph, s_coeff=5.0)
         plain = popularity_update_mu(p, 15)
         assert np.all(boosted >= np.broadcast_to(plain, boosted.shape) - 1e-15)
 
@@ -101,6 +121,45 @@ class TestBoostUpdate:
         graph = SocialGraph(1, [])
         with pytest.raises(ValueError, match="denominator"):
             boost_update_mu(p, graph, s_coeff=1.0, alpha1=0.4, alpha2=0.4)
+        # the provider refuses those parameters before any update
+        with pytest.raises(ValueError, match="must exceed 2"):
+            BoostExposure(InteractionMatrix(1, 1, [(0, 0)]), graph, s_coeff=1.0, alpha1=0.4, alpha2=0.4)
+
+    @pytest.mark.parametrize("case", ["s_one", "empty_graph", "s_five"])
+    def test_init_and_update_match_oracle_bit_for_bit(self, rng, monkeypatch, case):
+        # small row blocks, so the refresh runs several and a short last one
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 20)
+        y = random_interactions(rng, 13, 9, density=0.25)
+        graph = SocialGraph(13, []) if case == "empty_graph" else random_graph(rng, 13, density=0.3)
+        s = 1.0 if case == "s_one" else 5.0
+        dense = BoostExposure(y, graph, s_coeff=s)
+        lazy = BoostExposure(y, graph, s_coeff=s, dense_budget=1)
+        want = boost_update_mu(dense_clicks(y), graph, s_coeff=s)
+        assert np.array_equal(dense.mu_block(0, 9), want)
+        assert np.array_equal(lazy.mu_block(0, 9), want)
+        p = rng.uniform(0, 1, (13, 9))
+        p[y.user_idx, y.item_idx] = 1.0
+        dense.update(Post(p), y)
+        lazy.update(Post(p), y)
+        want = boost_update_mu(p, graph, s_coeff=s)
+        assert np.array_equal(dense.mu_block(0, 9), want)
+        assert np.array_equal(lazy.mu_block(0, 9), want)
+
+    def test_update_holds_one_prior_plus_a_row_block(self, rng, monkeypatch):
+        # the refresh writes the held prior in place: its traced peak is a
+        # row block's temporaries, not another (U, V) prior
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 20 * 3000)
+        y = random_interactions(rng, 300, 3000, density=0.02)
+        provider = BoostExposure(y, random_graph(rng, 300, density=0.05), s_coeff=5.0)
+        post = Post(rng.uniform(0, 1, (300, 3000)))
+        prior_bytes = 300 * 3000 * 8
+        tracemalloc.start()
+        try:
+            provider.update(post, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prior_bytes / 4
 
 
 class TestBoostProvider:
