@@ -43,7 +43,6 @@ from serec.engine import (
 from serec.exposure.popularity import (
     FixedExposure,
     PopularityExposure,
-    fixed_exposure_p,
     popularity_update_mu,
 )
 from serec.exposure.social_boost import BoostExposure
@@ -51,7 +50,6 @@ from serec.exposure.social_regular import (
     RegularExposure,
     build_targets,
     fit_exposure,
-    regular_mu,
     sgd_triplet_step,
 )
 from serec.metrics import (
@@ -102,7 +100,6 @@ __all__ = [
     "finite_difference",
     "fit",
     "fit_exposure",
-    "fixed_exposure_p",
     "generate",
     "group_by_friends",
     "load_interactions",
@@ -117,7 +114,6 @@ __all__ = [
     "prune_social",
     "rank_items",
     "recall_at_k",
-    "regular_mu",
     "save_model",
     "save_split",
     "sgd_triplet_step",

@@ -151,11 +151,10 @@ class ExposurePosterior:
         return not isinstance(self.p, np.memmap)
 
     def close(self) -> None:
-        """Release the backing file if the posterior was spilled to disk."""
-        if isinstance(self.p, np.memmap):
-            path = self.p.filename
-            del self.p
-            self.p = np.zeros((0, 0))
+        """Release p, and its backing file if it was spilled to disk."""
+        path = self.p.filename if isinstance(self.p, np.memmap) else None
+        self.p = np.zeros((0, 0))
+        if path is not None:
             try:
                 os.unlink(path)
                 if self._tmpdir is not None:
@@ -507,6 +506,11 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.  The
     caller owns the returned posterior and closes it, since a spilled one
     is a temporary file; when fit raises, it closes the posterior itself.
+    A provider that derives its prior from the posterior it was last
+    handed (serec-boost) needs ``provider.update(result.posterior, train)``
+    before its prior is read again: the final sweep overwrote that
+    posterior after the last update, so until then the prior mixes two
+    iterations.
     """
     rng = np.random.default_rng(cfg.seed)
     theta = rng.normal(0.0, cfg.init_scale, size=(train.n_users, cfg.k))

@@ -3,7 +3,6 @@
 from serec.exposure.popularity import (
     FixedExposure,
     PopularityExposure,
-    fixed_exposure_p,
     popularity_update_mu,
 )
 from serec.exposure.social_boost import BoostExposure
@@ -11,7 +10,6 @@ from serec.exposure.social_regular import (
     RegularExposure,
     build_targets,
     fit_exposure,
-    regular_mu,
     sgd_triplet_step,
 )
 
@@ -28,8 +26,6 @@ __all__ = [
     "RegularExposure",
     "build_targets",
     "fit_exposure",
-    "fixed_exposure_p",
     "popularity_update_mu",
-    "regular_mu",
     "sgd_triplet_step",
 ]

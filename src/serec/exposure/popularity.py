@@ -32,14 +32,6 @@ def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1
     return np.clip(mu, MU_EPS, 1.0 - MU_EPS)
 
 
-def fixed_exposure_p(y_ui, mu_unobserved: float):
-    """Fixed-weight assignment: clicked pairs weigh 1, the rest mu_unobserved."""
-    out = np.where(np.asarray(y_ui) != 0, 1.0, mu_unobserved)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 class PopularityExposure:
     """Item-popularity exposure prior (no social information).
 

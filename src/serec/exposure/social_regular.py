@@ -34,31 +34,13 @@ class ExposureTargets:
 
     observed_per_item: np.ndarray  # n_i / U per item
     posterior: object = field(repr=False)  # (U, V) array-like for Y- lookups
-    _csr_indptr: np.ndarray = field(repr=False, default=None)
-    _csr_indices: np.ndarray = field(repr=False, default=None)
-
-    def is_observed(self, u: int, i: int) -> bool:
-        row = self._csr_indices[self._csr_indptr[u] : self._csr_indptr[u + 1]]
-        pos = np.searchsorted(row, i)
-        return pos < row.size and row[pos] == i
-
-    def lookup(self, u: int, i: int) -> float:
-        if self.is_observed(u, i):
-            return float(self.observed_per_item[i])
-        return float(np.clip(self.posterior[u, i], MU_EPS, 1.0 - MU_EPS))
 
 
 def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
     """Targets per the module contract: n_i / U on clicks, p_ui elsewhere."""
     arr = p.p if hasattr(p, "p") else np.asarray(p)
     per_item = np.clip(y.item_counts() / y.n_users, MU_EPS, 1.0 - MU_EPS)
-    csr = y.to_csr()
-    return ExposureTargets(
-        observed_per_item=per_item,
-        posterior=arr,
-        _csr_indptr=csr.indptr,
-        _csr_indices=csr.indices,
-    )
+    return ExposureTargets(observed_per_item=per_item, posterior=arr)
 
 
 def _run_gradients(state, i, u, k, target, s_uk):
@@ -283,12 +265,6 @@ def fit_exposure(state, y: InteractionMatrix, p, social: SocialGraph, seed: int 
             )
     state.last_objective = (initial, current)
     return state
-
-
-def regular_mu(state, u: int, i: int) -> float:
-    """Prior for one pair: clamp(X_u . T_i + gamma_i)."""
-    raw = float(state.x[u] @ state.t[i]) + float(state.gamma[i])
-    return float(np.clip(raw, MU_EPS, 1.0 - MU_EPS))
 
 
 class RegularExposure:

@@ -133,10 +133,37 @@ def beta_mode_oracle(successes, failures, alpha1, alpha2):
     return (a - 1.0) / (a + b - 2.0)
 
 
+def fixed_exposure_p(y_ui, mu_unobserved: float):
+    """Fixed-weight assignment: clicked pairs weigh 1, the rest mu_unobserved."""
+    out = np.where(np.asarray(y_ui) != 0, 1.0, mu_unobserved)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 # The serec-regular exposure refit, one triplet and one draw at a time:
 # oracles for the vectorized sampler and the batched SGD runs.
 
 REF_MU_EPS = 1e-6
+
+
+def regular_mu(state, u: int, i: int) -> float:
+    """Prior for one pair: clamp(X_u . T_i + gamma_i)."""
+    raw = float(state.x[u] @ state.t[i]) + float(state.gamma[i])
+    return float(np.clip(raw, REF_MU_EPS, 1.0 - REF_MU_EPS))
+
+
+def is_observed(y, u: int, i: int) -> bool:
+    """Whether user u clicked item i, by scanning the click list."""
+    return bool(np.any((y.user_idx == u) & (y.item_idx == i)))
+
+
+def target_lookup(targets, y, u: int, i: int) -> float:
+    """The refit's regression target for one pair: the item's audience
+    share on a click, the clamped posterior elsewhere."""
+    if is_observed(y, u, i):
+        return float(targets.observed_per_item[i])
+    return float(np.clip(targets.posterior[u, i], REF_MU_EPS, 1.0 - REF_MU_EPS))
 
 
 def sample_negatives_reference(y, n, rng):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_clicks, random_graph, random_interactions
-from reference_impls import brute_evaluate, ridge_row_oracle, wals_reference
+from reference_impls import brute_evaluate, fixed_exposure_p, ridge_row_oracle, wals_reference
 from serec import (
     BoostExposure,
     DatasetSplit,
@@ -33,7 +33,6 @@ from serec import (
     e_step_pair,
     finite_difference,
     fit,
-    fixed_exposure_p,
     popularity_update_mu,
     update_item_factors,
     update_user_factors,

@@ -268,6 +268,15 @@ def test_train_repeats_leave_no_spill_files(split_dir, tmp_path, monkeypatch):
     assert os.listdir(spill) == []
 
 
+def test_train_once_returns_a_released_posterior(dataset, split_dir):
+    # repeats after the first keep no earlier U x V posterior alive
+    split, id_map = dm.load_split(split_dir)
+    graph, _ = dm.load_social(dataset / "social.tsv", id_map)
+    cfg = cli.load_config(None, ["k=3", "max_em_iters=2", "model=serec-boost"])
+    result, _, _ = cli._train_once(cfg, split.train, graph)
+    assert result.posterior.p.size == 0
+
+
 def test_train_regular_with_social(dataset, split_dir, tmp_path):
     rc = _train(
         split_dir, tmp_path / "m", "serec-regular",

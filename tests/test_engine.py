@@ -305,17 +305,30 @@ class TestFit:
         with pytest.raises(TrainingError, match="iteration 1"):
             serec.engine.fit(y, MatrixProvider(np.full((4, 5), 0.5)), TrainConfig(k=2, max_em_iters=3))
 
-    def test_memmap_posterior_matches_dense(self, rng):
+    @pytest.mark.parametrize("kind", ["matrix", "boost"])
+    def test_memmap_posterior_matches_dense(self, rng, kind):
+        # serec-boost reads its friend mass from the posterior, so a spilled
+        # one feeds the prior from the memmap
         y = random_interactions(rng, 8, 9, density=0.25)
         mu = rng.uniform(0.1, 0.9, (8, 9))
+        graph = random_graph(rng, 8, density=0.3)
+
+        def provider():
+            if kind == "matrix":
+                return MatrixProvider(mu)
+            return BoostExposure(y, graph, s_coeff=5.0)
+
         cfg_dense = TrainConfig(k=2, max_em_iters=3, seed=9)
         cfg_spill = TrainConfig(k=2, max_em_iters=3, seed=9, dense_budget=1, block_size=4)
-        res_dense = fit(y, MatrixProvider(mu), cfg_dense)
-        res_spill = fit(y, MatrixProvider(mu), cfg_spill)
+        res_dense = fit(y, provider(), cfg_dense)
+        res_spill = fit(y, provider(), cfg_spill)
         assert res_dense.posterior.is_dense
         assert not res_spill.posterior.is_dense
         assert np.array_equal(res_dense.model.theta, res_spill.model.theta)
         assert np.array_equal(res_dense.model.beta, res_spill.model.beta)
+        # the likelihood sums per block, so the trace compares at one block size
+        res_blocked = fit(y, provider(), TrainConfig(k=2, max_em_iters=3, seed=9, block_size=4))
+        assert res_blocked.trace == res_spill.trace
         path = res_spill.posterior.p.filename
         res_spill.posterior.close()
         assert not os.path.exists(path)
@@ -354,6 +367,12 @@ class TestFit:
         spilled = ExposurePosterior(None, 4, 5, dense_budget=19)
         assert not spilled.is_dense
         spilled.close()
+
+    def test_close_releases_an_in_ram_posterior(self):
+        post = ExposurePosterior(None, 4, 5)
+        assert post.is_dense
+        post.close()
+        assert post.p.size == 0
 
 
 def _provider_of_kind(kind, y, graph):

@@ -15,7 +15,6 @@ from serec import (
     fit,
     popularity_update_mu,
 )
-import serec.engine
 
 
 class Post:
@@ -26,7 +25,7 @@ class Post:
 
 
 def refreshed(p, graph, **params):
-    """BoostExposure's dense prior after one update from posterior ``p``."""
+    """BoostExposure's whole (U, V) prior after one update from posterior ``p``."""
     n_users, n_items = p.shape
     y = InteractionMatrix(n_users, n_items, [(0, 0)])
     provider = BoostExposure(y, graph, **params)
@@ -126,35 +125,31 @@ class TestBoostUpdate:
             BoostExposure(InteractionMatrix(1, 1, [(0, 0)]), graph, s_coeff=1.0, alpha1=0.4, alpha2=0.4)
 
     @pytest.mark.parametrize("case", ["s_one", "empty_graph", "s_five"])
-    def test_init_and_update_match_oracle_bit_for_bit(self, rng, monkeypatch, case):
-        # small row blocks, so the refresh runs several and a short last one
-        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 20)
+    def test_init_and_update_match_oracle_bit_for_bit(self, rng, case):
         y = random_interactions(rng, 13, 9, density=0.25)
         graph = SocialGraph(13, []) if case == "empty_graph" else random_graph(rng, 13, density=0.3)
         s = 1.0 if case == "s_one" else 5.0
-        dense = BoostExposure(y, graph, s_coeff=s)
-        lazy = BoostExposure(y, graph, s_coeff=s, dense_budget=1)
+        provider = BoostExposure(y, graph, s_coeff=s)
         want = boost_update_mu(dense_clicks(y), graph, s_coeff=s)
-        assert np.array_equal(dense.mu_block(0, 9), want)
-        assert np.array_equal(lazy.mu_block(0, 9), want)
+        assert np.array_equal(provider.mu_block(0, 9), want)
         p = rng.uniform(0, 1, (13, 9))
         p[y.user_idx, y.item_idx] = 1.0
-        dense.update(Post(p), y)
-        lazy.update(Post(p), y)
+        provider.update(Post(p), y)
         want = boost_update_mu(p, graph, s_coeff=s)
-        assert np.array_equal(dense.mu_block(0, 9), want)
-        assert np.array_equal(lazy.mu_block(0, 9), want)
+        assert np.array_equal(provider.mu_block(0, 9), want)
 
-    def test_update_holds_one_prior_plus_a_row_block(self, rng, monkeypatch):
-        # the refresh writes the held prior in place: its traced peak is a
-        # row block's temporaries, not another (U, V) prior
-        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 20 * 3000)
-        y = random_interactions(rng, 300, 3000, density=0.02)
-        provider = BoostExposure(y, random_graph(rng, 300, density=0.05), s_coeff=5.0)
+    def test_holds_no_prior_of_its_own(self, rng):
+        # construction keeps the sparse friend mass of the clicks, and update
+        # the column sums and a reference to the posterior; a held (U, V)
+        # prior would overshoot the bound fourfold.  Clicks and friends are
+        # about as sparse as on lastfm (~1% and ~6 friends per user).
+        y = random_interactions(rng, 300, 3000, density=0.01)
+        graph = random_graph(rng, 300, density=0.02)
         post = Post(rng.uniform(0, 1, (300, 3000)))
         prior_bytes = 300 * 3000 * 8
         tracemalloc.start()
         try:
+            provider = BoostExposure(y, graph, s_coeff=5.0)
             provider.update(post, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -184,21 +179,39 @@ class TestBoostProvider:
 
         class Post:
             p = arr
-            is_dense = True
             n_items = 5
 
         provider.update(Post(), toy_matrix)
         want = boost_update_mu(arr, toy_graph, s_coeff=2.0)
         assert np.allclose(provider.mu_block(0, 5), want, atol=1e-15)
 
-    def test_lazy_mode_matches_dense_mode(self, rng):
+    def test_mu_block_matches_oracle_column_slices(self, rng):
         y = random_interactions(rng, 9, 11, density=0.2)
         graph = random_graph(rng, 9, density=0.3)
-        dense = BoostExposure(y, graph, s_coeff=4.0)
-        lazy = BoostExposure(y, graph, s_coeff=4.0, dense_budget=1)
-        assert dense._mu is not None and lazy._mu is None
-        for j0, j1 in [(0, 11), (3, 7), (10, 11)]:
-            assert np.array_equal(dense.mu_block(j0, j1), lazy.mu_block(j0, j1))
+        provider = BoostExposure(y, graph, s_coeff=4.0)
+
+        def check(source):
+            want = boost_update_mu(source, graph, s_coeff=4.0)
+            for j0, j1 in [(0, 11), (3, 7), (10, 11)]:
+                assert np.array_equal(provider.mu_block(j0, j1), want[:, j0:j1])
+
+        check(dense_clicks(y))
+        p = rng.uniform(0, 1, (9, 11))
+        p[y.user_idx, y.item_idx] = 1.0
+        provider.update(Post(p), y)
+        check(p)
+
+    def test_prior_after_fit_matches_oracle_once_updated(self, rng):
+        # fit's last sweep overwrites the posterior the provider was handed;
+        # one update with the returned posterior makes the prior its own again
+        y = random_interactions(rng, 12, 14, density=0.2)
+        graph = random_graph(rng, 12, density=0.3)
+        provider = BoostExposure(y, graph, s_coeff=5.0)
+        res = fit(y, provider, TrainConfig(k=3, max_em_iters=3, seed=4, block_size=5))
+        provider.update(res.posterior, y)
+        want = boost_update_mu(res.posterior.p, graph, s_coeff=5.0)
+        assert np.array_equal(provider.mu_block(0, 14), want)
+        res.posterior.close()
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix, toy_graph):
         provider = BoostExposure(toy_matrix, toy_graph, s_coeff=6.0, alpha1=1.5, alpha2=2.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_clicks, random_interactions
-from reference_impls import beta_mode_oracle, wals_reference
+from reference_impls import beta_mode_oracle, fixed_exposure_p, wals_reference
 from serec import (
     FixedExposure,
     InteractionMatrix,
@@ -10,7 +10,6 @@ from serec import (
     TrainConfig,
     e_step,
     fit,
-    fixed_exposure_p,
     popularity_update_mu,
 )
 
