@@ -8,6 +8,7 @@ arbitrary strings mapped to dense indices in first-seen order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -50,17 +51,36 @@ class IdMap:
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "IdMap":
+        """Read ``users.tsv`` and ``items.tsv``, whose ``index<TAB>id`` lines
+        must hold each index 0..n-1 exactly once, in any order."""
         in_dir = Path(in_dir)
-        ids = {}
+        ids = []
         for name in ("users.tsv", "items.tsv"):
-            rows = []
-            with open(in_dir / name, encoding="utf-8") as fh:
-                for line in fh:
-                    idx, raw = line.rstrip("\n").split("\t", 1)
-                    rows.append((int(idx), raw))
-            rows.sort()
-            ids[name] = [raw for _, raw in rows]
-        return cls(users=ids["users.tsv"], items=ids["items.tsv"])
+            path = in_dir / name
+            rows: dict[int, tuple[int, str]] = {}  # index -> (line number, id)
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    idx, tab, raw = line.rstrip("\n").partition("\t")
+                    if not tab:
+                        raise DataFormatError(f"{path}:{lineno}: expected 'index<TAB>id'")
+                    try:
+                        idx = int(idx)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: index {idx!r} is not an integer"
+                        ) from None
+                    if idx in rows:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: index {idx} repeats line {rows[idx][0]}"
+                        )
+                    rows[idx] = (lineno, raw)
+            for idx, (lineno, _) in rows.items():
+                if not 0 <= idx < len(rows):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: index {idx} is outside 0..{len(rows) - 1}"
+                    )
+            ids.append([rows[idx][1] for idx in range(len(rows))])
+        return cls(users=ids[0], items=ids[1])
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -233,6 +253,85 @@ def _records(path: str | Path):
             yield lineno, stripped.split()
 
 
+def _scan(path: str | Path, widths: tuple[int, ...]):
+    """The records of an edge list, parsed without per-line Python.
+
+    Returns ``(columns, counts)``: ``counts[r]`` is the number of fields of
+    record r, and ``columns[j]`` lists field j of every record with more than
+    j fields, in file order.  Returns None, leaving the file to the line
+    reader, when it holds a byte outside printable ASCII, tab and newline
+    (whose whitespace and line breaks ``str.split`` and text mode would read
+    differently), when a record's field count is not in ``widths``, or when
+    it has no records.
+    """
+    data = Path(path).read_bytes()
+    b = np.frombuffer(data, dtype=np.uint8)
+    if np.any((b > 126) | ((b < 32) & (b != 9) & (b != 10))):
+        return None
+    space = (b == 32) | (b == 9) | (b == 10)
+    starts = ~space
+    starts[1:] &= space[:-1]
+    starts = np.flatnonzero(starts)
+    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+    counts = np.diff(first, append=starts.size)
+    record = b[starts[first]] != ord("#")
+    first, counts = first[record], counts[record]
+    if not first.size or not np.isin(counts, widths).all():
+        return None
+    tokens = data.decode("ascii").split()
+    width = counts[0]
+    if len(tokens) == first.size * width and np.all(counts == width):
+        # no comments and one width: each column is a stride of the tokens
+        return [tokens[j::width] if j < width else [] for j in range(max(widths))], counts
+    tokens = np.array(tokens, dtype=object)
+    return [tokens[first[counts > j] + j].tolist() for j in range(max(widths))], counts
+
+
+def _read_lines(path: str | Path, width: int, check):
+    """:func:`_scan`'s ``(columns, counts)`` from the line reader.  Each record
+    first passes ``check(lineno, fields)``, which raises the
+    :class:`DataFormatError` that names its line."""
+    columns: list[list[str]] = [[] for _ in range(width)]
+    counts = []
+    for lineno, fields in _records(path):
+        check(lineno, fields)
+        for column, value in zip(columns, fields):
+            column.append(value)
+        counts.append(len(fields))
+    return columns, np.array(counts, dtype=np.int64)
+
+
+def _parse(path: str | Path, widths: tuple[int, ...], check, build):
+    """``build(columns, counts)`` on the records of an edge list.
+
+    The vectorized :func:`_scan` reads the file unless it declines it, or
+    ``build`` meets a fault in its records (a rating that is not a number
+    raises ValueError, an unknown id KeyError).  Then the line reader reads
+    it again, and ``check`` names the first faulty line, as a line-by-line
+    parse would.
+    """
+    scanned = _scan(path, widths)
+    if scanned is not None:
+        try:
+            return build(*scanned)
+        except DataFormatError:
+            raise
+        except (KeyError, ValueError):
+            pass
+    return build(*_read_lines(path, max(widths), check))
+
+
+def _first_seen(ids: list[str]) -> dict[str, int]:
+    """Dense indices for the distinct ``ids`` in first-seen order."""
+    return dict(zip(dict.fromkeys(ids), itertools.count()))
+
+
+def _indices(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """``index[id]`` for every id; KeyError names the first unknown one."""
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
 def load_interactions(
     path: str | Path, min_rating: float | None = None
 ) -> tuple[InteractionMatrix, IdMap]:
@@ -243,37 +342,42 @@ def load_interactions(
     collapse to one entry.  Returns the matrix together with the
     first-seen id-to-index mapping.
     """
-    users: list[str] = []
-    items: list[str] = []
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for lineno, fields in _records(path):
+
+    def check(lineno, fields):
         if len(fields) not in (2, 3):
             raise DataFormatError(
                 f"{path}:{lineno}: expected 'user item [rating]', got {len(fields)} fields"
             )
         if len(fields) == 3:
             try:
-                rating = float(fields[2])
+                float(fields[2])
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: rating {fields[2]!r} is not a number"
                 ) from None
-            if min_rating is not None and rating < min_rating:
-                continue
-        u_raw, i_raw = fields[0], fields[1]
-        if u_raw not in user_index:
-            user_index[u_raw] = len(users)
-            users.append(u_raw)
-        if i_raw not in item_index:
-            item_index[i_raw] = len(items)
-            items.append(i_raw)
-        pairs.append((user_index[u_raw], item_index[i_raw]))
-    if not pairs:
-        raise DataFormatError(f"{path}: no interaction records")
-    matrix = InteractionMatrix(len(users), len(items), pairs)
-    return matrix, IdMap(users=users, items=items, user_index=user_index, item_index=item_index)
+
+    def build(columns, counts):
+        users, items, ratings = columns
+        rating = np.fromiter(map(float, ratings), dtype=np.float64, count=len(ratings))
+        if min_rating is not None:
+            keep = np.ones(counts.size, dtype=bool)
+            keep[counts == 3] = ~(rating < min_rating)  # a nan rating is kept
+            users = list(itertools.compress(users, keep))
+            items = list(itertools.compress(items, keep))
+        if not users:
+            raise DataFormatError(f"{path}: no interaction records")
+        user_index, item_index = _first_seen(users), _first_seen(items)
+        pairs = np.column_stack([_indices(user_index, users), _indices(item_index, items)])
+        matrix = InteractionMatrix(len(user_index), len(item_index), pairs)
+        id_map = IdMap(
+            users=list(user_index),
+            items=list(item_index),
+            user_index=user_index,
+            item_index=item_index,
+        )
+        return matrix, id_map
+
+    return _parse(path, (2, 3), check, build)
 
 
 def load_social(path: str | Path, id_map: IdMap) -> tuple[SocialGraph, SocialLoadStats]:
@@ -283,36 +387,38 @@ def load_social(path: str | Path, id_map: IdMap) -> tuple[SocialGraph, SocialLoa
     networks overhang rating logs); self-loops and duplicates likewise,
     all counted in the returned stats.
     """
-    stats = SocialLoadStats()
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, fields in _records(path):
+
+    def check(lineno, fields):
         if len(fields) != 2:
             raise DataFormatError(
                 f"{path}:{lineno}: expected 'truster trustee', got {len(fields)} fields"
             )
-        src_raw, dst_raw = fields
-        src = id_map.user_index.get(src_raw)
-        dst = id_map.user_index.get(dst_raw)
-        if src is None or dst is None:
-            stats.n_unknown_users += 1
-            continue
-        if src == dst:
-            stats.n_self_loops += 1
-            continue
-        if (src, dst) in seen:
-            stats.n_duplicates += 1
-            continue
-        seen.add((src, dst))
-        edges.append((src, dst))
-    stats.n_kept = len(edges)
+
+    def build(columns, counts):
+        get = id_map.user_index.get
+        src, dst = (
+            np.fromiter(map(get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
+            for ids in columns
+        )
+        known = (src >= 0) & (dst >= 0)
+        self_loop = known & (src == dst)
+        edges = np.column_stack([src, dst])[known & ~self_loop]
+        graph = SocialGraph(len(id_map.users), edges)
+        stats = SocialLoadStats(
+            n_kept=graph.n_edges,
+            n_self_loops=int(self_loop.sum()),
+            n_unknown_users=int(counts.size - known.sum()),
+            n_duplicates=len(edges) - graph.n_edges,
+        )
+        return graph, stats
+
+    graph, stats = _parse(path, (2,), check, build)
     if stats.n_unknown_users:
         logger.warning(
             "%s: dropped %d social edges naming users absent from the interactions",
             path,
             stats.n_unknown_users,
         )
-    graph = SocialGraph(len(id_map.users), edges)
     return graph, stats
 
 
@@ -374,25 +480,26 @@ def prune_social(s: SocialGraph, keep_prob: float, seed: int = 0) -> SocialGraph
     return SocialGraph(s.n_users, edges)
 
 
+def _write_pairs(path: str | Path, left: np.ndarray, right: np.ndarray, left_ids, right_ids):
+    """Write ``left_ids[l]<TAB>right_ids[r]`` lines, each id formatted once."""
+    lhs = np.array([f"{raw}\t" for raw in left_ids], dtype=object)
+    rhs = np.array([f"{raw}\n" for raw in right_ids], dtype=object)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join((lhs[left] + rhs[right]).tolist()))
+
+
 def write_interactions(
     path: str | Path, matrix: InteractionMatrix, id_map: IdMap | None = None
 ) -> None:
     """Serialize the entry set back to a ``user item`` edge list."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i in zip(matrix.user_idx.tolist(), matrix.item_idx.tolist()):
-            if id_map is not None:
-                fh.write(f"{id_map.users[u]}\t{id_map.items[i]}\n")
-            else:
-                fh.write(f"{u}\t{i}\n")
+    users = id_map.users if id_map is not None else range(matrix.n_users)
+    items = id_map.items if id_map is not None else range(matrix.n_items)
+    _write_pairs(path, matrix.user_idx, matrix.item_idx, users, items)
 
 
 def write_social(path: str | Path, graph: SocialGraph, id_map: IdMap | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, k in zip(graph.src.tolist(), graph.dst.tolist()):
-            if id_map is not None:
-                fh.write(f"{id_map.users[u]}\t{id_map.users[k]}\n")
-            else:
-                fh.write(f"{u}\t{k}\n")
+    users = id_map.users if id_map is not None else range(graph.n_users)
+    _write_pairs(path, graph.src, graph.dst, users, users)
 
 
 def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
@@ -426,23 +533,34 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
         meta = json.load(fh)
     id_map = IdMap.load(in_dir)
     n_users, n_items = meta["n_users"], meta["n_items"]
+    for name, ids, key in (
+        ("users.tsv", id_map.users, "n_users"),
+        ("items.tsv", id_map.items, "n_items"),
+    ):
+        if len(ids) != meta[key]:
+            raise DataFormatError(
+                f"{in_dir / name}: {len(ids)} ids, but {SPLIT_META_NAME} has {key} = {meta[key]}"
+            )
 
     def read(name):
         path = in_dir / name
-        pairs = []
-        for lineno, fields in _records(path):
+
+        def check(lineno, fields):
             if len(fields) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'user item'")
-            u = id_map.user_index.get(fields[0])
-            i = id_map.item_index.get(fields[1])
-            if u is None:
+            if fields[0] not in id_map.user_index:
                 raise DataFormatError(f"{path}:{lineno}: unknown user id '{fields[0]}'")
-            if i is None:
+            if fields[1] not in id_map.item_index:
                 raise DataFormatError(f"{path}:{lineno}: unknown item id '{fields[1]}'")
-            pairs.append((u, i))
-        if not pairs:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        return InteractionMatrix(n_users, n_items, pairs)
+
+        def build(columns, counts):
+            users, items = columns
+            pairs = np.column_stack(
+                [_indices(id_map.user_index, users), _indices(id_map.item_index, items)]
+            )
+            return InteractionMatrix(n_users, n_items, pairs)
+
+        return _parse(path, (2,), check, build)
 
     split = DatasetSplit(
         train=read("train.tsv"),

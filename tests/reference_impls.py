@@ -265,3 +265,63 @@ def boost_update_mu(p, graph, s_coeff=5.0, alpha1=1.0, alpha2=1.0):
     if np.any(den <= 0):
         raise ValueError("boost update denominator must be positive")
     return np.clip(num / den, REF_MU_EPS, 1.0 - REF_MU_EPS)
+
+
+# Edge-list readers, one line at a time: oracles for the vectorized scan and
+# for the line reader it hands faulty or non-ASCII files to.  A fault raises
+# ValueError with the message the package's DataFormatError carries.
+
+
+def _lines_reference(path):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                yield lineno, fields
+
+
+def load_interactions_reference(path, min_rating=None):
+    """(users, items, pairs): first-seen id lists and one index pair per
+    kept line, duplicates included."""
+    users, items, pairs = {}, {}, []
+    for lineno, fields in _lines_reference(path):
+        if len(fields) not in (2, 3):
+            raise ValueError(
+                f"{path}:{lineno}: expected 'user item [rating]', got {len(fields)} fields"
+            )
+        if len(fields) == 3:
+            try:
+                rating = float(fields[2])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: rating {fields[2]!r} is not a number"
+                ) from None
+            if min_rating is not None and rating < min_rating:
+                continue
+        u = users.setdefault(fields[0], len(users))
+        i = items.setdefault(fields[1], len(items))
+        pairs.append((u, i))
+    if not pairs:
+        raise ValueError(f"{path}: no interaction records")
+    return list(users), list(items), pairs
+
+
+def load_social_reference(path, users):
+    """(edges, counts): the kept (src, dst) edges in first-seen order and the
+    dropped-record counts, against the user id list ``users``."""
+    index = {u: k for k, u in enumerate(users)}
+    edges, counts = [], {"n_self_loops": 0, "n_unknown_users": 0, "n_duplicates": 0}
+    for lineno, fields in _lines_reference(path):
+        if len(fields) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'truster trustee', got {len(fields)} fields"
+            )
+        if fields[0] not in index or fields[1] not in index:
+            counts["n_unknown_users"] += 1
+        elif fields[0] == fields[1]:
+            counts["n_self_loops"] += 1
+        elif (index[fields[0]], index[fields[1]]) in edges:
+            counts["n_duplicates"] += 1
+        else:
+            edges.append((index[fields[0]], index[fields[1]]))
+    return edges, counts

@@ -426,6 +426,24 @@ def test_evaluate_unknown_split_id_exits_2_naming_the_file(wmf_dir, split_dir, t
     assert "unknown user id 'uX'" in err
 
 
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("users.tsv", lambda t: t.replace("\t", " ", 1), "users.tsv:1: expected 'index<TAB>id'"),
+        ("items.tsv", lambda t: t.replace("1\t", "0\t", 1), "items.tsv:2: index 0 repeats line 1"),
+    ],
+)
+def test_evaluate_malformed_id_map_exits_2_naming_the_file(
+    wmf_dir, split_dir, tmp_path, capsys, name, edit, message
+):
+    bad = tmp_path / "split"
+    shutil.copytree(split_dir, bad)
+    (bad / name).write_text(edit((bad / name).read_text()))
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
+    assert rc == 2
+    assert str(bad / message) in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- friend-groups
 
 

@@ -1,11 +1,17 @@
 import json
 import logging
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impls import load_interactions_reference, load_social_reference
 
+from serec import data as dm
 from serec import (
     DataFormatError,
     IdMap,
@@ -15,6 +21,7 @@ from serec import (
     load_interactions,
     load_social,
     load_split,
+    SocialLoadStats,
     prune_social,
     save_split,
     split_interactions,
@@ -280,9 +287,190 @@ class TestRoundTrips:
         with pytest.raises(DataFormatError, match=f"validation.tsv:{n_lines + 1}: {message}"):
             load_split(tmp_path / "split")
 
+    @pytest.mark.parametrize(
+        "name, lines, message",
+        [
+            ("users.tsv", "0\ta\n1 b\n", "users.tsv:2: expected 'index<TAB>id'"),
+            ("items.tsv", "0\tv\nx\tw\n", "items.tsv:2: index 'x' is not an integer"),
+        ],
+    )
+    def test_idmap_malformed_line_names_file_and_line(self, tmp_path, name, lines, message):
+        IdMap(users=["a", "b"], items=["v", "w"]).save(tmp_path)
+        write(tmp_path / name, lines)
+        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / message}")):
+            IdMap.load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ("0\tv\n2\tw\n1\tx\n2\ty\n", "items.tsv:4: index 2 repeats line 2"),
+            ("0\tv\n1\tw\n3\tx\n", "items.tsv:3: index 3 is outside 0..2"),
+            ("0\tv\n1\tw\n2\tx\n3\ty\n4\tz\n5\tu\n",
+             "items.tsv: 6 ids, but split-meta.json has n_items = 5"),
+        ],
+    )
+    def test_load_split_rejects_a_scrambled_item_map(self, tmp_path, toy_matrix, items, message):
+        ids = IdMap(users=list("abcd"), items=list("vwxyz"))
+        save_split(tmp_path, split_interactions(toy_matrix, seed=11), ids)
+        write(tmp_path / "items.tsv", items)
+        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / message}")):
+            load_split(tmp_path)
+
     def test_idmap_round_trip(self, tmp_path):
         ids = IdMap(users=["u9", "u1"], items=["i5"])
         ids.save(tmp_path)
         back = IdMap.load(tmp_path)
         assert back.users == ids.users and back.items == ids.items
         assert back.user_index == {"u9": 0, "u1": 1}
+
+
+# Edge-list files for the reader differential: every layout the format allows,
+# plus, when asked, one fault or one byte the vectorized scan must decline.
+SEP = st.sampled_from(["\t", " ", "   ", " \t "])
+PAD = st.sampled_from(["", " ", "\t", " \t  "])
+RATING = st.sampled_from(["5", "1", "2", "3.5", "nan", "inf", "-inf", "1e3", "1_0"])
+USER_IDS = ["a", "b", "c", "u1", "#x", "x#y"]
+
+
+@st.composite
+def edge_files(draw, ids, ratings):
+    lines, n_records = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["blank", "space", "comment"]))
+        if kind == "record":
+            fields = [draw(st.sampled_from(ids)), draw(st.sampled_from(ids))]
+            if ratings and draw(st.booleans()):
+                fields.append(draw(RATING))
+            n_records += not fields[0].startswith("#")
+            line = draw(SEP).join(fields)
+        elif kind == "blank":
+            line = ""
+        elif kind == "space":
+            line = draw(PAD)
+        else:
+            line = "#" + draw(SEP).join(draw(st.lists(st.sampled_from(ids), max_size=3)))
+        lines.append(draw(PAD) + line + draw(PAD))
+    fault = draw(st.sampled_from([None] * 4 + ["count"] + ["rating"] * ratings))
+    if fault:
+        bad = {"count": ["a", "a b 1 2"] + ([] if ratings else ["b c d"]),
+               "rating": ["a x many", "b y 1.2.3"]}[fault]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(bad)))
+        n_records += 1
+    odd = draw(st.sampled_from([None] * 4 + ["\r\n", "\x0b", "\x0c", "ü"]))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    if odd == "\r\n":
+        text = text.replace("\n", odd)
+    if odd:
+        text = {"\r\n": "a\tb\r\n", "ü": "ü\ta\n"}.get(odd, f"a{odd}b\n") + text
+        n_records += 1
+    return text, n_records, fault, odd
+
+
+def _outcome(load, *args):
+    """What a loader returns, in comparable form, or the message it raises."""
+    try:
+        result, extra = load(*args)
+    except DataFormatError as exc:
+        return str(exc)
+    if isinstance(result, InteractionMatrix):
+        return (result.n_users, result.n_items, result.user_idx.tolist(),
+                result.item_idx.tolist(), extra.users, extra.items,
+                list(extra.user_index.items()), list(extra.item_index.items()))
+    return result.n_users, result.src.tolist(), result.dst.tolist(), extra
+
+
+def _line_reader_outcome(load, *args):
+    with mock.patch.object(dm, "_scan", return_value=None):
+        return _outcome(load, *args)
+
+
+class TestReaderPaths:
+    """The vectorized scan, the line reader behind it and a line-at-a-time
+    oracle agree on every file: matrix, id maps in order, drop counts, and
+    the message of the first fault."""
+
+    def _declined(self, path, widths, n_records, fault, odd):
+        declined = dm._scan(path, widths) is None
+        assert declined == bool(odd or fault == "count" or n_records == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(file=edge_files(USER_IDS, ratings=True), min_rating=st.sampled_from([None, 2.0]))
+    def test_interactions(self, file, min_rating):
+        text, n_records, fault, odd = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.tsv"
+            path.write_text(text, encoding="utf-8", newline="")
+            self._declined(path, (2, 3), n_records, fault, odd)
+            try:
+                users, items, pairs = load_interactions_reference(path, min_rating)
+                y = InteractionMatrix(len(users), len(items), pairs)
+                expected = (len(users), len(items), y.user_idx.tolist(), y.item_idx.tolist(),
+                            users, items, [(u, k) for k, u in enumerate(users)],
+                            [(i, k) for k, i in enumerate(items)])
+            except ValueError as exc:
+                expected = str(exc)
+            assert _outcome(load_interactions, path, min_rating) == expected
+            assert _line_reader_outcome(load_interactions, path, min_rating) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(file=edge_files(USER_IDS + ["ghost"], ratings=False))
+    def test_social(self, file):
+        text, n_records, fault, odd = file
+        ids = IdMap(users=USER_IDS + ["ü"], items=["x"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.tsv"
+            path.write_text(text, encoding="utf-8", newline="")
+            self._declined(path, (2,), n_records, fault, odd)
+            try:
+                edges, counts = load_social_reference(path, ids.users)
+                graph = SocialGraph(len(ids.users), edges)
+                expected = (graph.n_users, graph.src.tolist(), graph.dst.tolist(),
+                            SocialLoadStats(n_kept=len(edges), **counts))
+            except ValueError as exc:
+                expected = str(exc)
+            assert _outcome(load_social, path, ids) == expected
+            assert _line_reader_outcome(load_social, path, ids) == expected
+
+
+DEEP = 50_000  # records before the fault, far past any chunk a reader might take
+
+
+def _deep_file(path, row, fault):
+    path.write_text("".join(row(k) for k in range(DEEP)) + fault, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("a\n", "expected 'user item [rating]', got 1 fields"),
+        ("a\tx\tmany\n", "rating 'many' is not a number"),
+    ],
+)
+def test_load_interactions_fault_deep_in_file(tmp_path, fault, message):
+    path = _deep_file(tmp_path / "y.tsv", lambda k: f"u{k % 997}\ti{k % 89}\t{k % 5}\n", fault)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:{DEEP + 1}: {message}")):
+        load_interactions(path)
+
+
+def test_load_social_fault_deep_in_file(tmp_path):
+    ids = IdMap(users=[f"u{k}" for k in range(997)], items=["i0"])
+    path = _deep_file(tmp_path / "s.tsv", lambda k: f"u{k % 997}\tu{k % 991}\n", "u1 u2 u3\n")
+    message = f"{path}:{DEEP + 1}: expected 'truster trustee', got 3 fields"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_social(path, ids)
+
+
+@pytest.mark.parametrize(
+    "fault, message", [("zz\ti1\n", "unknown user id 'zz'"), ("u1\tqq\n", "unknown item id 'qq'")]
+)
+def test_load_split_unknown_id_deep_in_file(tmp_path, fault, message):
+    ids = IdMap(users=[f"u{k}" for k in range(997)], items=[f"i{k}" for k in range(89)])
+    ids.save(tmp_path)
+    meta = {"seed": 0, "ratios": [0.7, 0.2], "n_users": 997, "n_items": 89}
+    (tmp_path / "split-meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    path = _deep_file(tmp_path / "train.tsv", lambda k: f"u{k % 997}\ti{k % 89}\n", fault)
+    write(tmp_path / "validation.tsv", "u0\ti0\n")
+    write(tmp_path / "test.tsv", "")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:{DEEP + 1}: {message}")):
+        load_split(tmp_path)
