@@ -279,12 +279,7 @@ def _scan(path: str | Path, widths: tuple[int, ...]):
     first, counts = first[record], counts[record]
     if not first.size or not np.isin(counts, widths).all():
         return None
-    tokens = data.decode("ascii").split()
-    width = counts[0]
-    if len(tokens) == first.size * width and np.all(counts == width):
-        # no comments and one width: each column is a stride of the tokens
-        return [tokens[j::width] if j < width else [] for j in range(max(widths))], counts
-    tokens = np.array(tokens, dtype=object)
+    tokens = np.array(data.decode("ascii").split(), dtype=object)
     return [tokens[first[counts > j] + j].tolist() for j in range(max(widths))], counts
 
 
