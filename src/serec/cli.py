@@ -49,7 +49,7 @@ class RunConfig:
     init_scale: float = 0.01
     n_threads: int = 0  # 0 means all available cores
     dense_budget: int = engine.DEFAULT_DENSE_BUDGET
-    block_size: int = 4096
+    block_size: int = engine.DEFAULT_BLOCK_SIZE
     # exposure priors
     alpha1: float = 1.0
     alpha2: float = 1.0

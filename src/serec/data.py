@@ -524,8 +524,17 @@ def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
 def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
     """Inverse of :func:`save_split`; indices are restored via the stored id maps."""
     in_dir = Path(in_dir)
-    with open(in_dir / SPLIT_META_NAME, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta_path = in_dir / SPLIT_META_NAME
+    with open(meta_path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{meta_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{meta_path}: expected a JSON object")
+    for key in ("n_users", "n_items", "seed", "ratios"):
+        if key not in meta:
+            raise DataFormatError(f"{meta_path}: missing key '{key}'")
     id_map = IdMap.load(in_dir)
     n_users, n_items = meta["n_users"], meta["n_items"]
     for name, ids, key in (

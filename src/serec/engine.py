@@ -26,7 +26,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +37,10 @@ from serec.data import InteractionMatrix
 MU_EPS = 1e-6
 _TINY = np.finfo(np.float64).tiny
 DEFAULT_DENSE_BUDGET = 200_000_000  # posterior entries kept in RAM
+# Item columns per block of a sweep.  Each sweep thread holds a few U x block
+# temporaries, and serec-boost's friend-mass product over a block this narrow
+# stays in cache.
+DEFAULT_BLOCK_SIZE = 512
 # U x V entries per row chunk of a bounded dense pass (16 MiB).  Chunks of
 # 32 MiB sit at glibc's cap on its mmap threshold, where a freed chunk may stay
 # in the heap: peak RSS then varied by ~70 MiB from run to run.
@@ -66,7 +70,7 @@ class TrainConfig:
     init_scale: float = 0.01
     n_threads: int = 1
     dense_budget: int = DEFAULT_DENSE_BUDGET
-    block_size: int = 4096
+    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if self.k <= 0:
@@ -267,20 +271,28 @@ def _sweep(
     p_out,
     block_size: int,
     with_ll: bool,
+    n_threads: int = 1,
 ) -> float:
     """One pass over item blocks: the E-step, the log likelihood, or both.
 
     With ``p_out`` the posterior is written there (see :func:`e_step`);
     with ``with_ll`` the marginal log likelihood is returned, else 0.0.
-    Each block is one call, so its temporaries are freed before the next
-    block allocates its own.
+    Each block is one call, so its temporaries are freed when it returns.
+    Blocks run on ``n_threads`` threads: a block reads and writes only its
+    own columns of ``p_out`` (serec-boost's friend mass included), and its
+    likelihood terms are added in block order, so the result depends on
+    ``block_size`` but not on ``n_threads``.
     """
     total = 0.0
     if with_ll:
         total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
         total += -0.5 * model.lambda_beta * float(np.sum(model.beta**2))
-    for j0, j1 in _iter_blocks(y.n_items, block_size):
-        total += _sweep_block(y, model, provider, p_out, j0, j1, with_ll)
+
+    def block(j0: int, j1: int) -> float:
+        return _sweep_block(y, model, provider, p_out, j0, j1, with_ll)
+
+    for part in _in_pool(block, list(_iter_blocks(y.n_items, block_size)), n_threads):
+        total += part
     return total
 
 
@@ -334,7 +346,7 @@ def e_step(
     model: FactorModel,
     provider,
     out: ExposurePosterior | None = None,
-    block_size: int = 4096,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> ExposurePosterior:
     """Fill the exposure posterior for every pair.
 
@@ -376,29 +388,43 @@ def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
     return np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
 
 
+def _in_pool(fn, calls: list[tuple], n_threads: int) -> list:
+    """``fn(*args)`` for each tuple in ``calls``, results in call order.
+
+    With ``n_threads`` > 1 the calls run on a pool of that many threads.
+    The first failure cancels the calls not yet started; once the running
+    ones finish, the failure of the earliest call in ``calls`` is raised,
+    which is the one a serial loop would have raised.  No pool thread
+    outlives the call.
+    """
+    if n_threads <= 1 or len(calls) < 2:
+        return [fn(*args) for args in calls]
+    with ThreadPoolExecutor(max_workers=min(n_threads, len(calls))) as pool:
+        futures = [pool.submit(fn, *args) for args in calls]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for f in futures:
+                f.cancel()  # a no-op on calls already started
+    # calls run in submission order, so every call before a failed one ran
+    return [f.result() for f in futures]
+
+
 def _run_phase(work, n_rows: int, n_threads: int, row_len: int) -> None:
     """Run ``work(lo, hi)`` over row chunks, in threads when asked.
 
     Chunks write disjoint output rows, so the phase needs no locking; the
-    executor shutdown is the barrier before the next phase.  One thread
+    pool's shutdown is the barrier before the next phase.  One thread
     walks chunks of at most ``CHUNK_ENTRIES`` posterior entries
     (``row_len`` per row), so a chunk's copy of a spilled posterior stays
     bounded too.
     """
     if n_threads <= 1 or n_rows < 2:
-        for lo, hi in _iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len)):
-            work(lo, hi)
-        return
-    n_chunks = min(n_threads * 4, n_rows)
-    bounds = np.linspace(0, n_rows, n_chunks + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [
-            pool.submit(work, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
-        for f in futures:
-            f.result()
+        chunks = list(_iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len)))
+    else:
+        bounds = np.linspace(0, n_rows, min(n_threads * 4, n_rows) + 1).astype(int)
+        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    _in_pool(work, chunks, n_threads)
 
 
 def _ridge_update(
@@ -478,7 +504,7 @@ def update_item_factors(
 
 
 def log_likelihood(
-    y: InteractionMatrix, model: FactorModel, provider, block_size: int = 4096
+    y: InteractionMatrix, model: FactorModel, provider, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> float:
     """Marginal log likelihood of the clicks plus the Gaussian factor priors.
 
@@ -502,10 +528,13 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     new factors and prior.  That likelihood comes from the next
     iteration's E-step sweep, so n iterations make n + 1 passes over the
     prior, and the returned posterior is the E-step of the returned model
-    and prior.  Stops when the relative likelihood change drops below
-    ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.  The
-    caller owns the returned posterior and closes it, since a spilled one
-    is a temporary file; when fit raises, it closes the posterior itself.
+    and prior.  Every pass runs its item blocks on ``cfg.n_threads``
+    threads and gives the results of the serial :func:`e_step` and
+    :func:`log_likelihood` at the same ``block_size``.  Stops when the
+    relative likelihood change drops below ``cfg.convergence_tol`` or
+    after ``max_em_iters`` iterations.  The caller owns the returned
+    posterior and closes it, since a spilled one is a temporary file; when
+    fit raises, it closes the posterior itself.
     A provider that derives its prior from the posterior it was last
     handed (serec-boost) needs ``provider.update(result.posterior, train)``
     before its prior is read again: the final sweep overwrote that
@@ -521,7 +550,9 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     converged = False
     n_iters = 0
     try:
-        e_step(train, model, provider, out=post, block_size=cfg.block_size)
+        _sweep(
+            train, model, provider, post.p, cfg.block_size, with_ll=False, n_threads=cfg.n_threads
+        )
         for it in range(1, cfg.max_em_iters + 1):
             n_iters = it
             model.theta = update_user_factors(train, post, model, cfg.n_threads)
@@ -531,7 +562,9 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
             except TrainingError:
                 raise TrainingError(f"non-finite factors after EM iteration {it}") from None
             provider.update(post, train)
-            ll = _sweep(train, model, provider, post.p, cfg.block_size, with_ll=True)
+            ll = _sweep(
+                train, model, provider, post.p, cfg.block_size, with_ll=True, n_threads=cfg.n_threads
+            )
             if not math.isfinite(ll):
                 raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
             trace.append(ll)

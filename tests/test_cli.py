@@ -444,6 +444,27 @@ def test_evaluate_malformed_id_map_exits_2_naming_the_file(
     assert str(bad / message) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.replace('"n_items"', '"n_items_"'), "missing key 'n_items'"),
+        (lambda t: t[: len(t) // 2], "not valid JSON: "),
+        (lambda t: "[]", "expected a JSON object"),
+    ],
+    ids=["missing-key", "truncated", "not-an-object"],
+)
+def test_evaluate_malformed_split_meta_exits_2_naming_the_file(
+    wmf_dir, split_dir, tmp_path, capsys, edit, message
+):
+    bad = tmp_path / "split"
+    shutil.copytree(split_dir, bad)
+    meta = bad / "split-meta.json"
+    meta.write_text(edit(meta.read_text()))
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
+    assert rc == 2
+    assert f"{meta}: {message}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- friend-groups
 
 

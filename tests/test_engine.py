@@ -1,14 +1,19 @@
 import functools
+import inspect
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import serec.engine
+from serec.engine import DEFAULT_BLOCK_SIZE, DEFAULT_DENSE_BUDGET
 from conftest import MatrixProvider, dense_clicks, random_graph, random_interactions
 from reference_impls import ll_oracle, ridge_row_oracle
 from serec import (
@@ -375,6 +380,9 @@ class TestFit:
         assert post.p.size == 0
 
 
+KINDS = ["wmf", "expomf", "serec-regular", "serec-boost", "clamped"]
+
+
 def _provider_of_kind(kind, y, graph):
     if kind == "clamped":  # priors of exactly 0 and 1, which the E-step clamps
         mu = np.where(np.arange(y.n_users * y.n_items).reshape(y.n_users, -1) % 3 == 0, 0.0, 1.0)
@@ -405,11 +413,18 @@ class CountingProvider(MatrixProvider):
 class TestFusedSweep:
     """fit computes each likelihood inside the next E-step's sweep."""
 
-    @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost", "clamped"])
-    def test_trace_equals_replay_of_the_public_calls(self, rng, kind):
+    @pytest.mark.parametrize(
+        "kind, n_threads",
+        [pytest.param(kind, 1, id=kind) for kind in KINDS]
+        + [pytest.param(kind, 4, id=f"{kind}-4-threads") for kind in KINDS],
+    )
+    def test_trace_equals_replay_of_the_public_calls(self, rng, kind, n_threads):
+        # the serial e_step and log_likelihood replay a threaded fit bit for bit
         y = random_interactions(rng, 12, 14, density=0.2)
         graph = random_graph(rng, 12, density=0.3)
-        cfg = TrainConfig(k=3, max_em_iters=3, convergence_tol=1e-15, seed=4, block_size=4)
+        cfg = TrainConfig(
+            k=3, max_em_iters=3, convergence_tol=1e-15, seed=4, block_size=4, n_threads=n_threads
+        )
         res = fit(y, _provider_of_kind(kind, y, graph), cfg)
 
         provider = _provider_of_kind(kind, y, graph)
@@ -419,8 +434,8 @@ class TestFusedSweep:
         trace = []
         for _ in range(cfg.max_em_iters):
             post = e_step(y, model, provider, block_size=cfg.block_size)
-            model.theta = update_user_factors(y, post, model)
-            model.beta = update_item_factors(y, post, model)
+            model.theta = update_user_factors(y, post, model, n_threads)
+            model.beta = update_item_factors(y, post, model, n_threads)
             provider.update(post, y)
             trace.append(log_likelihood(y, model, provider, block_size=cfg.block_size))
         assert res.trace == trace
@@ -443,6 +458,107 @@ class TestFusedSweep:
         assert res.converged is converged
         fresh = e_step(y, res.model, provider, block_size=5)
         assert np.array_equal(res.posterior.p, fresh.p)
+
+
+class TestThreadedSweep:
+    """fit's sweeps run item blocks on the n_threads pool."""
+
+    @pytest.mark.parametrize("block_size", [3, 5])  # neither divides the 14 items
+    @pytest.mark.parametrize("dense_budget", [DEFAULT_DENSE_BUDGET, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_thread_count_changes_neither_p_nor_likelihood(
+        self, rng, kind, dense_budget, block_size
+    ):
+        y = random_interactions(rng, 12, 14, density=0.2)
+        graph = random_graph(rng, 12, density=0.3)
+        model = FactorModel(rng.normal(0, 1, (12, 3)), rng.normal(0, 1, (14, 3)), 0.01, 0.01, 0.5)
+        start = e_step(y, model, _provider_of_kind(kind, y, graph)).p
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for n_threads in (1, 2, 4):
+                provider = _provider_of_kind(kind, y, graph)
+                post = ExposurePosterior(provider, 12, 14, dense_budget)
+                assert post.is_dense is (dense_budget > 1)
+                post.p[:] = start
+                # serec-boost now reads its friend mass from the p the sweep overwrites
+                provider.update(post, y)
+                serial = log_likelihood(y, model, provider, block_size)
+                ll = serec.engine._sweep(y, model, provider, post.p, block_size, True, n_threads)
+                assert ll == serial
+                results.append((np.array(post.p), ll))
+                post.close()
+        finally:
+            sys.setswitchinterval(interval)
+        for p, ll in results[1:]:
+            assert np.array_equal(p, results[0][0])
+            assert ll == results[0][1]
+
+    def test_failing_block_fails_fit_as_a_serial_sweep_does(self, rng, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        n_items, block = 400, 4
+        y = random_interactions(rng, 6, n_items, density=0.2)
+
+        class FailingProvider(MatrixProvider):
+            """Fails in two middle blocks; the earlier one fails later in time."""
+
+            def __init__(self, mu):
+                super().__init__(mu)
+                self.started = []
+
+            def mu_block(self, j0, j1):
+                self.started.append(j0)
+                if j0 in (200, 208):
+                    time.sleep(0.05 if j0 == 200 else 0.0)
+                    raise ValueError(f"no prior for items {j0}-{j1}")
+                time.sleep(0.005)
+                return super().mu_block(j0, j1)
+
+        before = set(threading.enumerate())
+        messages = {}
+        for n_threads in (1, 4):
+            provider = FailingProvider(np.full((6, n_items), 0.5))
+            cfg = TrainConfig(k=2, max_em_iters=2, dense_budget=1, block_size=block, n_threads=n_threads)
+            with pytest.raises(ValueError) as err:
+                fit(y, provider, cfg)
+            messages[n_threads] = str(err.value)
+            assert os.listdir(tmp_path) == []
+            assert set(threading.enumerate()) == before
+            # the blocks queued behind the failure were cancelled, not run
+            assert len(provider.started) < n_items // block // 2 + 10
+        assert messages[1] == messages[4] == "no prior for items 200-204"
+
+    @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost"])
+    def test_two_thread_sweep_holds_a_few_blocks_per_thread(self, rng, kind, monkeypatch):
+        n_users, n_items = 256, 5000
+        y = random_interactions(rng, n_users, n_items, density=0.01)
+        graph = random_graph(rng, n_users, density=0.03)
+        cfg = TrainConfig(k=3, max_em_iters=2, n_threads=2)
+        sweep = serec.engine._sweep
+        calls = []
+
+        def traced_sweep(*args, **kwargs):
+            call = inspect.signature(sweep).bind(*args, **kwargs)
+            call.apply_defaults()
+            tracemalloc.start()  # traces only what the sweep allocates
+            try:
+                out = sweep(*args, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            calls.append((call.arguments["block_size"], call.arguments["n_threads"], peak))
+            return out
+
+        monkeypatch.setattr(serec.engine, "_sweep", traced_sweep)
+        fit(y, _provider_of_kind(kind, y, graph), cfg).posterior.close()
+        # three U x block arrays per block in flight (the prior, N0 and the
+        # E-step denominator; serec-boost's friend mass replaces one), plus slack
+        bound = 4 * n_users * DEFAULT_BLOCK_SIZE * 8 * cfg.n_threads
+        assert len(calls) == 3
+        for block_size, n_threads, peak in calls:
+            assert (block_size, n_threads) == (DEFAULT_BLOCK_SIZE, 2)
+            assert peak < bound
 
 
 class TestPredictScores:
