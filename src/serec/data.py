@@ -243,78 +243,59 @@ class StatsReport:
         return json.dumps(self.__dict__, indent=2)
 
 
-def _records(path: str | Path):
-    """Yield (line_number, fields) for non-comment, non-blank lines."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped.split()
+# str.isspace, which str.split splits on, by code point.  No code point past
+# U+3000 is whitespace, so the last entry (U+3001) stands for all of them.
+_WHITESPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
-def _scan(path: str | Path, widths: tuple[int, ...]):
+def _scan(path: str | Path, widths: tuple[int, ...], expected: str):
     """The records of an edge list, parsed without per-line Python.
 
-    Returns ``(columns, counts)``: ``counts[r]`` is the number of fields of
-    record r, and ``columns[j]`` lists field j of every record with more than
-    j fields, in file order.  Returns None, leaving the file to the line
-    reader, when it holds a byte outside printable ASCII, tab and newline
-    (whose whitespace and line breaks ``str.split`` and text mode would read
-    differently), when a record's field count is not in ``widths``, or when
-    it has no records.
+    The file is read as text mode reads it: UTF-8, with ``\\r\\n`` and lone
+    ``\\r`` line ends read as ``\\n``.  Fields are the runs of characters that
+    are not whitespace, as ``str.split`` finds them, and only ``\\n`` ends a
+    line, as in text mode's line iterator.  A line whose first field starts
+    with ``#`` is a comment.
+
+    Returns ``(columns, counts, lines, fault)`` for the records before the
+    first one whose field count is not in ``widths``: ``counts[r]`` is the
+    number of fields of record r and ``lines[r]`` its line number, and
+    ``columns[j]`` lists field j of every record with more than j fields, in
+    file order.  ``fault`` is the :class:`DataFormatError` of that first
+    record, ``expected.format(count)`` after its line, or None; the caller
+    raises it after any fault it finds in the records before it, so the first
+    faulty line is named, as in a line-by-line parse.
     """
     data = Path(path).read_bytes()
-    b = np.frombuffer(data, dtype=np.uint8)
-    if np.any((b > 126) | ((b < 32) & (b != 9) & (b != 10))):
-        return None
-    space = (b == 32) | (b == 9) | (b == 10)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}: {exc.reason})"
+        ) from None
+    code = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = _WHITESPACE.take(code, mode="clip")
     starts = ~space
     starts[1:] &= space[:-1]
     starts = np.flatnonzero(starts)
-    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    line = np.searchsorted(np.flatnonzero(code == 10), starts)
     first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
     counts = np.diff(first, append=starts.size)
-    record = b[starts[first]] != ord("#")
+    record = code[starts[first]] != ord("#")
     first, counts = first[record], counts[record]
-    if not first.size or not np.isin(counts, widths).all():
-        return None
-    tokens = np.array(data.decode("ascii").split(), dtype=object)
-    return [tokens[first[counts > j] + j].tolist() for j in range(max(widths))], counts
-
-
-def _read_lines(path: str | Path, width: int, check):
-    """:func:`_scan`'s ``(columns, counts)`` from the line reader.  Each record
-    first passes ``check(lineno, fields)``, which raises the
-    :class:`DataFormatError` that names its line."""
-    columns: list[list[str]] = [[] for _ in range(width)]
-    counts = []
-    for lineno, fields in _records(path):
-        check(lineno, fields)
-        for column, value in zip(columns, fields):
-            column.append(value)
-        counts.append(len(fields))
-    return columns, np.array(counts, dtype=np.int64)
-
-
-def _parse(path: str | Path, widths: tuple[int, ...], check, build):
-    """``build(columns, counts)`` on the records of an edge list.
-
-    The vectorized :func:`_scan` reads the file unless it declines it, or
-    ``build`` meets a fault in its records (a rating that is not a number
-    raises ValueError, an unknown id KeyError).  Then the line reader reads
-    it again, and ``check`` names the first faulty line, as a line-by-line
-    parse would.
-    """
-    scanned = _scan(path, widths)
-    if scanned is not None:
-        try:
-            return build(*scanned)
-        except DataFormatError:
-            raise
-        except (KeyError, ValueError):
-            pass
-    return build(*_read_lines(path, max(widths), check))
+    lines = line[first] + 1
+    fault = None
+    bad = np.flatnonzero(~np.isin(counts, widths))
+    if bad.size:
+        r = bad[0]
+        fault = DataFormatError(f"{path}:{lines[r]}: " + expected.format(counts[r]))
+        first, counts, lines = first[:r], counts[:r], lines[:r]
+    tokens = np.array(text.split(), dtype=object)
+    columns = [tokens[first[counts > j] + j].tolist() for j in range(max(widths))]
+    return columns, counts, lines, fault
 
 
 def _first_seen(ids: list[str]) -> dict[str, int]:
@@ -323,8 +304,17 @@ def _first_seen(ids: list[str]) -> dict[str, int]:
 
 
 def _indices(index: dict[str, int], ids: list[str]) -> np.ndarray:
-    """``index[id]`` for every id; KeyError names the first unknown one."""
-    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    """``index[id]`` for every id, -1 for an id not in ``index``."""
+    return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
+
+
+def _first_non_number(values: list[str]) -> int:
+    """The index of the first value that ``float`` rejects."""
+    for k, value in enumerate(values):
+        try:
+            float(value)
+        except ValueError:
+            return k
 
 
 def load_interactions(
@@ -337,42 +327,36 @@ def load_interactions(
     collapse to one entry.  Returns the matrix together with the
     first-seen id-to-index mapping.
     """
-
-    def check(lineno, fields):
-        if len(fields) not in (2, 3):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 'user item [rating]', got {len(fields)} fields"
-            )
-        if len(fields) == 3:
-            try:
-                float(fields[2])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: rating {fields[2]!r} is not a number"
-                ) from None
-
-    def build(columns, counts):
-        users, items, ratings = columns
+    (users, items, ratings), counts, lines, fault = _scan(
+        path, (2, 3), "expected 'user item [rating]', got {} fields"
+    )
+    rated = np.flatnonzero(counts == 3)
+    try:
         rating = np.fromiter(map(float, ratings), dtype=np.float64, count=len(ratings))
-        if min_rating is not None:
-            keep = np.ones(counts.size, dtype=bool)
-            keep[counts == 3] = ~(rating < min_rating)  # a nan rating is kept
-            users = list(itertools.compress(users, keep))
-            items = list(itertools.compress(items, keep))
-        if not users:
-            raise DataFormatError(f"{path}: no interaction records")
-        user_index, item_index = _first_seen(users), _first_seen(items)
-        pairs = np.column_stack([_indices(user_index, users), _indices(item_index, items)])
-        matrix = InteractionMatrix(len(user_index), len(item_index), pairs)
-        id_map = IdMap(
-            users=list(user_index),
-            items=list(item_index),
-            user_index=user_index,
-            item_index=item_index,
-        )
-        return matrix, id_map
-
-    return _parse(path, (2, 3), check, build)
+    except ValueError:
+        k = _first_non_number(ratings)
+        raise DataFormatError(
+            f"{path}:{lines[rated[k]]}: rating {ratings[k]!r} is not a number"
+        ) from None
+    if fault:
+        raise fault
+    if min_rating is not None:
+        keep = np.ones(counts.size, dtype=bool)
+        keep[rated] = ~(rating < min_rating)  # a nan rating is kept
+        users = list(itertools.compress(users, keep))
+        items = list(itertools.compress(items, keep))
+    if not users:
+        raise DataFormatError(f"{path}: no interaction records")
+    user_index, item_index = _first_seen(users), _first_seen(items)
+    pairs = np.column_stack([_indices(user_index, users), _indices(item_index, items)])
+    matrix = InteractionMatrix(len(user_index), len(item_index), pairs)
+    id_map = IdMap(
+        users=list(user_index),
+        items=list(item_index),
+        user_index=user_index,
+        item_index=item_index,
+    )
+    return matrix, id_map
 
 
 def load_social(path: str | Path, id_map: IdMap) -> tuple[SocialGraph, SocialLoadStats]:
@@ -382,32 +366,20 @@ def load_social(path: str | Path, id_map: IdMap) -> tuple[SocialGraph, SocialLoa
     networks overhang rating logs); self-loops and duplicates likewise,
     all counted in the returned stats.
     """
-
-    def check(lineno, fields):
-        if len(fields) != 2:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 'truster trustee', got {len(fields)} fields"
-            )
-
-    def build(columns, counts):
-        get = id_map.user_index.get
-        src, dst = (
-            np.fromiter(map(get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
-            for ids in columns
-        )
-        known = (src >= 0) & (dst >= 0)
-        self_loop = known & (src == dst)
-        edges = np.column_stack([src, dst])[known & ~self_loop]
-        graph = SocialGraph(len(id_map.users), edges)
-        stats = SocialLoadStats(
-            n_kept=graph.n_edges,
-            n_self_loops=int(self_loop.sum()),
-            n_unknown_users=int(counts.size - known.sum()),
-            n_duplicates=len(edges) - graph.n_edges,
-        )
-        return graph, stats
-
-    graph, stats = _parse(path, (2,), check, build)
+    columns, counts, _, fault = _scan(path, (2,), "expected 'truster trustee', got {} fields")
+    if fault:
+        raise fault
+    src, dst = (_indices(id_map.user_index, ids) for ids in columns)
+    known = (src >= 0) & (dst >= 0)
+    self_loop = known & (src == dst)
+    edges = np.column_stack([src, dst])[known & ~self_loop]
+    graph = SocialGraph(len(id_map.users), edges)
+    stats = SocialLoadStats(
+        n_kept=graph.n_edges,
+        n_self_loops=int(self_loop.sum()),
+        n_unknown_users=int(counts.size - known.sum()),
+        n_duplicates=len(edges) - graph.n_edges,
+    )
     if stats.n_unknown_users:
         logger.warning(
             "%s: dropped %d social edges naming users absent from the interactions",
@@ -548,23 +520,16 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
 
     def read(name):
         path = in_dir / name
-
-        def check(lineno, fields):
-            if len(fields) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 'user item'")
-            if fields[0] not in id_map.user_index:
-                raise DataFormatError(f"{path}:{lineno}: unknown user id '{fields[0]}'")
-            if fields[1] not in id_map.item_index:
-                raise DataFormatError(f"{path}:{lineno}: unknown item id '{fields[1]}'")
-
-        def build(columns, counts):
-            users, items = columns
-            pairs = np.column_stack(
-                [_indices(id_map.user_index, users), _indices(id_map.item_index, items)]
-            )
-            return InteractionMatrix(n_users, n_items, pairs)
-
-        return _parse(path, (2,), check, build)
+        (users, items), _, lines, fault = _scan(path, (2,), "expected 'user item'")
+        user, item = _indices(id_map.user_index, users), _indices(id_map.item_index, items)
+        unknown = np.flatnonzero((user < 0) | (item < 0))
+        if unknown.size:
+            r = unknown[0]
+            what = f"user id '{users[r]}'" if user[r] < 0 else f"item id '{items[r]}'"
+            raise DataFormatError(f"{path}:{lines[r]}: unknown {what}")
+        if fault:
+            raise fault
+        return InteractionMatrix(n_users, n_items, np.column_stack([user, item]))
 
     split = DatasetSplit(
         train=read("train.tsv"),

@@ -371,7 +371,8 @@ def e_step(
 
 
 def _posterior_array(p) -> np.ndarray:
-    return p.p if isinstance(p, ExposurePosterior) else np.asarray(p)
+    """The U x V array of a posterior: ``p.p`` if it has one, else ``p`` itself."""
+    return p.p if hasattr(p, "p") else np.asarray(p)
 
 
 def posterior_column_sums(post) -> np.ndarray:
@@ -414,17 +415,12 @@ def _run_phase(work, n_rows: int, n_threads: int, row_len: int) -> None:
     """Run ``work(lo, hi)`` over row chunks, in threads when asked.
 
     Chunks write disjoint output rows, so the phase needs no locking; the
-    pool's shutdown is the barrier before the next phase.  One thread
-    walks chunks of at most ``CHUNK_ENTRIES`` posterior entries
-    (``row_len`` per row), so a chunk's copy of a spilled posterior stays
-    bounded too.
+    pool's shutdown is the barrier before the next phase.  Each chunk holds
+    at most ``CHUNK_ENTRIES`` posterior entries (``row_len`` per row), so a
+    chunk's copy of a spilled posterior stays bounded, and the chunks, like
+    the result, do not depend on ``n_threads``.
     """
-    if n_threads <= 1 or n_rows < 2:
-        chunks = list(_iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len)))
-    else:
-        bounds = np.linspace(0, n_rows, min(n_threads * 4, n_rows) + 1).astype(int)
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    _in_pool(work, chunks, n_threads)
+    _in_pool(work, list(_iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len))), n_threads)
 
 
 def _ridge_update(

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, TrainingError
+from serec.engine import MU_EPS, TrainingError, _posterior_array
 
 DIVERGENCE_FACTOR = 10.0
 
@@ -38,9 +38,8 @@ class ExposureTargets:
 
 def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
     """Targets per the module contract: n_i / U on clicks, p_ui elsewhere."""
-    arr = p.p if hasattr(p, "p") else np.asarray(p)
     per_item = np.clip(y.item_counts() / y.n_users, MU_EPS, 1.0 - MU_EPS)
-    return ExposureTargets(observed_per_item=per_item, posterior=arr)
+    return ExposureTargets(observed_per_item=per_item, posterior=_posterior_array(p))
 
 
 def _run_gradients(state, i, u, k, target, s_uk):

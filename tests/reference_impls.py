@@ -267,9 +267,9 @@ def boost_update_mu(p, graph, s_coeff=5.0, alpha1=1.0, alpha2=1.0):
     return np.clip(num / den, REF_MU_EPS, 1.0 - REF_MU_EPS)
 
 
-# Edge-list readers, one line at a time: oracles for the vectorized scan and
-# for the line reader it hands faulty or non-ASCII files to.  A fault raises
-# ValueError with the message the package's DataFormatError carries.
+# Edge-list readers, one line at a time: oracles for the vectorized scan,
+# on every file it reads.  A fault raises ValueError with the message the
+# package's DataFormatError carries.
 
 
 def _lines_reference(path):

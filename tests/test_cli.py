@@ -223,6 +223,33 @@ def test_split_rejects_overfull_ratios(dataset, tmp_path):
     assert rc == 2
 
 
+def test_split_invalid_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"u1\ti1\nu2\xff\ti2\n")
+    rc = run(["split", "--interactions", str(bad), "--out-dir", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_crlf_dataset_gives_byte_identical_outputs(dataset, tmp_path):
+    crlf = tmp_path / "crlf-data"
+    crlf.mkdir()
+    for name in ("interactions.tsv", "social.tsv"):
+        text = (dataset / name).read_bytes()
+        assert b"\r" not in text
+        (crlf / name).write_bytes(text.replace(b"\n", b"\r\n"))
+    for source, data in (("lf", dataset), ("crlf", crlf)):
+        split, model = tmp_path / source / "split", tmp_path / source / "model"
+        assert run(["split", "--interactions", str(data / "interactions.tsv"),
+                    "--out-dir", str(split)]) == 0
+        assert _train(split, model, "serec-boost", social=data / "social.tsv") == 0
+        assert run(["evaluate", "--model-dir", str(model), "--split-dir", str(split)]) == 0
+    outputs = [f"split/{f.name}" for f in (tmp_path / "lf" / "split").iterdir()]
+    outputs += [f"model/{name}" for name in ("theta.tsv", "beta.tsv", "trace.tsv", "report.json")]
+    for name in outputs:
+        assert (tmp_path / "lf" / name).read_bytes() == (tmp_path / "crlf" / name).read_bytes()
+
+
 # --------------------------------------------------------------------- train
 
 

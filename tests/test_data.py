@@ -3,7 +3,6 @@ import logging
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_impls import load_interactions_reference, load_social_reference
 
-from serec import data as dm
 from serec import (
     DataFormatError,
     IdMap,
@@ -75,6 +73,13 @@ class TestLoadInteractions:
     def test_empty_file_rejected(self, tmp_path):
         p = write(tmp_path / "y.tsv", "# nothing here\n")
         with pytest.raises(DataFormatError, match="no interaction records"):
+            load_interactions(p)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        # lone CR and CRLF end lines too, as in text mode
+        p = tmp_path / "y.tsv"
+        p.write_bytes(b"a\tx\r\nb\ty\rc\xff\tz\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: not valid UTF-8")):
             load_interactions(p)
 
 
@@ -275,7 +280,15 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("zz\tv\n", "unknown user id 'zz'"), ("a\tqq\n", "unknown item id 'qq'")],
+        [
+            ("zz\tv\n", "unknown user id 'zz'"),
+            ("a\tqq\n", "unknown item id 'qq'"),
+            # the first faulty line wins; within a line, user before item
+            ("zz\tqq\n", "unknown user id 'zz'"),
+            ("a\tqq\nb\n", "unknown item id 'qq'"),
+            ("a\nzz\tv\n", "expected 'user item'"),
+            ("zz\tv\na\n", "unknown user id 'zz'"),
+        ],
     )
     def test_load_split_unknown_id_names_file_and_line(self, tmp_path, toy_matrix, line, message):
         ids = IdMap(users=list("abcd"), items=list("vwxyz"))
@@ -325,7 +338,8 @@ class TestRoundTrips:
 
 
 # Edge-list files for the reader differential: every layout the format allows,
-# plus, when asked, one fault or one byte the vectorized scan must decline.
+# plus up to two faults, and CRLF or lone-CR line ends, a separator that
+# is whitespace outside tab and space, or a non-ASCII id.
 SEP = st.sampled_from(["\t", " ", "   ", " \t "])
 PAD = st.sampled_from(["", " ", "\t", " \t  "])
 RATING = st.sampled_from(["5", "1", "2", "3.5", "nan", "inf", "-inf", "1e3", "1_0"])
@@ -334,14 +348,13 @@ USER_IDS = ["a", "b", "c", "u1", "#x", "x#y"]
 
 @st.composite
 def edge_files(draw, ids, ratings):
-    lines, n_records = [], 0
+    lines = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         kind = draw(st.sampled_from(["record"] * 4 + ["blank", "space", "comment"]))
         if kind == "record":
             fields = [draw(st.sampled_from(ids)), draw(st.sampled_from(ids))]
             if ratings and draw(st.booleans()):
                 fields.append(draw(RATING))
-            n_records += not fields[0].startswith("#")
             line = draw(SEP).join(fields)
         elif kind == "blank":
             line = ""
@@ -350,20 +363,19 @@ def edge_files(draw, ids, ratings):
         else:
             line = "#" + draw(SEP).join(draw(st.lists(st.sampled_from(ids), max_size=3)))
         lines.append(draw(PAD) + line + draw(PAD))
-    fault = draw(st.sampled_from([None] * 4 + ["count"] + ["rating"] * ratings))
-    if fault:
+    for fault in draw(st.lists(st.sampled_from(["count"] + ["rating"] * ratings), max_size=2)):
         bad = {"count": ["a", "a b 1 2"] + ([] if ratings else ["b c d"]),
                "rating": ["a x many", "b y 1.2.3"]}[fault]
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(bad)))
-        n_records += 1
-    odd = draw(st.sampled_from([None] * 4 + ["\r\n", "\x0b", "\x0c", "ü"]))
+    odd = draw(st.sampled_from(
+        [None] * 4 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u3000", "ü"]
+    ))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-    if odd == "\r\n":
-        text = text.replace("\n", odd)
-    if odd:
-        text = {"\r\n": "a\tb\r\n", "ü": "ü\ta\n"}.get(odd, f"a{odd}b\n") + text
-        n_records += 1
-    return text, n_records, fault, odd
+    if odd in ("\r\n", "\r"):
+        text = f"a\tb{odd}" + text.replace("\n", odd)
+    elif odd:
+        text = ("ü\ta\n" if odd == "ü" else f"a{odd}b\n") + text
+    return text
 
 
 def _outcome(load, *args):
@@ -379,28 +391,17 @@ def _outcome(load, *args):
     return result.n_users, result.src.tolist(), result.dst.tolist(), extra
 
 
-def _line_reader_outcome(load, *args):
-    with mock.patch.object(dm, "_scan", return_value=None):
-        return _outcome(load, *args)
-
-
 class TestReaderPaths:
-    """The vectorized scan, the line reader behind it and a line-at-a-time
-    oracle agree on every file: matrix, id maps in order, drop counts, and
-    the message of the first fault."""
-
-    def _declined(self, path, widths, n_records, fault, odd):
-        declined = dm._scan(path, widths) is None
-        assert declined == bool(odd or fault == "count" or n_records == 0)
+    """The vectorized scan and a line-at-a-time oracle agree on every file:
+    matrix, id maps in order, drop counts, and the message of the first
+    fault."""
 
     @settings(max_examples=200, deadline=None)
-    @given(file=edge_files(USER_IDS, ratings=True), min_rating=st.sampled_from([None, 2.0]))
-    def test_interactions(self, file, min_rating):
-        text, n_records, fault, odd = file
+    @given(text=edge_files(USER_IDS, ratings=True), min_rating=st.sampled_from([None, 2.0]))
+    def test_interactions(self, text, min_rating):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "y.tsv"
             path.write_text(text, encoding="utf-8", newline="")
-            self._declined(path, (2, 3), n_records, fault, odd)
             try:
                 users, items, pairs = load_interactions_reference(path, min_rating)
                 y = InteractionMatrix(len(users), len(items), pairs)
@@ -410,17 +411,14 @@ class TestReaderPaths:
             except ValueError as exc:
                 expected = str(exc)
             assert _outcome(load_interactions, path, min_rating) == expected
-            assert _line_reader_outcome(load_interactions, path, min_rating) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(file=edge_files(USER_IDS + ["ghost"], ratings=False))
-    def test_social(self, file):
-        text, n_records, fault, odd = file
+    @given(text=edge_files(USER_IDS + ["ghost"], ratings=False))
+    def test_social(self, text):
         ids = IdMap(users=USER_IDS + ["ü"], items=["x"])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.tsv"
             path.write_text(text, encoding="utf-8", newline="")
-            self._declined(path, (2,), n_records, fault, odd)
             try:
                 edges, counts = load_social_reference(path, ids.users)
                 graph = SocialGraph(len(ids.users), edges)
@@ -429,7 +427,6 @@ class TestReaderPaths:
             except ValueError as exc:
                 expected = str(exc)
             assert _outcome(load_social, path, ids) == expected
-            assert _line_reader_outcome(load_social, path, ids) == expected
 
 
 DEEP = 50_000  # records before the fault, far past any chunk a reader might take

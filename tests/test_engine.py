@@ -172,8 +172,9 @@ class TestFactorUpdates:
                 )
                 assert np.allclose(beta[i], ref, atol=1e-10)
 
-    def test_single_thread_item_solve_copies_bounded_chunks(self, rng, monkeypatch):
-        # one thread copies the transposed posterior a chunk at a time, so a
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_single_thread_item_solve_copies_bounded_chunks(self, rng, monkeypatch, n_threads):
+        # each thread copies the transposed posterior a chunk at a time, so a
         # spilled posterior is never copied into RAM whole
         y = random_interactions(rng, 200, 1500, density=0.01)
         p = rng.uniform(0, 1, (200, 1500))
@@ -182,7 +183,7 @@ class TestFactorUpdates:
         monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 200 * 50)
         tracemalloc.start()
         try:
-            chunked = update_item_factors(y, p, model, n_threads=1)
+            chunked = update_item_factors(y, p, model, n_threads=n_threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,13 +293,14 @@ class TestFit:
         assert res.converged
         assert res.n_iters < 50
 
-    def test_thread_count_does_not_change_result(self, rng):
+    def test_thread_count_does_not_change_result(self, rng, monkeypatch):
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 30)  # solves in chunks of 2 rows
         y = random_interactions(rng, 12, 15, density=0.2)
         mu = np.full((12, 15), 0.3)
         res1 = fit(y, MatrixProvider(mu), TrainConfig(k=3, max_em_iters=1, seed=5, n_threads=1))
         res4 = fit(y, MatrixProvider(mu), TrainConfig(k=3, max_em_iters=1, seed=5, n_threads=4))
-        assert np.allclose(res1.model.theta, res4.model.theta, rtol=1e-8, atol=1e-12)
-        assert np.allclose(res1.model.beta, res4.model.beta, rtol=1e-8, atol=1e-12)
+        assert np.array_equal(res1.model.theta, res4.model.theta)
+        assert np.array_equal(res1.model.beta, res4.model.beta)
 
     def test_nan_update_aborts_naming_iteration(self, rng, monkeypatch):
         y = random_interactions(rng, 4, 5)
