@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,69 +33,67 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    """Every tunable in one place; defaults follow the reference setup."""
-
-    model: str = "serec-boost"
-    # factorization
-    k: int = 20
-    lambda_theta: float = 0.01
-    lambda_beta: float = 0.01
-    lambda_y: float = 0.01
-    max_em_iters: int = 50
-    convergence_tol: float = 1e-5
-    seed: int = 0
-    init_scale: float = 0.01
-    n_threads: int = 0  # 0 means all available cores
-    dense_budget: int = engine.DEFAULT_DENSE_BUDGET
-    block_size: int = engine.DEFAULT_BLOCK_SIZE
-    # exposure priors
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    s_coeff: float = 5.0
-    mu_unobserved: float = 0.4
-    k_sr: int = 30
-    lambda_sr: float = 5.0
-    lambda_x: float = 1.0
-    lambda_t: float = 1.0
-    lambda_b: float = 1.0
-    lambda_gamma: float = 1.0
-    learning_rate: float = 0.01
-    n_sgd_epochs: int = 10
-    refit_every: object = "once"
-    # evaluation
-    cutoffs: tuple = (10, 50, 100)
-    target: str = "test"
-    repeats: int = 1
-    deterministic: bool = False
-
-    def train_config(self) -> engine.TrainConfig:
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(engine.TrainConfig)}
-        values["n_threads"] = 1 if self.deterministic else (self.n_threads or os.cpu_count() or 1)
-        return engine.TrainConfig(**values)
+def _provider_params(cls) -> dict:
+    """A provider's keyword parameters with their defaults: its config keys."""
+    params = inspect.signature(cls).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
 
-def _coerce(name: str, value, current):
-    if name == "refit_every":
-        if value == "once":
-            return value
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise UsageError('refit_every must be "once" or a positive integer') from None
+def _train_config(self) -> engine.TrainConfig:
+    values = {f.name: getattr(self, f.name) for f in dataclasses.fields(engine.TrainConfig)}
+    values["n_threads"] = self.n_threads or os.cpu_count() or 1
+    return engine.TrainConfig(**values)
+
+
+def _run_config_fields():
+    """Each key once, with the default of its first consumer."""
+    defaults = {f.name: f.default for f in dataclasses.fields(engine.TrainConfig)}
+    defaults["n_threads"] = 0  # 0 means all available cores
+    for cls in PROVIDERS.values():
+        for name, default in _provider_params(cls).items():
+            defaults.setdefault(name, default)
+    defaults.update(
+        model="serec-boost", cutoffs=metrics.DEFAULT_CUTOFFS, target="test", repeats=1
+    )
+    return [(name, type(default), default) for name, default in defaults.items()]
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    _run_config_fields(),
+    namespace={
+        "__doc__": "Every tunable: the fields of engine.TrainConfig, the "
+        "providers' keyword parameters and the keys only the CLI reads.",
+        "train_config": _train_config,
+    },
+)
+
+
+def _coerce(where: str, name: str, value):
+    """``value`` as config key ``name`` takes it: an integer key takes only
+    integral numbers and a float key only numbers, neither booleans."""
     if name == "cutoffs":
         text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
         return tuple(_parse_cutoffs(text, "cutoffs"))
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return value
+    default = getattr(RunConfig, name)
+    if isinstance(default, str) and (name != "refit_every" or value == "once"):
+        return value
+    number = value
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+    if isinstance(number, (int, float)) and not isinstance(number, bool):
+        if isinstance(default, float):
+            return float(number)
+        if isinstance(number, int) or number.is_integer():
+            return int(number)
+    expects = "a number" if isinstance(default, float) else "an integer"
+    if name == "refit_every":
+        expects = '"once" or an integer'
+    shown = value if isinstance(value, str) else json.dumps(value)
+    raise UsageError(f"{where}: config key {name!r} expects {expects}, got {shown!r}")
 
 
 def load_config(config_path: str | None, overrides: list[str] | None) -> RunConfig:
@@ -109,7 +107,7 @@ def load_config(config_path: str | None, overrides: list[str] | None) -> RunConf
         for key, value in loaded.items():
             if key not in valid:
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
+            setattr(cfg, key, _coerce(config_path, key, value))
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -120,7 +118,7 @@ def load_config(config_path: str | None, overrides: list[str] | None) -> RunConf
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
+        setattr(cfg, key, _coerce("--set", key, value))
     if cfg.model not in MODEL_KINDS:
         raise UsageError(f"model must be one of {', '.join(MODEL_KINDS)}")
     return cfg
@@ -136,9 +134,13 @@ def _provider_graph(cls, y: dm.InteractionMatrix, graph: dm.SocialGraph | None):
 
 
 def make_provider(cfg: RunConfig, y: dm.InteractionMatrix, graph: dm.SocialGraph | None):
-    """Build the exposure provider for the configured model kind."""
+    """Build the exposure provider for the configured model kind: each of
+    the class's keyword parameters takes the config key of its name."""
     cls = PROVIDERS[cfg.model]
-    return cls.from_config(cfg, y, _provider_graph(cls, y, graph))
+    kwargs = {name: getattr(cfg, name) for name in _provider_params(cls)}
+    if "graph" in inspect.signature(cls).parameters:
+        kwargs["graph"] = _provider_graph(cls, y, graph)
+    return cls(y, **kwargs)
 
 
 def load_provider(model_dir: Path, kind: str, y, graph):
@@ -220,8 +222,6 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.model:
         cfg.model = args.model
-    if args.deterministic:
-        cfg.deterministic = True
     if args.repeats is not None:
         cfg.repeats = args.repeats
     if cfg.repeats < 1:
@@ -349,8 +349,6 @@ def cmd_robustness(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.model:
         cfg.model = args.model
-    if args.deterministic:
-        cfg.deterministic = True
     keep_probs = _parse_floats(args.keep_probs, "--keep-probs")
     if any(not 0.0 <= kp <= 1.0 for kp in keep_probs):
         raise UsageError("--keep-probs values must be in [0, 1]")
@@ -426,7 +424,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(p):
     p.add_argument("--config", help="JSON file of config overrides")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
-    p.add_argument("--deterministic", action="store_true", help="force single-threaded runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="ranking metrics for a trained model")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-dir", required=True)
-    p.add_argument("--cutoffs", default="10,50,100")
+    p.add_argument("--cutoffs", default=",".join(map(str, metrics.DEFAULT_CUTOFFS)))
     p.add_argument("--target", choices=("test", "validation"), default="test")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)

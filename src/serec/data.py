@@ -58,22 +58,24 @@ class IdMap:
         for name in ("users.tsv", "items.tsv"):
             path = in_dir / name
             rows: dict[int, tuple[int, str]] = {}  # index -> (line number, id)
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    idx, tab, raw = line.rstrip("\n").partition("\t")
-                    if not tab:
-                        raise DataFormatError(f"{path}:{lineno}: expected 'index<TAB>id'")
-                    try:
-                        idx = int(idx)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: index {idx!r} is not an integer"
-                        ) from None
-                    if idx in rows:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: index {idx} repeats line {rows[idx][0]}"
-                        )
-                    rows[idx] = (lineno, raw)
+            lines = _read_text(path).split("\n")
+            if not lines[-1]:
+                lines.pop()  # the empty remainder after the last line end
+            for lineno, line in enumerate(lines, start=1):
+                idx, tab, raw = line.partition("\t")
+                if not tab:
+                    raise DataFormatError(f"{path}:{lineno}: expected 'index<TAB>id'")
+                try:
+                    idx = int(idx)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: index {idx!r} is not an integer"
+                    ) from None
+                if idx in rows:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: index {idx} repeats line {rows[idx][0]}"
+                    )
+                rows[idx] = (lineno, raw)
             for idx, (lineno, _) in rows.items():
                 if not 0 <= idx < len(rows):
                     raise DataFormatError(
@@ -248,14 +250,29 @@ class StatsReport:
 _WHITESPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of ``path`` as text mode reads it: UTF-8, with ``\\r\\n`` and
+    lone ``\\r`` line ends read as ``\\n``.  A byte that is not valid UTF-8
+    is a :class:`DataFormatError` that names its line."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}: {exc.reason})"
+        ) from None
+
+
 def _scan(path: str | Path, widths: tuple[int, ...], expected: str):
     """The records of an edge list, parsed without per-line Python.
 
-    The file is read as text mode reads it: UTF-8, with ``\\r\\n`` and lone
-    ``\\r`` line ends read as ``\\n``.  Fields are the runs of characters that
-    are not whitespace, as ``str.split`` finds them, and only ``\\n`` ends a
-    line, as in text mode's line iterator.  A line whose first field starts
-    with ``#`` is a comment.
+    The file is read by :func:`_read_text`.  Fields are the runs of
+    characters that are not whitespace, as ``str.split`` finds them, and only
+    ``\\n`` ends a line, as in text mode's line iterator.  A line whose first
+    field starts with ``#`` is a comment.
 
     Returns ``(columns, counts, lines, fault)`` for the records before the
     first one whose field count is not in ``widths``: ``counts[r]`` is the
@@ -266,16 +283,7 @@ def _scan(path: str | Path, widths: tuple[int, ...], expected: str):
     raises it after any fault it finds in the records before it, so the first
     faulty line is named, as in a line-by-line parse.
     """
-    data = Path(path).read_bytes()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(
-            f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}: {exc.reason})"
-        ) from None
+    text = _read_text(path)
     code = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     space = _WHITESPACE.take(code, mode="clip")
     starts = ~space

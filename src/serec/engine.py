@@ -135,19 +135,14 @@ class ExposurePosterior:
         n_users: int,
         n_items: int,
         dense_budget: int = DEFAULT_DENSE_BUDGET,
-        storage_dir: str | None = None,
     ) -> None:
         self.provider = provider
         self.n_users = n_users
         self.n_items = n_items
-        self._tmpdir = None
         if n_users * n_items <= dense_budget:
             self.p = np.zeros((n_users, n_items), dtype=np.float64)
         else:
-            if storage_dir is None:
-                self._tmpdir = tempfile.mkdtemp(prefix="serec-posterior-")
-                storage_dir = self._tmpdir
-            path = os.path.join(storage_dir, "posterior.dat")
+            path = os.path.join(tempfile.mkdtemp(prefix="serec-posterior-"), "posterior.dat")
             self.p = np.memmap(path, dtype=np.float64, mode="w+", shape=(n_users, n_items))
 
     @property
@@ -155,14 +150,14 @@ class ExposurePosterior:
         return not isinstance(self.p, np.memmap)
 
     def close(self) -> None:
-        """Release p, and its backing file if it was spilled to disk."""
+        """Release p, and the temp dir holding its backing file if it was
+        spilled to disk."""
         path = self.p.filename if isinstance(self.p, np.memmap) else None
         self.p = np.zeros((0, 0))
         if path is not None:
             try:
                 os.unlink(path)
-                if self._tmpdir is not None:
-                    os.rmdir(self._tmpdir)
+                os.rmdir(os.path.dirname(path))
             except OSError:
                 pass
 

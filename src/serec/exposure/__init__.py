@@ -13,8 +13,9 @@ from serec.exposure.social_regular import (
     sgd_triplet_step,
 )
 
-# Every model kind, in the order the CLI lists them.  Each class has
-# ``from_config(cfg, y, graph)``, ``load(model_dir, y, graph)`` and, where it
+# Every model kind, in the order the CLI lists them.  Each class is built as
+# ``cls(y[, graph], **params)``, where every keyword parameter is a config key
+# of the same name; it has ``load(model_dir, y, graph)`` and, where it
 # applies, ``requires_social`` or ``refresh_on_load`` (the CLI reads both).
 PROVIDERS = {c.kind: c for c in (FixedExposure, PopularityExposure, RegularExposure, BoostExposure)}
 

@@ -52,10 +52,6 @@ class PopularityExposure:
             y.item_counts().astype(np.float64), y.n_users, alpha1, alpha2
         )
 
-    @classmethod
-    def from_config(cls, cfg, y: InteractionMatrix, graph) -> "PopularityExposure":
-        return cls(y, alpha1=cfg.alpha1, alpha2=cfg.alpha2)
-
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         return np.broadcast_to(self.mu_items[j0:j1], (self.n_users, j1 - j0))
 
@@ -96,10 +92,6 @@ class FixedExposure:
             raise ValueError("mu_unobserved must be in (0, 1]")
         self.mu_unobserved = mu_unobserved
         self._y = y
-
-    @classmethod
-    def from_config(cls, cfg, y: InteractionMatrix, graph) -> "FixedExposure":
-        return cls(y, mu_unobserved=cfg.mu_unobserved)
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         block = np.full((self._y.n_users, j1 - j0), self.mu_unobserved, dtype=np.float64)

@@ -66,10 +66,6 @@ class BoostExposure:
         # p proxy at init: the clicks themselves, so friend mass is sparse
         self._source = graph.adjacency() @ y.to_csr()
 
-    @classmethod
-    def from_config(cls, cfg, y: InteractionMatrix, graph: SocialGraph) -> "BoostExposure":
-        return cls(y, graph, s_coeff=cfg.s_coeff, alpha1=cfg.alpha1, alpha2=cfg.alpha2)
-
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         """The boosted Beta mode for items [j0, j1), a new array.
 

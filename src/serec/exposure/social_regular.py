@@ -322,23 +322,6 @@ class RegularExposure:
         self.last_objective = None
         self._n_updates = 0
 
-    @classmethod
-    def from_config(cls, cfg, y: InteractionMatrix, graph: SocialGraph) -> "RegularExposure":
-        return cls(
-            y,
-            graph,
-            k_sr=cfg.k_sr,
-            lambda_sr=cfg.lambda_sr,
-            lambda_x=cfg.lambda_x,
-            lambda_t=cfg.lambda_t,
-            lambda_b=cfg.lambda_b,
-            lambda_gamma=cfg.lambda_gamma,
-            learning_rate=cfg.learning_rate,
-            n_sgd_epochs=cfg.n_sgd_epochs,
-            refit_every=cfg.refit_every,
-            seed=cfg.seed,
-        )
-
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         raw = self.x @ self.t[j0:j1].T + self.gamma[j0:j1]
         return np.clip(raw, MU_EPS, 1.0 - MU_EPS)

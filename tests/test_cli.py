@@ -30,7 +30,8 @@ def run(argv):
         return exc.code
 
 
-FAST = ["--set", "k=3", "--set", "max_em_iters=3", "--set", "seed=1", "--deterministic"]
+FAST = ["--set", "k=3", "--set", "max_em_iters=3", "--set", "seed=1",
+        "--set", "n_threads=1"]
 
 
 @pytest.fixture(scope="session")
@@ -329,13 +330,71 @@ def test_train_rejects_malformed_set(split_dir, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, expects",
+    [
+        ("k=abc", "an integer"),
+        ("k=3.7", "an integer"),
+        ("k=true", "an integer"),
+        ("lambda_y=true", "a number"),
+        ("refit_every=2.5", '"once" or an integer'),
+    ],
+)
+def test_train_rejects_set_value_of_wrong_type(split_dir, tmp_path, capsys, setting, expects):
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", "wmf", "--set", setting])
+    assert rc == 1
+    key, raw = setting.split("=")
+    assert f"--set: config key '{key}' expects {expects}, got '{raw}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"k": 3.7}, "config key 'k' expects an integer, got '3.7'"),
+        ({"max_em_iters": True}, "config key 'max_em_iters' expects an integer, got 'true'"),
+        ({"lambda_y": "x"}, "config key 'lambda_y' expects a number, got 'x'"),
+        ({"seed": [1]}, "config key 'seed' expects an integer, got '[1]'"),
+    ],
+    ids=["float-for-int", "bool-for-int", "string-for-float", "list-for-int"],
+)
+def test_train_rejects_config_value_of_wrong_type(split_dir, tmp_path, capsys, settings, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", "wmf", "--config", str(cfg_path)])
+    assert rc == 1
+    assert f"{cfg_path}: {message}" in capsys.readouterr().err
+
+
+def test_config_takes_integral_numbers_for_integer_keys():
+    cfg = cli.load_config(None, ["k=3.0", "lambda_y=1", "refit_every=2", "seed=1e3"])
+    assert (cfg.k, cfg.lambda_y, cfg.refit_every, cfg.seed) == (3, 1.0, 2, 1000)
+    assert type(cfg.k) is int and type(cfg.lambda_y) is float and type(cfg.seed) is int
+
+
+def test_meta_config_retrains_byte_identical(dataset, split_dir, tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    social = dataset / "social.tsv"
+    assert _train(split_dir, first, "serec-regular", social=social,
+                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=2"]) == 0
+    config = json.loads((first / "meta.json").read_text())["config"]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run(["train", "--split-dir", str(split_dir), "--out-dir", str(second),
+                "--social", str(social), "--config", str(cfg_path)]) == 0
+    assert json.loads((second / "meta.json").read_text())["config"] == config
+    for name in ("theta.tsv", "beta.tsv", "trace.tsv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_train_config_file_with_set_override(split_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": 2, "max_em_iters": 2, "seed": 9}))
     out = tmp_path / "m"
     rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(out),
               "--model", "wmf", "--config", str(cfg_path),
-              "--set", "k=4", "--deterministic"])
+              "--set", "k=4", "--set", "n_threads=1"])
     assert rc == 0
     meta = json.loads((out / "meta.json").read_text())
     # --set wins over the file; untouched file keys survive
@@ -471,6 +530,19 @@ def test_evaluate_malformed_id_map_exits_2_naming_the_file(
     assert str(bad / message) in capsys.readouterr().err
 
 
+def test_evaluate_invalid_utf8_id_map_exits_2_naming_file_and_line(
+    wmf_dir, split_dir, tmp_path, capsys
+):
+    bad = tmp_path / "split"
+    shutil.copytree(split_dir, bad)
+    users = bad / "users.tsv"
+    first, rest = users.read_bytes().split(b"\n", 1)
+    users.write_bytes(first + b"\n" + rest.replace(b"\t", b"\t\xff", 1))
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
+    assert rc == 2
+    assert f"{users}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -580,7 +652,7 @@ def test_exposure_curve_unknown_user_exits_2(expomf_dir, split_dir, capsys):
 
 
 ROBUST_FAST = ["--set", "k=2", "--set", "max_em_iters=2", "--set", "seed=1",
-               "--deterministic"]
+               "--set", "n_threads=1"]
 
 
 def test_robustness_table_shape(dataset, split_dir, tmp_path):
@@ -668,7 +740,7 @@ def test_robustness_requires_social_flag(split_dir):
 def test_boost_without_social_matches_popularity_model(split_dir, tmp_path):
     """With no graph the boost prior degenerates to the popularity prior."""
     opts = ["--set", "k=2", "--set", "max_em_iters=2", "--set", "seed=5",
-            "--deterministic"]
+            "--set", "n_threads=1"]
     a, b = tmp_path / "boost", tmp_path / "expomf"
     assert run(["train", "--split-dir", str(split_dir), "--out-dir", str(a),
                 "--model", "serec-boost"] + opts) == 0
@@ -700,9 +772,10 @@ def test_model_kinds_match_provider_table():
 
 
 def test_run_config_defaults_match_their_consumers():
-    """RunConfig restates the defaults of the TrainConfig fields and the
-    provider parameters it feeds; n_threads differs on purpose (0 means all
-    cores)."""
+    """RunConfig takes each key's default from its first consumer, so a name
+    two consumers share (alpha1, alpha2, seed, init_scale) must have one
+    default in both, or the later one's would be overridden without a word;
+    n_threads differs on purpose (0 means all cores)."""
     run_defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
     consumers = [(f.name, f.default) for f in dataclasses.fields(engine.TrainConfig)]
     for cls in PROVIDERS.values():
@@ -724,3 +797,46 @@ def test_usage_errors_exit_1():
     assert run([]) == 1
     assert run(["no-such-command"]) == 1
     assert run(["train", "--split-dir", "x"]) == 1  # missing --out-dir
+
+
+def _changed(value):
+    """A valid value for a provider parameter, unlike its default."""
+    if value == "once":
+        return 2
+    return value + 1 if isinstance(value, int) else value * 1.5
+
+
+@pytest.mark.parametrize(
+    "kind, name, default",
+    [
+        (kind, name, param.default)
+        for kind, cls in PROVIDERS.items()
+        for name, param in inspect.signature(cls).parameters.items()
+        if param.default is not param.empty
+    ],
+)
+def test_make_provider_passes_each_keyword_parameter(
+    dataset, split_dir, tmp_path, kind, name, default
+):
+    """make_provider builds what the class builds from the same value, and
+    the value changes the provider, so no key is dropped on the way."""
+    split, id_map = dm.load_split(split_dir)
+    graph, _ = dm.load_social(dataset / "social.tsv", id_map)
+    cls = PROVIDERS[kind]
+    args = [split.train]
+    if "graph" in inspect.signature(cls).parameters:
+        args.append(graph)
+    value = _changed(default)
+    cfg = cli.load_config(None, [f"model={kind}", f"{name}={json.dumps(value)}"])
+    saved = []
+    for label, provider in (
+        ("cli", cli.make_provider(cfg, split.train, graph)),
+        ("direct", cls(*args, **{name: value})),
+        ("default", cls(*args)),
+    ):
+        out = tmp_path / label
+        out.mkdir()
+        provider.save(out)
+        saved.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert saved[0] == saved[1]
+    assert saved[1] != saved[2]

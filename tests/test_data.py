@@ -329,9 +329,13 @@ class TestRoundTrips:
         with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / message}")):
             load_split(tmp_path)
 
-    def test_idmap_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_idmap_round_trip(self, tmp_path, end):
         ids = IdMap(users=["u9", "u1"], items=["i5"])
         ids.save(tmp_path)
+        for name in ("users.tsv", "items.tsv"):  # line ends as text mode reads them
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"\n", end))
         back = IdMap.load(tmp_path)
         assert back.users == ids.users and back.items == ids.items
         assert back.user_index == {"u9": 0, "u1": 1}
