@@ -25,6 +25,7 @@ from serec.data import (
     write_social,
 )
 from serec.engine import (
+    ConfigError,
     ExposurePosterior,
     FactorModel,
     FitResult,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoostExposure",
+    "ConfigError",
     "DataFormatError",
     "DatasetSplit",
     "EvalReport",

@@ -210,9 +210,13 @@ def cmd_split(args) -> int:
 
 
 def _train_once(cfg: RunConfig, train, graph):
-    provider = make_provider(cfg, train, graph)
+    try:
+        provider = make_provider(cfg, train, graph)
+        train_cfg = cfg.train_config()
+    except engine.ConfigError as exc:  # an out-of-range value the user set
+        raise UsageError(str(exc)) from None
     t0 = time.perf_counter()
-    result = engine.fit(train, provider, cfg.train_config())
+    result = engine.fit(train, provider, train_cfg)
     elapsed = time.perf_counter() - t0
     result.posterior.close()  # save_model needs only the factors and the provider
     return result, provider, elapsed

@@ -52,6 +52,14 @@ class TrainingError(RuntimeError):
     """Raised when training produces non-finite values or diverges."""
 
 
+class ConfigError(ValueError):
+    """A hyperparameter outside its range; ``key`` is its config key."""
+
+    def __init__(self, key: str, reason: str) -> None:
+        super().__init__(f"config key {key!r} {reason}")
+        self.key = key
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for :func:`fit`.
@@ -73,15 +81,14 @@ class TrainConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        for name in ("lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"):
+        for name in ("k", "lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(name, "must be positive")
         if self.max_em_iters < 0:
-            raise ValueError("max_em_iters must be >= 0")
-        if self.n_threads < 1 or self.block_size < 1:
-            raise ValueError("n_threads and block_size must be >= 1")
+            raise ConfigError("max_em_iters", "must be >= 0")
+        for name in ("n_threads", "block_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
 
 
 @dataclass
@@ -418,9 +425,25 @@ def _run_phase(work, n_rows: int, n_threads: int, row_len: int) -> None:
     _in_pool(work, list(_iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len))), n_threads)
 
 
+def _packed_gram(factors: np.ndarray) -> np.ndarray:
+    """The K(K+1)/2 distinct entries of each outer product f_j f_j^T.
+
+    Row r holds f[:, t] * f[:, s] for the r-th pair s >= t in
+    ``np.triu_indices`` order.  Filling it one factor column t at a time
+    allocates nothing beyond the (K(K+1)/2, n) result.
+    """
+    ft = np.ascontiguousarray(factors.T)
+    k, n = ft.shape
+    packed = np.empty((k * (k + 1) // 2, n), dtype=np.float64)
+    off = 0
+    for t in range(k):
+        np.multiply(ft[t:], ft[t], out=packed[off : off + k - t])
+        off += k - t
+    return packed
+
+
 def _ridge_update(
     p_arr,
-    grams: np.ndarray,
     clicked_rhs: np.ndarray,
     factors: np.ndarray,
     lambda_y: float,
@@ -432,22 +455,30 @@ def _ridge_update(
 
     Solves, for every row u of the output,
         (lambda_y * sum_j p_uj f_j f_j^T + lambda_reg I) x = clicked_rhs[u]
-    where f ranges over the opposite side's factor rows.  ``grams`` holds
-    the flattened outer products f_j f_j^T, so the weighted sum is one
-    matmul per chunk.  ``transpose`` selects columns of p instead of rows
-    (the item update).
+    where f ranges over the opposite side's factor rows.  The weighted sum
+    is one matmul per chunk against the packed Gram (:func:`_packed_gram`),
+    and one ``take`` over a flat index map expands a chunk's packed sums to
+    its K x K systems.  ``transpose`` selects columns of p instead of rows
+    (the item update); the matmul reads that strided column chunk in
+    place, so no part of a spilled posterior is copied into RAM.
     """
     k = factors.shape[1]
     n_out = clicked_rhs.shape[0]
     out = np.empty((n_out, k), dtype=np.float64)
+    packed = _packed_gram(factors)
+    rows, cols = np.triu_indices(k)
+    where = np.empty((k, k), dtype=np.intp)
+    where[rows, cols] = where[cols, rows] = np.arange(rows.size)
+    full = where.ravel()  # packed index of each entry of a row-major K x K
     diag = np.arange(k)
 
     def work(lo: int, hi: int) -> None:
         if transpose:
-            p_chunk = np.ascontiguousarray(p_arr[:, lo:hi].T)
+            sums = (packed @ p_arr[:, lo:hi]).T
         else:
-            p_chunk = np.asarray(p_arr[lo:hi])
-        a = lambda_y * (p_chunk @ grams).reshape(-1, k, k)
+            sums = p_arr[lo:hi] @ packed.T
+        sums *= lambda_y
+        a = sums.take(full, axis=1).reshape(-1, k, k)
         a[:, diag, diag] += lambda_reg
         out[lo:hi] = np.linalg.solve(a, clicked_rhs[lo:hi, :, None])[:, :, 0]
 
@@ -468,13 +499,11 @@ def update_user_factors(
     """
     p_arr = _posterior_array(p)
     beta = model.beta
-    v, k = beta.shape
-    grams = (beta[:, :, None] * beta[:, None, :]).reshape(v, k * k)
     w = y.to_csr().copy()
     w.data = _clicked_weights(y, p_arr)
     rhs = model.lambda_y * (w @ beta)
     return _ridge_update(
-        p_arr, grams, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
+        p_arr, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
     )
 
 
@@ -484,13 +513,11 @@ def update_item_factors(
     """Per-item ridge solve, the mirror image of the user update."""
     p_arr = _posterior_array(p)
     theta = model.theta
-    u, k = theta.shape
-    grams = (theta[:, :, None] * theta[:, None, :]).reshape(u, k * k)
     w = y.to_csr().copy()
     w.data = _clicked_weights(y, p_arr)
     rhs = model.lambda_y * (w.T @ theta)
     return _ridge_update(
-        p_arr, grams, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
+        p_arr, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
     )
 
 

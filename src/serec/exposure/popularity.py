@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, _clicked_in_block, posterior_column_sums
+from serec.engine import MU_EPS, ConfigError, _clicked_in_block, posterior_column_sums
 
 
 def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -32,6 +32,12 @@ def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1
     return np.clip(mu, MU_EPS, 1.0 - MU_EPS)
 
 
+def _check_beta_parameters(alpha1: float, alpha2: float) -> None:
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if value <= 0:
+            raise ConfigError(name, "must be positive (a Beta parameter)")
+
+
 class PopularityExposure:
     """Item-popularity exposure prior (no social information).
 
@@ -43,8 +49,7 @@ class PopularityExposure:
     kind = "expomf"
 
     def __init__(self, y: InteractionMatrix, alpha1: float = 1.0, alpha2: float = 1.0) -> None:
-        if alpha1 <= 0 or alpha2 <= 0:
-            raise ValueError("Beta parameters must be positive")
+        _check_beta_parameters(alpha1, alpha2)
         self.alpha1 = alpha1
         self.alpha2 = alpha2
         self.n_users = y.n_users
@@ -89,7 +94,7 @@ class FixedExposure:
 
     def __init__(self, y: InteractionMatrix, mu_unobserved: float = 0.4) -> None:
         if not 0.0 < mu_unobserved <= 1.0:
-            raise ValueError("mu_unobserved must be in (0, 1]")
+            raise ConfigError("mu_unobserved", "must be in (0, 1]")
         self.mu_unobserved = mu_unobserved
         self._y = y
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, posterior_column_sums
+from serec.engine import MU_EPS, ConfigError, posterior_column_sums
+from serec.exposure.popularity import _check_beta_parameters
 
 
 class BoostExposure:
@@ -50,9 +51,8 @@ class BoostExposure:
         alpha2: float = 1.0,
     ) -> None:
         if s_coeff < 1.0:
-            raise ValueError("s_coeff must be >= 1")
-        if alpha1 <= 0 or alpha2 <= 0:
-            raise ValueError("Beta parameters must be positive")
+            raise ConfigError("s_coeff", "must be >= 1")
+        _check_beta_parameters(alpha1, alpha2)
         if alpha1 + alpha2 + y.n_users <= 2:
             raise ValueError("alpha1 + alpha2 + n_users must exceed 2")
         if graph.n_users != y.n_users:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, TrainingError, _posterior_array
+from serec.engine import MU_EPS, ConfigError, TrainingError, _posterior_array
 
 DIVERGENCE_FACTOR = 10.0
 
@@ -296,9 +296,9 @@ class RegularExposure:
         init_scale: float = 0.01,
     ) -> None:
         if k_sr <= 0:
-            raise ValueError("k_sr must be positive")
+            raise ConfigError("k_sr", "must be positive")
         if refit_every != "once" and (not isinstance(refit_every, int) or refit_every < 1):
-            raise ValueError('refit_every must be "once" or a positive integer')
+            raise ConfigError("refit_every", 'must be "once" or a positive integer')
         if graph.n_users != y.n_users:
             raise ValueError("graph and interactions disagree on n_users")
         rng = np.random.default_rng(seed)

@@ -367,6 +367,29 @@ def test_train_rejects_config_value_of_wrong_type(split_dir, tmp_path, capsys, s
     assert f"{cfg_path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, setting, reason",
+    [
+        ("wmf", "k=0", "must be positive"),
+        ("wmf", "n_threads=-1", "must be >= 1"),
+        ("wmf", "mu_unobserved=2", "must be in (0, 1]"),
+        ("serec-boost", "s_coeff=0.5", "must be >= 1"),
+    ],
+)
+def test_train_rejects_out_of_range_value_naming_its_key(
+    dataset, split_dir, tmp_path, capsys, model, setting, reason
+):
+    # a bad value is a usage error (exit 1) from TrainConfig and the
+    # providers alike; data faults keep exit 2
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", model, "--social", str(dataset / "social.tsv"),
+              "--set", "max_em_iters=1", "--set", setting])
+    assert rc == 1
+    key = setting.split("=")[0]
+    assert f"error: config key '{key}' {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_config_takes_integral_numbers_for_integer_keys():
     cfg = cli.load_config(None, ["k=3.0", "lambda_y=1", "refit_every=2", "seed=1e3"])
     assert (cfg.k, cfg.lambda_y, cfg.refit_every, cfg.seed) == (3, 1.0, 2, 1000)

@@ -18,6 +18,7 @@ from conftest import MatrixProvider, dense_clicks, random_graph, random_interact
 from reference_impls import ll_oracle, ridge_row_oracle
 from serec import (
     BoostExposure,
+    ConfigError,
     ExposurePosterior,
     FactorModel,
     FixedExposure,
@@ -172,9 +173,64 @@ class TestFactorUpdates:
                 )
                 assert np.allclose(beta[i], ref, atol=1e-10)
 
+    @pytest.mark.parametrize("k", [7, 20])
+    @pytest.mark.parametrize("spilled", [False, True], ids=["dense", "memmap"])
+    def test_matches_ridge_oracle_at_full_width(self, rng, monkeypatch, tmp_path, k, spilled):
+        # every entry of the packed Gram's index map, at an odd K and at the
+        # default K, over several chunks of a dense or a disk-backed posterior
+        n_u, n_v = 30, 45
+        y = random_interactions(rng, n_u, n_v, density=0.3)
+        y_dense = dense_clicks(y)
+        p = rng.uniform(0.01, 1, (n_u, n_v))
+        p[y_dense.astype(bool)] = 1.0
+        if spilled:
+            disk = np.memmap(tmp_path / "p.dat", dtype=np.float64, mode="w+", shape=p.shape)
+            disk[:] = p
+            p = disk
+        model = make_model(
+            rng.normal(0, 1, (n_u, k)), rng.normal(0, 1, (n_v, k)), lt=0.3, lb=0.7, ly=2.0
+        )
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 7 * max(n_u, n_v))
+        theta = update_user_factors(y, p, model)
+        beta = update_item_factors(y, p, model)
+        for u in range(n_u):
+            ref = ridge_row_oracle(model.beta, p[u], y_dense[u], model.lambda_y, model.lambda_theta)
+            assert np.allclose(theta[u], ref, atol=1e-10)
+        for i in range(n_v):
+            ref = ridge_row_oracle(
+                model.theta, p[:, i], y_dense[:, i], model.lambda_y, model.lambda_beta
+            )
+            assert np.allclose(beta[i], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
+    def test_solves_hold_the_packed_gram_and_a_chunk_per_thread(
+        self, rng, monkeypatch, solve, n_threads
+    ):
+        # traced heap bound: the packed Gram (K(K+1)/2 x n), per thread one
+        # chunk's packed sums and K x K systems, and the n x K arrays (factors
+        # transposed, right-hand side, output), plus the clicked-pair weights
+        # in a CSR copy.  A full K x K Gram, a packed one built from whole
+        # gathered temporaries, or a transposed copy of each chunk of p
+        # breaks it.
+        n, k, chunk = 2000, 20, 64
+        m = k * (k + 1) // 2
+        y = random_interactions(rng, n, n, density=0.01)
+        p = rng.uniform(0, 1, (n, n))
+        model = make_model(rng.normal(0, 1, (n, k)), rng.normal(0, 1, (n, k)))
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", n * chunk)
+        tracemalloc.start()
+        try:
+            solve(y, p, model, n_threads=n_threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (m * n + n_threads * chunk * (m + k * k) + 3 * n * k) + 20 * y.n_entries
+        assert peak < bound
+
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_single_thread_item_solve_copies_bounded_chunks(self, rng, monkeypatch, n_threads):
-        # each thread copies the transposed posterior a chunk at a time, so a
+        # each thread reads the posterior a column chunk at a time, so a
         # spilled posterior is never copied into RAM whole
         y = random_interactions(rng, 200, 1500, density=0.01)
         p = rng.uniform(0, 1, (200, 1500))
@@ -608,6 +664,10 @@ class TestValidation:
             TrainConfig(max_em_iters=-1)
         with pytest.raises(ValueError):
             TrainConfig(n_threads=0)
+        for key in ("n_threads", "block_size"):
+            with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 1") as err:
+                TrainConfig(**{key: 0})
+            assert err.value.key == key
 
     def test_factor_model_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from conftest import dense_clicks, random_graph, random_interactions
 from reference_impls import boost_update_mu, phi_social
 from serec import (
     BoostExposure,
+    ConfigError,
     InteractionMatrix,
     PopularityExposure,
     SocialGraph,
@@ -161,10 +162,12 @@ class TestBoostProvider:
     def test_validates_arguments(self, toy_matrix, toy_graph):
         with pytest.raises(ValueError, match="s_coeff"):
             BoostExposure(toy_matrix, toy_graph, s_coeff=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="'alpha1'"):
             BoostExposure(toy_matrix, toy_graph, alpha1=0.0)
-        with pytest.raises(ValueError, match="n_users"):
+        # a data fault is a plain ValueError, which the CLI maps to exit 2
+        with pytest.raises(ValueError, match="n_users") as err:
             BoostExposure(toy_matrix, SocialGraph(5, [(0, 1)]))
+        assert not isinstance(err.value, ConfigError)
 
     def test_initial_prior_uses_clicks_as_posterior_proxy(self, toy_matrix, toy_graph):
         provider = BoostExposure(toy_matrix, toy_graph, s_coeff=3.0)
