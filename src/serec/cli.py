@@ -198,6 +198,10 @@ def cmd_split(args) -> int:
     ratios = _parse_floats(args.ratios, "--ratios")
     if len(ratios) != 2:
         raise UsageError("--ratios expects two fractions, e.g. 0.7,0.2")
+    if min(ratios) <= 0 or sum(ratios) >= 1:
+        raise UsageError("--ratios must be positive and sum to less than 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     y, id_map = dm.load_interactions(args.interactions, min_rating=args.min_rating)
     split = dm.split_interactions(y, ratios=(ratios[0], ratios[1]), seed=args.seed)
     dm.save_split(args.out_dir, split, id_map)
@@ -211,8 +215,10 @@ def cmd_split(args) -> int:
 
 def _train_once(cfg: RunConfig, train, graph):
     try:
-        provider = make_provider(cfg, train, graph)
+        # TrainConfig first: it checks seed and init_scale, which
+        # serec-regular hands to numpy as well
         train_cfg = cfg.train_config()
+        provider = make_provider(cfg, train, graph)
     except engine.ConfigError as exc:  # an out-of-range value the user set
         raise UsageError(str(exc)) from None
     t0 = time.perf_counter()
@@ -307,6 +313,8 @@ def cmd_friend_groups(args) -> int:
 
 
 def cmd_exposure_curve(args) -> int:
+    if args.bins < 1:
+        raise UsageError("--bins must be >= 1")
     model, meta = engine.load_model(args.model_dir)
     split, id_map = dm.load_split(args.split_dir)
     if args.user not in id_map.user_index:
@@ -315,20 +323,19 @@ def cmd_exposure_curve(args) -> int:
     y = split.train
     graph = _load_graph(args.social, id_map)
     provider = load_provider(Path(args.model_dir), meta.get("kind"), y, graph)
-    posts = [engine.e_step(y, model, provider)]
-    try:
-        if getattr(provider, "refresh_on_load", False):
-            # one refresh sweep restores the training-time prior from the
-            # actual posterior
-            provider.update(posts[0], y)
-            posts.append(engine.e_step(y, model, provider))
-        mu_user = np.concatenate(
-            [provider.mu_block(j0, j1)[u] for j0, j1 in engine._iter_blocks(y.n_items, 8192)]
-        )
-        p_user = np.array(posts[-1].p[u])
-    finally:
-        for post in posts:
-            post.close()
+    post = engine.e_step(y, model, provider)
+    refresh = getattr(provider, "refresh_on_load", False)
+    if refresh:
+        # one refresh restores the training-time prior from the actual posterior
+        provider.update(post, y)
+    mu_user = np.concatenate(
+        [provider.mu_block(j0, j1)[u] for j0, j1 in engine._iter_blocks(y.n_items, 8192)]
+    )
+    if refresh:
+        # in place, as in fit: the sweep reads each block's prior before
+        # overwriting that block
+        engine.e_step(y, model, provider, out=post)
+    p_user = np.array(post.p[u])
     popularity = y.item_counts()
     edges = np.linspace(0, popularity.max() + 1, args.bins + 1)
     which = np.clip(np.digitize(popularity, edges) - 1, 0, args.bins - 1)
@@ -356,6 +363,8 @@ def cmd_robustness(args) -> int:
     keep_probs = _parse_floats(args.keep_probs, "--keep-probs")
     if any(not 0.0 <= kp <= 1.0 for kp in keep_probs):
         raise UsageError("--keep-probs values must be in [0, 1]")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     split, id_map = dm.load_split(args.split_dir)
     graph = _load_graph(args.social, id_map)
     if graph is None:
@@ -386,18 +395,11 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = synthetic.SyntheticSpec(
-        n_users=args.n_users,
-        n_items=args.n_items,
-        k=args.k,
-        lambda_theta=args.lambda_theta,
-        lambda_beta=args.lambda_beta,
-        lambda_y=args.lambda_y,
-        social_density=args.social_density,
-        base_exposure=args.base_exposure,
-        s_coeff=args.s_coeff,
-        seed=args.seed,
-    )
+    names = [f.name for f in dataclasses.fields(synthetic.SyntheticSpec)]
+    try:
+        spec = synthetic.SyntheticSpec(**{name: getattr(args, name) for name in names})
+    except engine.ConfigError as exc:  # each field is the flag of its name
+        raise UsageError(f"--{exc.key.replace('_', '-')} {exc.reason}") from None
     y, graph, truth = synthetic.generate(spec)
     out_dir = Path(args.out_dir)
     truth_dir = out_dir / "truth"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import tempfile
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -53,11 +52,12 @@ class TrainingError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A hyperparameter outside its range; ``key`` is its config key."""
+    """A setting outside its range; ``key`` names it and ``reason`` says why."""
 
     def __init__(self, key: str, reason: str) -> None:
         super().__init__(f"config key {key!r} {reason}")
         self.key = key
+        self.reason = reason
 
 
 @dataclass
@@ -84,8 +84,9 @@ class TrainConfig:
         for name in ("k", "lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
-        if self.max_em_iters < 0:
-            raise ConfigError("max_em_iters", "must be >= 0")
+        for name in ("max_em_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
         for name in ("n_threads", "block_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
@@ -132,8 +133,10 @@ class ExposurePosterior:
     """Storage for p_ui = E[alpha_ui | y_ui] over all user-item pairs.
 
     Held densely in RAM while n_users * n_items fits the budget, otherwise
-    spilled to a disk-backed memmap and processed in item blocks.  Either
-    way ``.p`` supports the same slicing, so callers never branch.
+    spilled to a memmap of an unnamed temporary file (under ``$TMPDIR``),
+    which the system frees when the last mapping goes, even when the
+    process is killed.  Either way ``.p`` supports the same slicing, so
+    callers never branch.
     """
 
     def __init__(
@@ -149,24 +152,18 @@ class ExposurePosterior:
         if n_users * n_items <= dense_budget:
             self.p = np.zeros((n_users, n_items), dtype=np.float64)
         else:
-            path = os.path.join(tempfile.mkdtemp(prefix="serec-posterior-"), "posterior.dat")
-            self.p = np.memmap(path, dtype=np.float64, mode="w+", shape=(n_users, n_items))
+            # the mapping keeps its own descriptor, so the file lives exactly
+            # as long as the mapping, however the process ends
+            with tempfile.TemporaryFile() as fh:
+                self.p = np.memmap(fh, dtype=np.float64, mode="w+", shape=(n_users, n_items))
 
     @property
     def is_dense(self) -> bool:
         return not isinstance(self.p, np.memmap)
 
     def close(self) -> None:
-        """Release p, and the temp dir holding its backing file if it was
-        spilled to disk."""
-        path = self.p.filename if isinstance(self.p, np.memmap) else None
+        """Release p (a spilled one's file goes with its last mapping)."""
         self.p = np.zeros((0, 0))
-        if path is not None:
-            try:
-                os.unlink(path)
-                os.rmdir(os.path.dirname(path))
-            except OSError:
-                pass
 
 
 @dataclass
@@ -357,18 +354,12 @@ def e_step(
     flagged ``bypass_bayes`` have their prior stored as p directly (the
     fixed-weight mode).  Priors are clamped to [1e-6, 1 - 1e-6] before the
     Bayes rule so the posterior stays numerically stable; values outside
-    [0, 1] are a provider contract violation and raise.  Without ``out``
-    the caller owns the new posterior and closes it.
+    [0, 1] are a provider contract violation and raise.
     """
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
-    try:
-        _sweep(y, model, provider, post.p, block_size, with_ll=False)
-    except BaseException:
-        if out is None:  # the caller never receives it, so never closes it
-            post.close()
-        raise
+    _sweep(y, model, provider, post.p, block_size, with_ll=False)
     return post
 
 
@@ -550,9 +541,7 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     threads and gives the results of the serial :func:`e_step` and
     :func:`log_likelihood` at the same ``block_size``.  Stops when the
     relative likelihood change drops below ``cfg.convergence_tol`` or
-    after ``max_em_iters`` iterations.  The caller owns the returned
-    posterior and closes it, since a spilled one is a temporary file; when
-    fit raises, it closes the posterior itself.
+    after ``max_em_iters`` iterations.
     A provider that derives its prior from the posterior it was last
     handed (serec-boost) needs ``provider.update(result.posterior, train)``
     before its prior is read again: the final sweep overwrote that
@@ -567,33 +556,27 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     trace: list[float] = []
     converged = False
     n_iters = 0
-    try:
-        _sweep(
-            train, model, provider, post.p, cfg.block_size, with_ll=False, n_threads=cfg.n_threads
+    _sweep(train, model, provider, post.p, cfg.block_size, with_ll=False, n_threads=cfg.n_threads)
+    for it in range(1, cfg.max_em_iters + 1):
+        n_iters = it
+        model.theta = update_user_factors(train, post, model, cfg.n_threads)
+        model.beta = update_item_factors(train, post, model, cfg.n_threads)
+        try:
+            model.validate_finite(f"EM iteration {it}")
+        except TrainingError:
+            raise TrainingError(f"non-finite factors after EM iteration {it}") from None
+        provider.update(post, train)
+        ll = _sweep(
+            train, model, provider, post.p, cfg.block_size, with_ll=True, n_threads=cfg.n_threads
         )
-        for it in range(1, cfg.max_em_iters + 1):
-            n_iters = it
-            model.theta = update_user_factors(train, post, model, cfg.n_threads)
-            model.beta = update_item_factors(train, post, model, cfg.n_threads)
-            try:
-                model.validate_finite(f"EM iteration {it}")
-            except TrainingError:
-                raise TrainingError(f"non-finite factors after EM iteration {it}") from None
-            provider.update(post, train)
-            ll = _sweep(
-                train, model, provider, post.p, cfg.block_size, with_ll=True, n_threads=cfg.n_threads
-            )
-            if not math.isfinite(ll):
-                raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
-            trace.append(ll)
-            if len(trace) >= 2:
-                prev = trace[-2]
-                if abs(ll - prev) / max(abs(prev), 1e-12) < cfg.convergence_tol:
-                    converged = True
-                    break
-    except BaseException:
-        post.close()  # a failed fit hands no posterior back, so nothing else can
-        raise
+        if not math.isfinite(ll):
+            raise TrainingError(f"non-finite log likelihood at EM iteration {it}")
+        trace.append(ll)
+        if len(trace) >= 2:
+            prev = trace[-2]
+            if abs(ll - prev) / max(abs(prev), 1e-12) < cfg.convergence_tol:
+                converged = True
+                break
     return FitResult(model=model, trace=trace, converged=converged, n_iters=n_iters, posterior=post)
 
 

@@ -295,17 +295,6 @@ class RegularExposure:
         seed: int = 0,
         init_scale: float = 0.01,
     ) -> None:
-        if k_sr <= 0:
-            raise ConfigError("k_sr", "must be positive")
-        if refit_every != "once" and (not isinstance(refit_every, int) or refit_every < 1):
-            raise ConfigError("refit_every", 'must be "once" or a positive integer')
-        if graph.n_users != y.n_users:
-            raise ValueError("graph and interactions disagree on n_users")
-        rng = np.random.default_rng(seed)
-        self.x = rng.normal(0.0, init_scale, size=(y.n_users, k_sr))
-        self.t = rng.normal(0.0, init_scale, size=(y.n_items, k_sr))
-        self.b = rng.normal(0.0, init_scale, size=(y.n_users, k_sr))
-        self.gamma = y.item_counts() / y.n_users
         self.hyper = {
             "k_sr": k_sr,
             "lambda_sr": lambda_sr,
@@ -316,6 +305,23 @@ class RegularExposure:
             "learning_rate": learning_rate,
             "n_sgd_epochs": n_sgd_epochs,
         }
+        for name in ("k_sr", "learning_rate"):
+            if self.hyper[name] <= 0:
+                raise ConfigError(name, "must be positive")
+        for name in (
+            "lambda_sr", "lambda_x", "lambda_t", "lambda_b", "lambda_gamma", "n_sgd_epochs"
+        ):
+            if self.hyper[name] < 0:
+                raise ConfigError(name, "must be >= 0")
+        if refit_every != "once" and (not isinstance(refit_every, int) or refit_every < 1):
+            raise ConfigError("refit_every", 'must be "once" or a positive integer')
+        if graph.n_users != y.n_users:
+            raise ValueError("graph and interactions disagree on n_users")
+        rng = np.random.default_rng(seed)
+        self.x = rng.normal(0.0, init_scale, size=(y.n_users, k_sr))
+        self.t = rng.normal(0.0, init_scale, size=(y.n_items, k_sr))
+        self.b = rng.normal(0.0, init_scale, size=(y.n_users, k_sr))
+        self.gamma = y.item_counts() / y.n_users
         self.refit_every = refit_every
         self.seed = seed
         self.graph = graph

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
+from serec.engine import ConfigError
 
 
 @dataclass
@@ -40,16 +41,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_users, self.n_items, self.k) <= 0:
-            raise ValueError("counts must be positive")
-        if min(self.lambda_theta, self.lambda_beta, self.lambda_y) <= 0:
-            raise ValueError("precisions must be positive")
+        for name in ("n_users", "n_items", "k", "lambda_theta", "lambda_beta", "lambda_y"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, "must be positive")
         if not 0.0 <= self.social_density < 1.0:
-            raise ValueError("social_density must be in [0, 1)")
+            raise ConfigError("social_density", "must be in [0, 1)")
         if not 0.0 <= self.base_exposure <= 1.0:
-            raise ValueError("base_exposure must be in [0, 1]")
-        if self.s_coeff < 0:
-            raise ValueError("s_coeff must be non-negative")
+            raise ConfigError("base_exposure", "must be in [0, 1]")
+        for name in ("s_coeff", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
 
 
 @dataclass

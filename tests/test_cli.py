@@ -221,7 +221,7 @@ def test_split_rejects_single_ratio(dataset, tmp_path, capsys):
 def test_split_rejects_overfull_ratios(dataset, tmp_path):
     rc = run(["split", "--interactions", str(dataset / "interactions.tsv"),
               "--out-dir", str(tmp_path / "s"), "--ratios", "0.9,0.9"])
-    assert rc == 2
+    assert rc == 1
 
 
 def test_split_invalid_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
@@ -374,6 +374,13 @@ def test_train_rejects_config_value_of_wrong_type(split_dir, tmp_path, capsys, s
         ("wmf", "n_threads=-1", "must be >= 1"),
         ("wmf", "mu_unobserved=2", "must be in (0, 1]"),
         ("serec-boost", "s_coeff=0.5", "must be >= 1"),
+        ("serec-regular", "n_sgd_epochs=-1", "must be >= 0"),
+        ("serec-regular", "learning_rate=-1", "must be positive"),
+        ("serec-regular", "lambda_sr=-5", "must be >= 0"),
+        ("serec-regular", "lambda_gamma=-1", "must be >= 0"),
+        ("wmf", "seed=-1", "must be >= 0"),
+        ("serec-regular", "seed=-1", "must be >= 0"),
+        ("serec-regular", "init_scale=-1", "must be positive"),
     ],
 )
 def test_train_rejects_out_of_range_value_naming_its_key(
@@ -653,6 +660,24 @@ def test_exposure_curve_boost_model(dataset, boost_dir, split_dir, capsys):
     assert sum(int(line.split("\t")[2]) for line in lines[1:]) == 60
 
 
+def test_exposure_curve_refreshes_boost_in_one_posterior(
+    dataset, boost_dir, split_dir, monkeypatch, capsys
+):
+    built = []
+
+    class CountingPosterior(engine.ExposurePosterior):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ExposurePosterior", CountingPosterior)
+    rc = run(["exposure-curve", "--model-dir", str(boost_dir),
+              "--split-dir", str(split_dir), "--user", _raw_user_ids(dataset)[0],
+              "--social", str(dataset / "social.tsv")])
+    assert rc == 0
+    assert len(built) == 1
+
+
 def test_exposure_curve_regular_model_needs_social(dataset, split_dir, tmp_path, capsys):
     model_dir = tmp_path / "m"
     assert _train(split_dir, model_dir, "serec-regular", social=dataset / "social.tsv",
@@ -755,6 +780,39 @@ def test_robustness_rejects_bad_keep_prob(dataset, split_dir, capsys):
 def test_robustness_requires_social_flag(split_dir):
     rc = run(["robustness", "--split-dir", str(split_dir)])
     assert rc == 1  # argparse required-flag error
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["split", "--ratios", "0.7,0.3"], "--ratios"),
+        (["split", "--seed", "-1"], "--seed"),
+        (["robustness", "--seed", "-1", "--keep-probs", "0.5"], "--seed"),
+        (["exposure-curve", "--bins", "0"], "--bins"),
+        (["exposure-curve", "--bins", "-3"], "--bins"),
+        (["generate", "--n-users", "0"], "--n-users"),
+        (["generate", "--social-density", "2"], "--social-density"),
+        (["generate", "--seed", "-1"], "--seed"),
+    ],
+    ids=["split-ratios", "split-seed", "robustness-seed", "curve-bins-zero",
+         "curve-bins-negative", "generate-n-users", "generate-social-density", "generate-seed"],
+)
+def test_bad_flag_value_exits_1_naming_the_flag(
+    dataset, split_dir, expomf_dir, tmp_path, capsys, argv, flag
+):
+    required = {
+        "split": ["--interactions", str(dataset / "interactions.tsv"),
+                  "--out-dir", str(tmp_path / "out")],
+        "robustness": ["--split-dir", str(split_dir), "--social", str(dataset / "social.tsv"),
+                       "--out", str(tmp_path / "out")] + ROBUST_FAST,
+        "exposure-curve": ["--model-dir", str(expomf_dir), "--split-dir", str(split_dir),
+                           "--user", _raw_user_ids(dataset)[0], "--out", str(tmp_path / "out")],
+        "generate": ["--out-dir", str(tmp_path / "out")],
+    }
+    rc = run(argv[:1] + required[argv[0]] + argv[1:])
+    assert rc == 1
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------ cross-command

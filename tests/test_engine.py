@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -369,9 +371,10 @@ class TestFit:
             serec.engine.fit(y, MatrixProvider(np.full((4, 5), 0.5)), TrainConfig(k=2, max_em_iters=3))
 
     @pytest.mark.parametrize("kind", ["matrix", "boost"])
-    def test_memmap_posterior_matches_dense(self, rng, kind):
+    def test_memmap_posterior_matches_dense(self, rng, monkeypatch, tmp_path, kind):
         # serec-boost reads its friend mass from the posterior, so a spilled
         # one feeds the prior from the memmap
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         y = random_interactions(rng, 8, 9, density=0.25)
         mu = rng.uniform(0.1, 0.9, (8, 9))
         graph = random_graph(rng, 8, density=0.3)
@@ -392,9 +395,10 @@ class TestFit:
         # the likelihood sums per block, so the trace compares at one block size
         res_blocked = fit(y, provider(), TrainConfig(k=2, max_em_iters=3, seed=9, block_size=4))
         assert res_blocked.trace == res_spill.trace
-        path = res_spill.posterior.p.filename
+        # the spill file has no name, alive or released
+        assert os.listdir(tmp_path) == []
         res_spill.posterior.close()
-        assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == []
 
     def test_non_finite_likelihood_names_its_own_iteration(self, rng, monkeypatch):
         y = random_interactions(rng, 4, 5)
@@ -422,6 +426,40 @@ class TestFit:
         cfg = TrainConfig(k=2, max_em_iters=3, dense_budget=1)
         with pytest.raises(TrainingError):
             fit(y, MatrixProvider(np.full((4, 5), 0.5)), cfg)
+        assert os.listdir(tmp_path) == []
+
+    def test_killed_fit_leaves_no_spill_file(self, tmp_path):
+        # SIGKILL runs no handler, so only a file without a name is gone
+        # with the process
+        code = """
+import os, signal, sys
+import numpy as np
+from serec import InteractionMatrix, TrainConfig, fit
+
+class KillingProvider:
+    kind = "killing"
+    spilled = None
+    sweeps = 0
+
+    def mu_block(self, j0, j1):
+        self.sweeps += j0 == 0
+        if self.sweeps == 2:
+            if not self.spilled:
+                sys.exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.full((6, j1 - j0), 0.5)
+
+    def update(self, post, y):
+        self.spilled = not post.is_dense
+
+y = InteractionMatrix(6, 40, [(u, (7 * u) % 40) for u in range(6)])
+fit(y, KillingProvider(), TrainConfig(k=2, max_em_iters=3, dense_budget=1, block_size=8))
+"""
+        src = os.path.dirname(os.path.dirname(serec.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env)
+        assert proc.returncode == -signal.SIGKILL
         assert os.listdir(tmp_path) == []
 
     def test_posterior_storage_mode_thresholds(self):
