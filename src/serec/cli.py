@@ -52,9 +52,7 @@ def _run_config_fields():
     for cls in PROVIDERS.values():
         for name, default in _provider_params(cls).items():
             defaults.setdefault(name, default)
-    defaults.update(
-        model="serec-boost", cutoffs=metrics.DEFAULT_CUTOFFS, target="test", repeats=1
-    )
+    defaults.update(model="serec-boost", cutoffs=metrics.DEFAULT_CUTOFFS, target="test")
     return [(name, type(default), default) for name, default in defaults.items()]
 
 
@@ -101,7 +99,10 @@ def load_config(config_path: str | None, overrides: list[str] | None) -> RunConf
     valid = {f.name for f in dataclasses.fields(RunConfig)}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"{config_path}: not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
         for key, value in loaded.items():
@@ -223,28 +224,16 @@ def _train_once(cfg: RunConfig, train, graph):
         raise UsageError(str(exc)) from None
     t0 = time.perf_counter()
     result = engine.fit(train, provider, train_cfg)
-    elapsed = time.perf_counter() - t0
-    result.posterior.close()  # save_model needs only the factors and the provider
-    return result, provider, elapsed
+    return result, provider, time.perf_counter() - t0
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.model:
         cfg.model = args.model
-    if args.repeats is not None:
-        cfg.repeats = args.repeats
-    if cfg.repeats < 1:
-        raise UsageError("repeats must be >= 1")
     split, id_map = dm.load_split(args.split_dir)
     graph = _load_graph(args.social, id_map)
-    samples = []
-    result = provider = None
-    for _ in range(cfg.repeats):
-        res, prov, elapsed = _train_once(cfg, split.train, graph)
-        samples.append(elapsed)
-        if result is None:
-            result, provider = res, prov
+    result, provider, elapsed = _train_once(cfg, split.train, graph)
     out_dir = Path(args.out_dir)
     engine.save_model(
         out_dir,
@@ -253,18 +242,12 @@ def cmd_train(args) -> int:
         cfg.train_config(),
         extra_meta={"config": dataclasses.asdict(cfg) | {"cutoffs": list(cfg.cutoffs)}},
     )
-    mean = sum(samples) / len(samples)
-    timing = {
-        "samples": samples,
-        "mean": mean,
-        "max_deviation": max(abs(s - mean) for s in samples),
-    }
     with open(out_dir / "timing.json", "w", encoding="utf-8") as fh:
-        json.dump(timing, fh, indent=2)
+        json.dump({"fit_s": elapsed}, fh, indent=2)
     ll = result.trace[-1] if result.trace else float("nan")
     print(
         f"trained {cfg.model} for {result.n_iters} iterations "
-        f"(converged={result.converged}, log-likelihood {ll:.6g}) in {mean:.2f}s"
+        f"(converged={result.converged}, log-likelihood {ll:.6g}) in {elapsed:.2f}s"
     )
     return 0
 
@@ -335,7 +318,7 @@ def cmd_exposure_curve(args) -> int:
         # in place, as in fit: the sweep reads each block's prior before
         # overwriting that block
         engine.e_step(y, model, provider, out=post)
-    p_user = np.array(post.p[u])
+    p_user = np.array(post[u])
     popularity = y.item_counts()
     edges = np.linspace(0, popularity.max() + 1, args.bins + 1)
     which = np.clip(np.digitize(popularity, edges) - 1, 0, args.bins - 1)
@@ -372,10 +355,9 @@ def cmd_robustness(args) -> int:
     rows = []
     for kp in keep_probs:
         pruned = dm.prune_social(graph, kp, seed=args.seed)
-        result, _, _ = _train_once(cfg, split.train, pruned)
-        report = metrics.evaluate(
-            result.model, cfg.model, split, cutoffs=cfg.cutoffs, target=cfg.target
-        )
+        # keep only the model: the fit's posterior and provider are freed here
+        model = _train_once(cfg, split.train, pruned)[0].model
+        report = metrics.evaluate(model, cfg.model, split, cutoffs=cfg.cutoffs, target=cfg.target)
         rows.append((kp, report.metrics))
     names = sorted(rows[0][1])
     lines = ["keep_prob\t" + "\t".join(names)]
@@ -456,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--social")
-    p.add_argument("--repeats", type=int, default=None, help="timing repetitions")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -8,11 +8,12 @@ generic over providers and alternates
 
     E-step   p_ui = E[alpha_ui | y_ui]           (Bayes rule per pair)
     M-step   ridge solves for theta and beta weighted by p
-    prior    provider.update(posterior, y)
+    prior    provider.update(p, y)
 
 Provider protocol (duck-typed):
     mu_block(j0, j1) -> (n_users, j1 - j0) array of priors in [0, 1]
-    update(posterior, y) -> None        refresh internal state from p
+    update(p, y) -> None                refresh internal state from the
+                                        U x V posterior array p
     kind -> str                         short model name for persistence
     save(dir_path) -> None              write provider state files
     bypass_bayes -> bool (optional)     when True the E-step stores the
@@ -129,41 +130,21 @@ class FactorModel:
             raise TrainingError(f"non-finite factor values in {where}")
 
 
-class ExposurePosterior:
-    """Storage for p_ui = E[alpha_ui | y_ui] over all user-item pairs.
+def ExposurePosterior(
+    provider, n_users: int, n_items: int, dense_budget: int = DEFAULT_DENSE_BUDGET
+) -> np.ndarray:
+    """A zeroed U x V array for p_ui = E[alpha_ui | y_ui].
 
-    Held densely in RAM while n_users * n_items fits the budget, otherwise
-    spilled to a memmap of an unnamed temporary file (under ``$TMPDIR``),
-    which the system frees when the last mapping goes, even when the
-    process is killed.  Either way ``.p`` supports the same slicing, so
-    callers never branch.
+    ``provider`` is unused; it stays so that existing callers keep working.
+    In RAM while n_users * n_items fits the budget, otherwise a memmap of
+    an unnamed temporary file (under ``$TMPDIR``).  The mapping keeps its
+    own descriptor, so the file lives exactly as long as the array's last
+    reference, however the process ends.
     """
-
-    def __init__(
-        self,
-        provider,
-        n_users: int,
-        n_items: int,
-        dense_budget: int = DEFAULT_DENSE_BUDGET,
-    ) -> None:
-        self.provider = provider
-        self.n_users = n_users
-        self.n_items = n_items
-        if n_users * n_items <= dense_budget:
-            self.p = np.zeros((n_users, n_items), dtype=np.float64)
-        else:
-            # the mapping keeps its own descriptor, so the file lives exactly
-            # as long as the mapping, however the process ends
-            with tempfile.TemporaryFile() as fh:
-                self.p = np.memmap(fh, dtype=np.float64, mode="w+", shape=(n_users, n_items))
-
-    @property
-    def is_dense(self) -> bool:
-        return not isinstance(self.p, np.memmap)
-
-    def close(self) -> None:
-        """Release p (a spilled one's file goes with its last mapping)."""
-        self.p = np.zeros((0, 0))
+    if n_users * n_items <= dense_budget:
+        return np.zeros((n_users, n_items), dtype=np.float64)
+    with tempfile.TemporaryFile() as fh:
+        return np.memmap(fh, dtype=np.float64, mode="w+", shape=(n_users, n_items))
 
 
 @dataclass
@@ -172,7 +153,7 @@ class FitResult:
     trace: list[float]
     converged: bool
     n_iters: int
-    posterior: ExposurePosterior | None = field(default=None, repr=False)
+    posterior: np.ndarray | None = field(default=None, repr=False)
 
 
 def _iter_blocks(n: int, size: int):
@@ -344,9 +325,9 @@ def e_step(
     y: InteractionMatrix,
     model: FactorModel,
     provider,
-    out: ExposurePosterior | None = None,
+    out: np.ndarray | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-) -> ExposurePosterior:
+) -> np.ndarray:
     """Fill the exposure posterior for every pair.
 
     Clicked pairs get p = 1 exactly; unclicked pairs get the Bayes update
@@ -359,22 +340,8 @@ def e_step(
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
-    _sweep(y, model, provider, post.p, block_size, with_ll=False)
+    _sweep(y, model, provider, post, block_size, with_ll=False)
     return post
-
-
-def _posterior_array(p) -> np.ndarray:
-    """The U x V array of a posterior: ``p.p`` if it has one, else ``p`` itself."""
-    return p.p if hasattr(p, "p") else np.asarray(p)
-
-
-def posterior_column_sums(post) -> np.ndarray:
-    """Column sums of ``post.p``, blockwise so memmap-backed posteriors stream."""
-    arr = post.p
-    out = np.empty(arr.shape[1], dtype=np.float64)
-    for j0, j1 in _iter_blocks(arr.shape[1], 8192):
-        out[j0:j1] = np.asarray(arr[:, j0:j1]).sum(axis=0)
-    return out
 
 
 def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
@@ -488,13 +455,12 @@ def update_user_factors(
     The left-hand sum runs over all items; only clicks contribute to the
     right-hand side.  Unique minimizer since lambda_theta > 0.
     """
-    p_arr = _posterior_array(p)
     beta = model.beta
     w = y.to_csr().copy()
-    w.data = _clicked_weights(y, p_arr)
+    w.data = _clicked_weights(y, p)
     rhs = model.lambda_y * (w @ beta)
     return _ridge_update(
-        p_arr, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
+        p, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
     )
 
 
@@ -502,13 +468,12 @@ def update_item_factors(
     y: InteractionMatrix, p, model: FactorModel, n_threads: int = 1
 ) -> np.ndarray:
     """Per-item ridge solve, the mirror image of the user update."""
-    p_arr = _posterior_array(p)
     theta = model.theta
     w = y.to_csr().copy()
-    w.data = _clicked_weights(y, p_arr)
+    w.data = _clicked_weights(y, p)
     rhs = model.lambda_y * (w.T @ theta)
     return _ridge_update(
-        p_arr, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
+        p, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
     )
 
 
@@ -556,7 +521,7 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     trace: list[float] = []
     converged = False
     n_iters = 0
-    _sweep(train, model, provider, post.p, cfg.block_size, with_ll=False, n_threads=cfg.n_threads)
+    _sweep(train, model, provider, post, cfg.block_size, with_ll=False, n_threads=cfg.n_threads)
     for it in range(1, cfg.max_em_iters + 1):
         n_iters = it
         model.theta = update_user_factors(train, post, model, cfg.n_threads)
@@ -567,7 +532,7 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
             raise TrainingError(f"non-finite factors after EM iteration {it}") from None
         provider.update(post, train)
         ll = _sweep(
-            train, model, provider, post.p, cfg.block_size, with_ll=True, n_threads=cfg.n_threads
+            train, model, provider, post, cfg.block_size, with_ll=True, n_threads=cfg.n_threads
         )
         if not math.isfinite(ll):
             raise TrainingError(f"non-finite log likelihood at EM iteration {it}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, ConfigError, _clicked_in_block, posterior_column_sums
+from serec.engine import MU_EPS, ConfigError, _clicked_in_block
 
 
 def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -60,10 +60,8 @@ class PopularityExposure:
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         return np.broadcast_to(self.mu_items[j0:j1], (self.n_users, j1 - j0))
 
-    def update(self, post, y: InteractionMatrix) -> None:
-        self.mu_items = popularity_update_mu(
-            posterior_column_sums(post), self.n_users, self.alpha1, self.alpha2
-        )
+    def update(self, p, y: InteractionMatrix) -> None:
+        self.mu_items = popularity_update_mu(p.sum(axis=0), self.n_users, self.alpha1, self.alpha2)
 
     def save(self, out_dir) -> None:
         out_dir = Path(out_dir)
@@ -104,7 +102,7 @@ class FixedExposure:
         block[rows, cols] = 1.0
         return block
 
-    def update(self, post, y: InteractionMatrix) -> None:
+    def update(self, p, y: InteractionMatrix) -> None:
         pass  # weights are fixed by definition
 
     def save(self, out_dir) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError, posterior_column_sums
+from serec.engine import MU_EPS, ConfigError
 from serec.exposure.popularity import _check_beta_parameters
 
 
@@ -76,8 +76,8 @@ class BoostExposure:
         the boost is non-negative.
         """
         src = self._source
-        if hasattr(src, "p"):  # posterior handed over by the engine
-            mass = self.graph.adjacency() @ np.asarray(src.p[:, j0:j1])
+        if isinstance(src, np.ndarray):  # posterior handed over by the engine
+            mass = self.graph.adjacency() @ np.asarray(src[:, j0:j1])
         else:  # sparse click proxy from initialization
             mass = src[:, j0:j1].toarray()
         mass *= self.s_coeff - 1.0
@@ -87,9 +87,9 @@ class BoostExposure:
         np.clip(mass, MU_EPS, 1.0 - MU_EPS, out=mass)
         return mass
 
-    def update(self, post, y: InteractionMatrix) -> None:
-        self._num0 = self.alpha1 + posterior_column_sums(post) - 1.0
-        self._source = post
+    def update(self, p, y: InteractionMatrix) -> None:
+        self._num0 = self.alpha1 + p.sum(axis=0) - 1.0
+        self._source = p
 
     def save(self, out_dir) -> None:
         with open(Path(out_dir) / "boost.json", "w", encoding="utf-8") as fh:

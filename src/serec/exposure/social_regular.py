@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError, TrainingError, _posterior_array
+from serec.engine import MU_EPS, ConfigError, TrainingError
 
 DIVERGENCE_FACTOR = 10.0
 
@@ -39,7 +39,7 @@ class ExposureTargets:
 def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
     """Targets per the module contract: n_i / U on clicks, p_ui elsewhere."""
     per_item = np.clip(y.item_counts() / y.n_users, MU_EPS, 1.0 - MU_EPS)
-    return ExposureTargets(observed_per_item=per_item, posterior=_posterior_array(p))
+    return ExposureTargets(observed_per_item=per_item, posterior=p)
 
 
 def _run_gradients(state, i, u, k, target, s_uk):
@@ -332,14 +332,14 @@ class RegularExposure:
         raw = self.x @ self.t[j0:j1].T + self.gamma[j0:j1]
         return np.clip(raw, MU_EPS, 1.0 - MU_EPS)
 
-    def update(self, post, y: InteractionMatrix) -> None:
+    def update(self, p, y: InteractionMatrix) -> None:
         due = (
             self._n_updates == 0
             if self.refit_every == "once"
             else self._n_updates % self.refit_every == 0
         )
         if due:
-            fit_exposure(self, y, post, self.graph, seed=self.seed + self._n_updates)
+            fit_exposure(self, y, p, self.graph, seed=self.seed + self._n_updates)
         self._n_updates += 1
 
     def save(self, out_dir) -> None:

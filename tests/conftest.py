@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 
@@ -7,6 +8,17 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from serec import InteractionMatrix, SocialGraph
+
+
+@pytest.fixture
+def no_gc():
+    """Run the test with the cycle collector off: what is freed then was
+    freed by reference count."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 def random_interactions(rng, n_users, n_items, density=0.3):

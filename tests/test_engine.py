@@ -10,6 +10,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -90,11 +91,11 @@ class TestEStep:
         model = make_model(rng.normal(0, 1, (6, 2)), rng.normal(0, 1, (9, 2)))
         post = e_step(y, model, MatrixProvider(mu), block_size=4)
         clicked = dense_clicks(y).astype(bool)
-        assert np.all(post.p[clicked] == 1.0)
+        assert np.all(post[clicked] == 1.0)
         scores = model.theta @ model.beta.T
         expected = e_step_pair(np.clip(mu, 1e-6, 1 - 1e-6), scores, model.lambda_y)
-        assert np.allclose(post.p[~clicked], expected[~clicked], atol=1e-15)
-        assert post.p.min() >= 0.0 and post.p.max() <= 1.0
+        assert np.allclose(post[~clicked], expected[~clicked], atol=1e-15)
+        assert post.min() >= 0.0 and post.max() <= 1.0
 
     def test_bypass_stores_prior_directly(self, rng):
         y = random_interactions(rng, 4, 5)
@@ -102,8 +103,8 @@ class TestEStep:
         model = make_model(np.zeros((4, 2)), np.zeros((5, 2)))
         post = e_step(y, model, MatrixProvider(mu, bypass=True))
         clicked = dense_clicks(y).astype(bool)
-        assert np.all(post.p[clicked] == 1.0)
-        assert np.array_equal(post.p[~clicked], mu[~clicked])
+        assert np.all(post[clicked] == 1.0)
+        assert np.array_equal(post[~clicked], mu[~clicked])
 
     def test_dimension_mismatch(self, rng):
         y = random_interactions(rng, 4, 5)
@@ -388,8 +389,8 @@ class TestFit:
         cfg_spill = TrainConfig(k=2, max_em_iters=3, seed=9, dense_budget=1, block_size=4)
         res_dense = fit(y, provider(), cfg_dense)
         res_spill = fit(y, provider(), cfg_spill)
-        assert res_dense.posterior.is_dense
-        assert not res_spill.posterior.is_dense
+        assert not isinstance(res_dense.posterior, np.memmap)
+        assert isinstance(res_spill.posterior, np.memmap)
         assert np.array_equal(res_dense.model.theta, res_spill.model.theta)
         assert np.array_equal(res_dense.model.beta, res_spill.model.beta)
         # the likelihood sums per block, so the trace compares at one block size
@@ -397,7 +398,7 @@ class TestFit:
         assert res_blocked.trace == res_spill.trace
         # the spill file has no name, alive or released
         assert os.listdir(tmp_path) == []
-        res_spill.posterior.close()
+        del res_spill
         assert os.listdir(tmp_path) == []
 
     def test_non_finite_likelihood_names_its_own_iteration(self, rng, monkeypatch):
@@ -450,7 +451,7 @@ class KillingProvider:
         return np.full((6, j1 - j0), 0.5)
 
     def update(self, post, y):
-        self.spilled = not post.is_dense
+        self.spilled = isinstance(post, np.memmap)
 
 y = InteractionMatrix(6, 40, [(u, (7 * u) % 40) for u in range(6)])
 fit(y, KillingProvider(), TrainConfig(k=2, max_em_iters=3, dense_budget=1, block_size=8))
@@ -464,16 +465,22 @@ fit(y, KillingProvider(), TrainConfig(k=2, max_em_iters=3, dense_budget=1, block
 
     def test_posterior_storage_mode_thresholds(self):
         dense = ExposurePosterior(None, 4, 5, dense_budget=20)
-        assert dense.is_dense
+        assert not isinstance(dense, np.memmap)
         spilled = ExposurePosterior(None, 4, 5, dense_budget=19)
-        assert not spilled.is_dense
-        spilled.close()
+        assert isinstance(spilled, np.memmap)
+        for p in (dense, spilled):
+            assert p.shape == (4, 5) and p.dtype == np.float64 and not p.any()
 
-    def test_close_releases_an_in_ram_posterior(self):
-        post = ExposurePosterior(None, 4, 5)
-        assert post.is_dense
-        post.close()
-        assert post.p.size == 0
+    def test_spilled_posterior_is_freed_by_reference_count(self, rng, no_gc):
+        # serec-boost holds the posterior it was last handed; nothing holds
+        # the provider back, so no cycle keeps the spill alive
+        y = random_interactions(rng, 8, 9, density=0.25)
+        provider = BoostExposure(y, random_graph(rng, 8, density=0.3), s_coeff=5.0)
+        res = fit(y, provider, TrainConfig(k=2, max_em_iters=3, dense_budget=1, block_size=4))
+        assert isinstance(res.posterior, np.memmap)
+        ref = weakref.ref(res.posterior)
+        del res, provider
+        assert ref() is None
 
 
 KINDS = ["wmf", "expomf", "serec-regular", "serec-boost", "clamped"]
@@ -491,6 +498,24 @@ def _provider_of_kind(kind, y, graph):
     if kind == "serec-regular":
         return RegularExposure(y, graph, k_sr=3, n_sgd_epochs=2, refit_every=1)
     return BoostExposure(y, graph, s_coeff=3.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_update_reads_a_spilled_posterior_as_an_in_ram_one(rng, kind):
+    # providers sum and slice p with plain numpy calls, which a memmap serves alike
+    y = random_interactions(rng, 12, 14, density=0.2)
+    graph = random_graph(rng, 12, density=0.3)
+    p = rng.uniform(0, 1, (12, 14))
+    p[y.user_idx, y.item_idx] = 1.0
+    spilled = ExposurePosterior(None, 12, 14, dense_budget=1)
+    assert isinstance(spilled, np.memmap)
+    spilled[:] = p
+    priors = []
+    for post in (p, spilled):
+        provider = _provider_of_kind(kind, y, graph)
+        provider.update(post, y)
+        priors.append(np.array(provider.mu_block(0, 14)))
+    assert np.array_equal(priors[0], priors[1])
 
 
 class CountingProvider(MatrixProvider):
@@ -553,7 +578,7 @@ class TestFusedSweep:
         res = fit(y, provider, cfg)
         assert res.converged is converged
         fresh = e_step(y, res.model, provider, block_size=5)
-        assert np.array_equal(res.posterior.p, fresh.p)
+        assert np.array_equal(res.posterior, fresh)
 
 
 class TestThreadedSweep:
@@ -568,7 +593,7 @@ class TestThreadedSweep:
         y = random_interactions(rng, 12, 14, density=0.2)
         graph = random_graph(rng, 12, density=0.3)
         model = FactorModel(rng.normal(0, 1, (12, 3)), rng.normal(0, 1, (14, 3)), 0.01, 0.01, 0.5)
-        start = e_step(y, model, _provider_of_kind(kind, y, graph)).p
+        start = e_step(y, model, _provider_of_kind(kind, y, graph))
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
@@ -576,15 +601,14 @@ class TestThreadedSweep:
             for n_threads in (1, 2, 4):
                 provider = _provider_of_kind(kind, y, graph)
                 post = ExposurePosterior(provider, 12, 14, dense_budget)
-                assert post.is_dense is (dense_budget > 1)
-                post.p[:] = start
+                assert isinstance(post, np.memmap) is (dense_budget <= 1)
+                post[:] = start
                 # serec-boost now reads its friend mass from the p the sweep overwrites
                 provider.update(post, y)
                 serial = log_likelihood(y, model, provider, block_size)
-                ll = serec.engine._sweep(y, model, provider, post.p, block_size, True, n_threads)
+                ll = serec.engine._sweep(y, model, provider, post, block_size, True, n_threads)
                 assert ll == serial
-                results.append((np.array(post.p), ll))
-                post.close()
+                results.append((np.array(post), ll))
         finally:
             sys.setswitchinterval(interval)
         for p, ll in results[1:]:
@@ -647,7 +671,7 @@ class TestThreadedSweep:
             return out
 
         monkeypatch.setattr(serec.engine, "_sweep", traced_sweep)
-        fit(y, _provider_of_kind(kind, y, graph), cfg).posterior.close()
+        fit(y, _provider_of_kind(kind, y, graph), cfg)
         # three U x block arrays per block in flight (the prior, N0 and the
         # E-step denominator; serec-boost's friend mass replaces one), plus slack
         bound = 4 * n_users * DEFAULT_BLOCK_SIZE * 8 * cfg.n_threads

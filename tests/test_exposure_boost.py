@@ -18,19 +18,12 @@ from serec import (
 )
 
 
-class Post:
-    """The part of an engine posterior that a provider update reads."""
-
-    def __init__(self, p):
-        self.p = p
-
-
 def refreshed(p, graph, **params):
     """BoostExposure's whole (U, V) prior after one update from posterior ``p``."""
     n_users, n_items = p.shape
     y = InteractionMatrix(n_users, n_items, [(0, 0)])
     provider = BoostExposure(y, graph, **params)
-    provider.update(Post(p), y)
+    provider.update(p, y)
     return provider.mu_block(0, n_items)
 
 
@@ -135,7 +128,7 @@ class TestBoostUpdate:
         assert np.array_equal(provider.mu_block(0, 9), want)
         p = rng.uniform(0, 1, (13, 9))
         p[y.user_idx, y.item_idx] = 1.0
-        provider.update(Post(p), y)
+        provider.update(p, y)
         want = boost_update_mu(p, graph, s_coeff=s)
         assert np.array_equal(provider.mu_block(0, 9), want)
 
@@ -146,7 +139,7 @@ class TestBoostUpdate:
         # about as sparse as on lastfm (~1% and ~6 friends per user).
         y = random_interactions(rng, 300, 3000, density=0.01)
         graph = random_graph(rng, 300, density=0.02)
-        post = Post(rng.uniform(0, 1, (300, 3000)))
+        post = rng.uniform(0, 1, (300, 3000))
         prior_bytes = 300 * 3000 * 8
         tracemalloc.start()
         try:
@@ -179,12 +172,7 @@ class TestBoostProvider:
     def test_update_tracks_posterior(self, rng, toy_matrix, toy_graph):
         provider = BoostExposure(toy_matrix, toy_graph, s_coeff=2.0)
         arr = rng.uniform(0, 1, (4, 5))
-
-        class Post:
-            p = arr
-            n_items = 5
-
-        provider.update(Post(), toy_matrix)
+        provider.update(arr, toy_matrix)
         want = boost_update_mu(arr, toy_graph, s_coeff=2.0)
         assert np.allclose(provider.mu_block(0, 5), want, atol=1e-15)
 
@@ -201,7 +189,7 @@ class TestBoostProvider:
         check(dense_clicks(y))
         p = rng.uniform(0, 1, (9, 11))
         p[y.user_idx, y.item_idx] = 1.0
-        provider.update(Post(p), y)
+        provider.update(p, y)
         check(p)
 
     def test_prior_after_fit_matches_oracle_once_updated(self, rng):
@@ -212,9 +200,8 @@ class TestBoostProvider:
         provider = BoostExposure(y, graph, s_coeff=5.0)
         res = fit(y, provider, TrainConfig(k=3, max_em_iters=3, seed=4, block_size=5))
         provider.update(res.posterior, y)
-        want = boost_update_mu(res.posterior.p, graph, s_coeff=5.0)
+        want = boost_update_mu(res.posterior, graph, s_coeff=5.0)
         assert np.array_equal(provider.mu_block(0, 14), want)
-        res.posterior.close()
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix, toy_graph):
         provider = BoostExposure(toy_matrix, toy_graph, s_coeff=6.0, alpha1=1.5, alpha2=2.5)

@@ -90,11 +90,7 @@ class TestPopularityProvider:
     def test_update_uses_posterior_column_sums(self, rng, toy_matrix):
         provider = PopularityExposure(toy_matrix)
         model_mu = rng.uniform(0, 1, (4, 5))
-
-        class Post:
-            p = model_mu
-
-        provider.update(Post(), toy_matrix)
+        provider.update(model_mu, toy_matrix)
         assert np.allclose(provider.mu_items, popularity_update_mu(model_mu, 4), atol=1e-15)
 
     def test_rejects_bad_beta_params(self, toy_matrix):
@@ -124,7 +120,7 @@ class TestFixedExposureProvider:
         from serec import FactorModel
 
         post = e_step(y, FactorModel(model_theta, model_beta), provider)
-        assert np.array_equal(post.p, fixed_exposure_p(dense_clicks(y), 0.4))
+        assert np.array_equal(post, fixed_exposure_p(dense_clicks(y), 0.4))
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix):
         FixedExposure(toy_matrix, mu_unobserved=0.7).save(tmp_path)

@@ -281,16 +281,10 @@ class TestRegularProvider:
         provider = RegularExposure(y, graph, k_sr=2, n_sgd_epochs=2, seed=1)
         assert provider.refit_every == "once"
         p = rng.uniform(0, 1, (8, 10))
-
-        class Post:
-            pass
-
-        post = Post()
-        post.p = p
-        provider.update(post, y)
+        provider.update(p, y)
         after_first = provider.x.copy()
         assert not np.array_equal(after_first, np.random.default_rng(1).normal(0, 0.01, (8, 2)))
-        provider.update(post, y)
+        provider.update(p, y)
         assert np.array_equal(provider.x, after_first)
 
     def test_refit_every_n(self, rng):
@@ -298,15 +292,9 @@ class TestRegularProvider:
         graph = random_graph(rng, 8, density=0.3)
         provider = RegularExposure(y, graph, k_sr=2, n_sgd_epochs=1, refit_every=2, seed=1)
         p = rng.uniform(0, 1, (8, 10))
-
-        class Post:
-            pass
-
-        post = Post()
-        post.p = p
         snapshots = [provider.x.copy()]
         for _ in range(4):
-            provider.update(post, y)
+            provider.update(p, y)
             snapshots.append(provider.x.copy())
         # updates 1 and 3 refit (counter 0 and 2); updates 2 and 4 do not
         assert not np.array_equal(snapshots[0], snapshots[1])
