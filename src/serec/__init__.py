@@ -55,13 +55,8 @@ from serec.exposure.social_regular import (
 )
 from serec.metrics import (
     EvalReport,
-    RankedList,
     evaluate,
     group_by_friends,
-    map_at_k,
-    ndcg_at_k,
-    rank_items,
-    recall_at_k,
 )
 from serec.synthetic import (
     SyntheticSpec,
@@ -85,7 +80,6 @@ __all__ = [
     "IdMap",
     "InteractionMatrix",
     "PopularityExposure",
-    "RankedList",
     "RegularExposure",
     "SocialGraph",
     "SocialLoadStats",
@@ -109,13 +103,9 @@ __all__ = [
     "load_social",
     "load_split",
     "log_likelihood",
-    "map_at_k",
-    "ndcg_at_k",
     "popularity_update_mu",
     "predict_scores",
     "prune_social",
-    "rank_items",
-    "recall_at_k",
     "save_model",
     "save_split",
     "sgd_triplet_step",

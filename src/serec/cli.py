@@ -12,6 +12,7 @@ Configuration precedence is command line over config file over defaults:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import json
@@ -27,6 +28,9 @@ from serec import engine, metrics, synthetic
 from serec.exposure import PROVIDERS
 
 MODEL_KINDS = tuple(PROVIDERS)
+
+# glibc's mallopt parameter number for the most malloc arenas a process uses
+M_ARENA_MAX = -8
 
 
 class UsageError(Exception):
@@ -252,24 +256,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_model(args, cutoffs, groups=None):
+def _evaluate_model(args, split: dm.DatasetSplit, cutoffs, groups=None) -> metrics.EvalReport:
+    """The report of the model in ``--model-dir`` on ``split``, ranked on all cores."""
     model, meta = engine.load_model(args.model_dir)
-    split, id_map = dm.load_split(args.split_dir)
     if model.n_users != split.n_users or model.n_items != split.n_items:
         raise ValueError(
             f"model is {model.n_users}x{model.n_items} but split is "
             f"{split.n_users}x{split.n_items}"
         )
-    target = getattr(args, "target", "test")
-    report = metrics.evaluate(
-        model, meta.get("kind"), split, cutoffs=cutoffs, target=target, groups=groups
+    return metrics.evaluate(
+        model,
+        meta.get("kind"),
+        split,
+        cutoffs=cutoffs,
+        target=args.target,
+        groups=groups,
+        n_threads=os.cpu_count() or 1,
     )
-    return report, model, meta, split, id_map
 
 
 def cmd_evaluate(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs, "--cutoffs")
-    report, _, _, _, _ = _evaluate_model(args, cutoffs)
+    split, _ = dm.load_split(args.split_dir)
+    report = _evaluate_model(args, split, cutoffs)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.model_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -282,7 +291,7 @@ def cmd_friend_groups(args) -> int:
     split, id_map = dm.load_split(args.split_dir)
     graph = _load_graph(args.social, id_map)
     groups = metrics.group_by_friends(graph)
-    report, _, _, _, _ = _evaluate_model(args, cutoffs=[50], groups=groups)
+    report = _evaluate_model(args, split, cutoffs=[50], groups=groups)
     lines = ["bucket\tn_users\trecall@50"]
     for label in ("0", "1-5", "6-15", "15+"):
         if report.groups and label in report.groups:
@@ -357,7 +366,14 @@ def cmd_robustness(args) -> int:
         pruned = dm.prune_social(graph, kp, seed=args.seed)
         # keep only the model: the fit's posterior and provider are freed here
         model = _train_once(cfg, split.train, pruned)[0].model
-        report = metrics.evaluate(model, cfg.model, split, cutoffs=cfg.cutoffs, target=cfg.target)
+        report = metrics.evaluate(
+            model,
+            cfg.model,
+            split,
+            cutoffs=cfg.cutoffs,
+            target=cfg.target,
+            n_threads=cfg.train_config().n_threads,
+        )
         rows.append((kp, report.metrics))
     names = sorted(rows[0][1])
     lines = ["keep_prob\t" + "\t".join(names)]
@@ -493,7 +509,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _share_one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main arena (glibc only).
+
+    By default each pool thread gets an arena of its own, and an array a
+    thread frees is kept there for that thread alone.  How much the
+    arenas hold at once then depends on which thread ran which item
+    block: the peak RSS of one ``serec train`` on a 6000 x 2000 shard
+    was 343 MiB in most runs and 363 MiB in the others.  In one arena a
+    freed block is reused by the next block on any thread, and the peak
+    was 333 MiB in every run.  The pool threads allocate a few large
+    arrays per block, so they seldom wait for the arena's lock.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: nothing to do
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_ARENA_MAX, 1)
+
+
 def main(argv=None) -> int:
+    _share_one_malloc_arena()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

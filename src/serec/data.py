@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -94,12 +93,34 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def _offsets(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Offsets of the entries once sorted by ``rows``: row r's entries are
+    ``[out[r], out[r + 1])``."""
+    out = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=out[1:])
+    return out
+
+
+def csr_matrix(values: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
+    """``scipy.sparse.csr_matrix((values, indices, indptr), shape=shape)``.
+
+    scipy is imported here, on the first call: only the factor solves and
+    serec-boost's prior multiply sparse matrices, so the other commands
+    never load it.
+    """
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((values, indices, indptr), shape=shape)
+
+
 class InteractionMatrix:
     """Sparse binary user-by-item click matrix.
 
-    Stores the observed pairs once (deduplicated), plus per-user and
-    per-item adjacency for O(degree) iteration.  Immutable after
-    construction; safe to share across threads read-only.
+    Stores the observed pairs once (deduplicated) in (user, item) order,
+    which is CSR order: user u's items are ``item_idx[csr_indptr[u]:
+    csr_indptr[u + 1]]``.  The item-major (CSC) layout is kept beside it:
+    item i's users are ``csc_indices[csc_indptr[i]:csc_indptr[i + 1]]``.
+    Immutable after construction; safe to share across threads read-only.
     """
 
     def __init__(self, n_users: int, n_items: int, pairs) -> None:
@@ -116,11 +137,16 @@ class InteractionMatrix:
         self.n_items = int(n_items)
         self.user_idx = (keys // n_items).astype(np.int64)
         self.item_idx = (keys % n_items).astype(np.int64)
-        self._csr = sp.csr_matrix(
-            (np.ones(len(keys), dtype=np.float64), (self.user_idx, self.item_idx)),
-            shape=(n_users, n_items),
+        self.csr_indptr = _offsets(self.user_idx, n_users)
+        # a stable sort keeps each item's users ascending; on the smallest
+        # unsigned type that holds the item indices, numpy sorts up to 2**16
+        # items by radix in linear time
+        by_item = np.argsort(
+            self.item_idx.astype(np.min_scalar_type(n_items - 1)), kind="stable"
         )
-        self._csc = self._csr.tocsc()
+        self.csc_indptr = _offsets(self.item_idx, n_items)
+        self.csc_indices = self.user_idx[by_item]
+        self._csr = None
 
     @property
     def n_entries(self) -> int:
@@ -131,38 +157,43 @@ class InteractionMatrix:
 
     def items_of(self, u: int) -> np.ndarray:
         """Item indices clicked by user ``u`` (ascending)."""
-        return self._csr.indices[self._csr.indptr[u] : self._csr.indptr[u + 1]]
+        return self.item_idx[self.csr_indptr[u] : self.csr_indptr[u + 1]]
 
     def users_of(self, i: int) -> np.ndarray:
         """User indices that clicked item ``i`` (ascending)."""
-        return self._csc.indices[self._csc.indptr[i] : self._csc.indptr[i + 1]]
+        return self.csc_indices[self.csc_indptr[i] : self.csc_indptr[i + 1]]
 
     def item_counts(self) -> np.ndarray:
         """Per-item click counts n_i, shape (n_items,)."""
-        return np.diff(self._csc.indptr).astype(np.int64)
+        return np.diff(self.csc_indptr)
 
     def user_counts(self) -> np.ndarray:
-        return np.diff(self._csr.indptr).astype(np.int64)
+        return np.diff(self.csr_indptr)
 
-    def to_csr(self) -> sp.csr_matrix:
+    def to_csr(self):
+        """The clicks as a ``scipy.sparse.csr_matrix`` of ones, built on the
+        first call and cached.  Not for pool threads: build it first."""
+        if self._csr is None:
+            shape = (self.n_users, self.n_items)
+            self._csr = csr_matrix(np.ones(self.n_entries), self.item_idx, self.csr_indptr, shape)
         return self._csr
-
-    def to_csc(self) -> sp.csc_matrix:
-        return self._csc
 
     def entry_set(self) -> set[tuple[int, int]]:
         return set(zip(self.user_idx.tolist(), self.item_idx.tolist()))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         u, i = pair
-        return bool(self._csr[u, i])
+        items = self.items_of(u)
+        k = np.searchsorted(items, i)
+        return bool(k < len(items) and items[k] == i)
 
 
 class SocialGraph:
     """Directed user-to-user trust adjacency.
 
     Edge (u, k) means u trusts/follows k; ``friends_of(u)`` are the
-    out-neighbors of u.  Self-loops and duplicates are never stored.
+    out-neighbors of u, ``dst[indptr[u]:indptr[u + 1]]`` (CSR order).
+    Self-loops and duplicates are never stored.
     """
 
     def __init__(self, n_users: int, edges) -> None:
@@ -177,10 +208,8 @@ class SocialGraph:
         self.n_users = int(n_users)
         self.src = (keys // n_users).astype(np.int64)
         self.dst = (keys % n_users).astype(np.int64)
-        self._adj = sp.csr_matrix(
-            (np.ones(len(keys), dtype=np.float64), (self.src, self.dst)),
-            shape=(n_users, n_users),
-        )
+        self.indptr = _offsets(self.src, n_users)
+        self._adj = None
 
     @property
     def n_edges(self) -> int:
@@ -188,13 +217,19 @@ class SocialGraph:
 
     def friends_of(self, u: int) -> np.ndarray:
         """Out-neighbors of ``u`` (the users u trusts), ascending."""
-        return self._adj.indices[self._adj.indptr[u] : self._adj.indptr[u + 1]]
+        return self.dst[self.indptr[u] : self.indptr[u + 1]]
 
     def out_degree(self) -> np.ndarray:
-        return np.diff(self._adj.indptr).astype(np.int64)
+        return np.diff(self.indptr)
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Row u holds indicator of Friends(u)."""
+    def adjacency(self):
+        """Row u holds indicator of Friends(u), a ``scipy.sparse.csr_matrix``
+        built on the first call and cached.  Not for pool threads: build it
+        first."""
+        if self._adj is None:
+            self._adj = csr_matrix(
+                np.ones(self.n_edges), self.dst, self.indptr, (self.n_users, self.n_users)
+            )
         return self._adj
 
     def edge_set(self) -> set[tuple[int, int]]:

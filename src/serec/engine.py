@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from serec.data import InteractionMatrix
+from serec.data import InteractionMatrix, csr_matrix
 
 MU_EPS = 1e-6
 _TINY = np.finfo(np.float64).tiny
@@ -188,10 +188,9 @@ def e_step_pair(mu, score, lambda_y: float):
 
 def _clicked_in_block(y: InteractionMatrix, j0: int, j1: int):
     """Row indices and block-local column indices of clicks in items [j0, j1)."""
-    csc = y.to_csc()
-    start, end = csc.indptr[j0], csc.indptr[j1]
-    rows = csc.indices[start:end]
-    counts = np.diff(csc.indptr[j0 : j1 + 1])
+    start, end = y.csc_indptr[j0], y.csc_indptr[j1]
+    rows = y.csc_indices[start:end]
+    counts = np.diff(y.csc_indptr[j0 : j1 + 1])
     cols = np.repeat(np.arange(j1 - j0), counts)
     return rows, cols
 
@@ -344,9 +343,10 @@ def e_step(
     return post
 
 
-def _clicked_weights(y: InteractionMatrix, p_arr) -> np.ndarray:
-    """p values at the clicked pairs, in entry order (which is CSR order)."""
-    return np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
+def _clicked_weights(y: InteractionMatrix, p_arr):
+    """The clicks as a sparse matrix holding p at each clicked pair."""
+    weights = np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
+    return csr_matrix(weights, y.item_idx, y.csr_indptr, (y.n_users, y.n_items))
 
 
 def _in_pool(fn, calls: list[tuple], n_threads: int) -> list:
@@ -456,9 +456,7 @@ def update_user_factors(
     right-hand side.  Unique minimizer since lambda_theta > 0.
     """
     beta = model.beta
-    w = y.to_csr().copy()
-    w.data = _clicked_weights(y, p)
-    rhs = model.lambda_y * (w @ beta)
+    rhs = model.lambda_y * (_clicked_weights(y, p) @ beta)
     return _ridge_update(
         p, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
     )
@@ -469,9 +467,7 @@ def update_item_factors(
 ) -> np.ndarray:
     """Per-item ridge solve, the mirror image of the user update."""
     theta = model.theta
-    w = y.to_csr().copy()
-    w.data = _clicked_weights(y, p)
-    rhs = model.lambda_y * (w.T @ theta)
+    rhs = model.lambda_y * (_clicked_weights(y, p).T @ theta)
     return _ridge_update(
         p, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
     )

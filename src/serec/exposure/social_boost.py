@@ -63,7 +63,9 @@ class BoostExposure:
         self.graph = graph
         self._den0 = alpha1 + alpha2 + y.n_users - 2.0
         self._num0 = alpha1 + y.item_counts().astype(np.float64) - 1.0
-        # p proxy at init: the clicks themselves, so friend mass is sparse
+        # p proxy at init: the clicks themselves, so friend mass is sparse.
+        # This also builds the cached adjacency that mu_block reads on the
+        # sweep's pool threads.
         self._source = graph.adjacency() @ y.to_csr()
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:

@@ -188,13 +188,12 @@ def _sample_negatives(y: InteractionMatrix, n: int, rng) -> np.ndarray:
 def _draw_trust_partners(graph: SocialGraph, users: np.ndarray, rng):
     """A trustee for each user: a uniform friend with s=1, or, for a user
     without friends, a uniform other user with s=0.  One draw per user."""
-    adj = graph.adjacency()
-    degree = np.diff(adj.indptr)[users]
+    degree = graph.out_degree()[users]
     has_friends = degree > 0
     draw = rng.integers(0, np.where(has_friends, degree, max(graph.n_users - 1, 1)))
     # skip past u itself; a lone user (n_users == 1) has no other and keeps u
     partners = np.minimum(draw + (draw >= users), graph.n_users - 1)
-    partners[has_friends] = adj.indices[adj.indptr[users[has_friends]] + draw[has_friends]]
+    partners[has_friends] = graph.dst[graph.indptr[users[has_friends]] + draw[has_friends]]
     return partners, has_friends.astype(np.int64)
 
 

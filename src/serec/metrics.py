@@ -9,23 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from serec.data import DatasetSplit, SocialGraph
-from serec.engine import FactorModel
+from serec.data import DatasetSplit, InteractionMatrix, SocialGraph
+from serec.engine import FactorModel, _in_pool
 
 DEFAULT_CUTOFFS = (10, 50, 100)
 DEFAULT_FRIEND_BUCKETS = ((0, 0), (1, 5), (6, 15), (16, None))
-
-
-@dataclass
-class RankedList:
-    """Top-n items for one user, best first, after exclusions."""
-
-    user: int
-    items: np.ndarray
 
 
 @dataclass
@@ -68,25 +60,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _top_n(scores: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n best-scoring items among those ``keep`` marks.
-
-    Equal scores rank by ascending item index.  ``np.partition`` finds the
-    n-th best score; every item above it, then the tied items in index
-    order, fill the n places, and a stable sort orders that small set.
-    NaN scores rank last, as in a sort.
-    """
-    candidates = np.flatnonzero(keep)
-    neg = -scores[candidates]
-    if len(neg) > n:
-        cut = np.partition(neg, n - 1)[n - 1]
-        above, tied = (~np.isnan(neg), np.isnan(neg)) if np.isnan(cut) else (neg < cut, neg == cut)
-        above[np.flatnonzero(tied)[: n - np.count_nonzero(above)]] = True
-        chosen = np.flatnonzero(above)
-        return candidates[chosen[np.argsort(neg[chosen], kind="stable")]]
-    return candidates[np.argsort(neg, kind="stable")]
-
-
 def _metric_table(hits: np.ndarray, n_relevant: np.ndarray, cutoffs) -> dict[str, np.ndarray]:
     """Recall, MAP and NDCG at each cutoff, one entry per row of ``hits``.
 
@@ -110,55 +83,110 @@ def _metric_table(hits: np.ndarray, n_relevant: np.ndarray, cutoffs) -> dict[str
     }
 
 
-def rank_items(scores: np.ndarray, excluded, n: int) -> RankedList:
-    """Indices of the n best-scoring items, excluded ones removed first.
+# Scores per step of a ranking block: each pool thread reuses four buffers
+# of this many entries, a step's users times n_items.
+RANK_STEP_ENTRIES = 1 << 18
 
-    Equal scores rank by ascending item index.
+
+def _pairs_of(matrix: InteractionMatrix, users: np.ndarray):
+    """Rows (positions in ``users``) and item indices of the pairs of ``users``."""
+    start = matrix.csr_indptr[users]
+    counts = matrix.csr_indptr[users + 1] - start
+    rows = np.repeat(np.arange(len(users)), counts)
+    first = np.cumsum(counts) - counts  # each user's first place in the result
+    return rows, matrix.item_idx[np.arange(len(rows)) + (start - first)[rows]]
+
+
+def _listed(sel: np.ndarray):
+    """Rows and columns of the True entries of ``sel``, row by row in
+    ascending column order, and the count of each row."""
+    rows, cols = np.divmod(np.flatnonzero(sel), sel.shape[1])
+    return rows, cols, np.bincount(rows, minlength=sel.shape[0])
+
+
+def _rank_block(model: FactorModel, users, target, seen, hits, n_relevant, batch: int) -> None:
+    """Rank ``users`` into the rows of ``hits``, ``batch`` users a step.
+
+    The items of user ``users[r]`` in ``target`` and in no part of
+    ``seen`` are relevant; ``n_relevant[r]`` counts them, and row r of
+    ``hits`` marks which places of the user's top n (n = ``hits.shape[1]``)
+    hold one.  The top n are the first n of a stable sort of the negated
+    scores of the items in no part of ``seen``, NaN last, so equal scores
+    rank by ascending item index.
+
+    A step writes each user's scores into a row of one buffer and sets the
+    seen items to NaN.  One row-wise ``np.partition`` of the negated scores
+    finds each row's n-th best score, the floor, and the items at or above
+    the floor are the top n.  A row with more items tied at the floor than
+    places left takes its tied items in index order; so does a row with
+    fewer than n scores that are not NaN (its floor is NaN), whose tied
+    items are its NaN candidates.  A stable sort of each row's list, in
+    index order, puts it in rank order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    scores = np.asarray(scores)
-    exc = np.fromiter(excluded, dtype=np.int64)
-    keep = np.ones(len(scores), dtype=bool)
-    keep[exc[(exc >= 0) & (exc < len(scores))]] = False
-    return RankedList(user=-1, items=_top_n(scores, keep, n))
-
-
-def _point_metric(metric: str, ranked: RankedList, relevant, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rel = np.unique(np.fromiter(relevant, dtype=np.int64))
-    if not len(rel):
-        raise ValueError("relevant set is empty; user should be skipped, not scored")
-    top = np.asarray(ranked.items)[:k]
-    hits = np.zeros((1, k), dtype=bool)
-    hits[0, : len(top)] = np.isin(top, rel)
-    return float(_metric_table(hits, np.array([len(rel)]), (k,))[f"{metric}@{k}"][0])
-
-
-def recall_at_k(ranked: RankedList, relevant, k: int) -> float:
-    """Relevant items in the top k over min(k, |relevant|)."""
-    return _point_metric("recall", ranked, relevant, k)
-
-
-def map_at_k(ranked: RankedList, relevant, k: int) -> float:
-    """Average precision at k, normalized by min(k, |relevant|)."""
-    return _point_metric("map", ranked, relevant, k)
-
-
-def ndcg_at_k(ranked: RankedList, relevant, k: int) -> float:
-    """Binary-relevance DCG at k over the ideal DCG."""
-    return _point_metric("ndcg", ranked, relevant, k)
+    n_items = model.n_items
+    n_take = min(hits.shape[1], n_items)
+    scores_buf = np.empty((batch, n_items))
+    neg_buf = np.empty((batch, n_items))
+    sel_buf = np.empty((batch, n_items), dtype=bool)
+    mark_buf = np.zeros((batch, n_items), dtype=bool)  # the seen items, then the target ones
+    places = np.arange(n_take)
+    for b0 in range(0, len(users), batch):
+        step = users[b0 : b0 + batch]
+        m = len(step)
+        scores, neg, sel, mark = scores_buf[:m], neg_buf[:m], sel_buf[:m], mark_buf[:m]
+        # one matrix-vector product per user, in one call, bit for bit beta @ theta[u]
+        np.matmul(model.beta, model.theta[step, :, None], out=scores[:, :, None])
+        excluded = [_pairs_of(part, step) for part in seen]
+        for er, ec in excluded:
+            scores[er, ec] = np.nan
+            mark[er, ec] = True
+        tr, tc = _pairs_of(target, step)
+        relevant = ~mark[tr, tc]
+        tr, tc = tr[relevant], tc[relevant]
+        n_relevant[b0 : b0 + m] = np.bincount(tr, minlength=m)
+        np.negative(scores, out=neg).partition(n_take - 1, axis=1)
+        floor = -neg[:, n_take - 1 : n_take]
+        np.greater_equal(scores, floor, out=sel)  # False at NaN, and everywhere for a NaN floor
+        rows, cols, counts = _listed(sel)
+        fix = np.flatnonzero(np.isnan(floor[:, 0]) | (counts > n_take))
+        if fix.size:
+            sub, at = scores[fix], floor[fix]
+            missing, no_floor = np.isnan(sub), np.isnan(at)
+            above = np.where(no_floor, ~missing, sub > at)
+            tied = np.where(no_floor, missing & ~mark[fix], sub == at)
+            need = n_take - np.count_nonzero(above, axis=1)
+            sel[fix] = above | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+            rows, cols, counts = _listed(sel)
+        for er, ec in excluded:
+            mark[er, ec] = False
+        place = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        key = np.full((m, n_take), np.nan)  # a short row's padding sorts after its NaN items
+        key[rows, place] = -scores[rows, cols]
+        top = np.zeros((m, n_take), dtype=np.int64)
+        top[rows, place] = cols
+        top = np.take_along_axis(top, np.argsort(key, axis=1, kind="stable"), axis=1)
+        mark[tr, tc] = True
+        hits[b0 : b0 + m, :n_take] = mark[np.arange(m)[:, None], top] & (places < counts[:, None])
+        mark[tr, tc] = False
 
 
 def _per_user_metrics(
-    model: FactorModel, split: DatasetSplit, cutoffs, target: str
+    model: FactorModel,
+    split: DatasetSplit,
+    cutoffs,
+    target: str,
+    n_threads: int = 1,
+    batch: int | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Metric arrays (one entry per evaluated user) plus the user indices.
 
     Scores are ``model.beta @ model.theta[u]``, one user at a time: a
     batched ``theta @ beta.T`` rounds differently in the last bits, which
-    reorders near-ties.
+    reorders near-ties.  The users with a target item are ranked in
+    ``n_threads`` contiguous blocks on the pool, ``batch`` users a step (by
+    default as many as fit ``RANK_STEP_ENTRIES``); neither number changes
+    any user's list (:func:`_rank_block`).  Those with a relevant item are
+    evaluated.
     """
     if target not in ("test", "validation"):
         raise ValueError('target must be "test" or "validation"')
@@ -169,28 +197,21 @@ def _per_user_metrics(
         raise ValueError("cutoffs must be positive")
     target_matrix = split.test if target == "test" else split.validation
     seen = (split.train, split.validation) if target == "test" else (split.train,)
-    n_max = cutoffs[-1]
-    hits = np.zeros((split.n_users, n_max), dtype=bool)
-    n_relevant = np.zeros(split.n_users, dtype=np.int64)
-    keep = np.ones(split.n_items, dtype=bool)
-    is_relevant = np.zeros(split.n_items, dtype=bool)
-    for u in range(split.n_users):
-        keep[:] = True
-        for part in seen:
-            keep[part.items_of(u)] = False
-        relevant = target_matrix.items_of(u)
-        relevant = relevant[keep[relevant]]
-        if not len(relevant):
-            continue
-        top = _top_n(model.beta @ model.theta[u], keep, n_max)
-        is_relevant[relevant] = True
-        hits[u, : len(top)] = is_relevant[top]
-        is_relevant[relevant] = False
-        n_relevant[u] = len(relevant)
-    users = np.flatnonzero(n_relevant)
-    if not len(users):
+    users = np.flatnonzero(target_matrix.user_counts())
+    hits = np.zeros((len(users), cutoffs[-1]), dtype=bool)
+    n_relevant = np.zeros(len(users), dtype=np.int64)
+    batch = batch or max(1, RANK_STEP_ENTRIES // split.n_items)
+    bounds = [len(users) * t // n_threads for t in range(n_threads + 1)]
+    calls = [
+        (model, users[lo:hi], target_matrix, seen, hits[lo:hi], n_relevant[lo:hi], batch)
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    ]
+    _in_pool(_rank_block, calls, n_threads)
+    evaluated = n_relevant > 0
+    if not evaluated.any():
         raise ValueError("no users with relevant items in the target split")
-    return _metric_table(hits[users], n_relevant[users], cutoffs), users
+    return _metric_table(hits[evaluated], n_relevant[evaluated], cutoffs), users[evaluated]
 
 
 def evaluate(
@@ -200,6 +221,7 @@ def evaluate(
     cutoffs=DEFAULT_CUTOFFS,
     target: str = "test",
     groups: dict[str, np.ndarray] | None = None,
+    n_threads: int = 1,
 ) -> EvalReport:
     """Rank by preference scores and average the metrics over users.
 
@@ -208,9 +230,10 @@ def evaluate(
     relevant items in the target split are skipped.  Exposure never enters
     the ranking; ``exposure_kind`` is recorded for reporting only.  When
     ``groups`` maps labels to user-index arrays, per-group means are
-    reported alongside the overall ones.
+    reported alongside the overall ones.  Users are ranked on ``n_threads``
+    threads; the report does not depend on how many.
     """
-    per_user, users = _per_user_metrics(model, split, cutoffs, target)
+    per_user, users = _per_user_metrics(model, split, cutoffs, target, n_threads)
     report = EvalReport(
         metrics={name: float(vals.mean()) for name, vals in per_user.items()},
         n_users_evaluated=len(users),

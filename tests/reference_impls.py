@@ -2,16 +2,19 @@
 
 Everything here is deliberately naive: explicit loops, scipy densities,
 augmented least-squares instead of normal equations.  Nothing imports the
-package's numerics beyond plain data containers, so agreement is evidence
-rather than tautology.
+package's numerics beyond plain data containers and the metric table of
+the ranking oracles, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+
+from serec.metrics import _metric_table
 
 
 def ridge_row_oracle(factors, p_row, y_row, lambda_y, lambda_reg):
@@ -325,3 +328,108 @@ def load_social_reference(path, users):
         else:
             edges.append((index[fields[0]], index[fields[1]]))
     return edges, counts
+
+
+# Top-N ranking one user at a time, moved here from serec.metrics: the
+# oracle for its block ranker.  Only the ranking is independent: the metric
+# values come from serec.metrics._metric_table, so equal hit tables give
+# equal values bit for bit.
+
+
+@dataclass
+class RankedList:
+    """Top-n items for one user, best first, after exclusions."""
+
+    user: int
+    items: np.ndarray
+
+
+def _top_n(scores: np.ndarray, keep: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n best-scoring items among those ``keep`` marks.
+
+    Equal scores rank by ascending item index.  ``np.partition`` finds the
+    n-th best score; every item above it, then the tied items in index
+    order, fill the n places, and a stable sort orders that small set.
+    NaN scores rank last, as in a sort.
+    """
+    candidates = np.flatnonzero(keep)
+    neg = -scores[candidates]
+    if len(neg) > n:
+        cut = np.partition(neg, n - 1)[n - 1]
+        above, tied = (~np.isnan(neg), np.isnan(neg)) if np.isnan(cut) else (neg < cut, neg == cut)
+        above[np.flatnonzero(tied)[: n - np.count_nonzero(above)]] = True
+        chosen = np.flatnonzero(above)
+        return candidates[chosen[np.argsort(neg[chosen], kind="stable")]]
+    return candidates[np.argsort(neg, kind="stable")]
+
+
+def rank_items(scores: np.ndarray, excluded, n: int) -> RankedList:
+    """Indices of the n best-scoring items, excluded ones removed first.
+
+    Equal scores rank by ascending item index.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    scores = np.asarray(scores)
+    exc = np.fromiter(excluded, dtype=np.int64)
+    keep = np.ones(len(scores), dtype=bool)
+    keep[exc[(exc >= 0) & (exc < len(scores))]] = False
+    return RankedList(user=-1, items=_top_n(scores, keep, n))
+
+
+def _point_metric(metric: str, ranked: RankedList, relevant, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rel = np.unique(np.fromiter(relevant, dtype=np.int64))
+    if not len(rel):
+        raise ValueError("relevant set is empty; user should be skipped, not scored")
+    top = np.asarray(ranked.items)[:k]
+    hits = np.zeros((1, k), dtype=bool)
+    hits[0, : len(top)] = np.isin(top, rel)
+    return float(_metric_table(hits, np.array([len(rel)]), (k,))[f"{metric}@{k}"][0])
+
+
+def recall_at_k(ranked: RankedList, relevant, k: int) -> float:
+    """Relevant items in the top k over min(k, |relevant|)."""
+    return _point_metric("recall", ranked, relevant, k)
+
+
+def map_at_k(ranked: RankedList, relevant, k: int) -> float:
+    """Average precision at k, normalized by min(k, |relevant|)."""
+    return _point_metric("map", ranked, relevant, k)
+
+
+def ndcg_at_k(ranked: RankedList, relevant, k: int) -> float:
+    """Binary-relevance DCG at k over the ideal DCG."""
+    return _point_metric("ndcg", ranked, relevant, k)
+
+
+def per_user_metrics_reference(model, split, cutoffs, target):
+    """``metrics._per_user_metrics`` one user at a time: the oracle for the
+    block ranker.  Each user's scores are ``model.beta @ model.theta[u]``
+    and :func:`_top_n` picks its list; the metric table is the package's."""
+    cutoffs = np.unique([int(c) for c in cutoffs]).tolist()  # sorted, each once
+    target_matrix = split.test if target == "test" else split.validation
+    seen = (split.train, split.validation) if target == "test" else (split.train,)
+    n_max = cutoffs[-1]
+    hits = np.zeros((split.n_users, n_max), dtype=bool)
+    n_relevant = np.zeros(split.n_users, dtype=np.int64)
+    keep = np.ones(split.n_items, dtype=bool)
+    is_relevant = np.zeros(split.n_items, dtype=bool)
+    for u in range(split.n_users):
+        keep[:] = True
+        for part in seen:
+            keep[part.items_of(u)] = False
+        relevant = target_matrix.items_of(u)
+        relevant = relevant[keep[relevant]]
+        if not len(relevant):
+            continue
+        top = _top_n(model.beta @ model.theta[u], keep, n_max)
+        is_relevant[relevant] = True
+        hits[u, : len(top)] = is_relevant[top]
+        is_relevant[relevant] = False
+        n_relevant[u] = len(relevant)
+    users = np.flatnonzero(n_relevant)
+    if not len(users):
+        raise ValueError("no users with relevant items in the target split")
+    return _metric_table(hits[users], n_relevant[users], cutoffs), users

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serec import cli, engine
+from serec import cli, engine, metrics
 from serec import data as dm
 from serec.exposure import PROVIDERS
 
@@ -495,13 +495,109 @@ def test_config_cutoffs_must_be_positive_integers():
             cli.load_config(None, [f"cutoffs={bad}"])
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of every CLI process's start-up
+def _run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's serec."""
     src = Path(cli.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = "import serec.cli, sys; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of every CLI process's start-up, and
+    # scipy.sparse a quarter of one; only the sparse products import it
+    _run_python(f"import serec.cli, sys; loaded = {SCIPY_LOADED}; assert not loaded, loaded")
+
+
+def test_split_evaluate_and_friend_groups_do_not_load_scipy(dataset, wmf_dir, tmp_path):
+    split, out = tmp_path / "split", tmp_path / "out"
+    argv = [
+        ["split", "--interactions", str(dataset / "interactions.tsv"), "--out-dir", str(split),
+         "--seed", "3"],
+        ["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(split), "--out-dir", str(out)],
+        ["friend-groups", "--model-dir", str(wmf_dir), "--split-dir", str(split),
+         "--social", str(dataset / "social.tsv")],
+    ]
+    _run_python(
+        "import sys\n"
+        "from serec import cli\n"
+        f"for argv in {argv!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        f"loaded = {SCIPY_LOADED}\n"
+        "assert not loaded, loaded\n"
+    )
+    assert json.loads((out / "report.json").read_text())["n_users_evaluated"] > 0
+
+
+def test_evaluate_report_does_not_depend_on_the_core_count(
+    wmf_dir, split_dir, tmp_path, monkeypatch
+):
+    used, evaluate = [], metrics.evaluate
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["n_threads"])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "evaluate", spy)
+    reports = []
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        out = tmp_path / f"cores{cores}"
+        assert run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(split_dir),
+                    "--out-dir", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert used == [1, 4]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(os, "confstr")
+    or "glibc" not in (os.confstr("CS_GNU_LIBC_VERSION") or ""),
+    reason="mallopt and /proc/self/statm are glibc on Linux",
+)
+@pytest.mark.parametrize("shared, kept_mib", [(False, 40), (True, 20)])
+def test_one_malloc_arena_reuses_what_another_thread_freed(shared, kept_mib):
+    # two live threads each allocate and free a 20 MiB array three times;
+    # with an arena per thread each keeps its own freed array, which made
+    # the peak RSS of `serec train` depend on which thread ran which block
+    _run_python(
+        "import os, threading\n"
+        "import numpy as np\n"
+        "from serec import cli\n"
+        f"if {shared}:\n"
+        "    cli._share_one_malloc_arena()\n"
+        "def rss_mib():\n"
+        "    with open('/proc/self/statm') as f:\n"
+        "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+        "def churn():\n"
+        "    for _ in range(3):\n"
+        "        np.ones(20 * 2**20 // 8)\n"
+        "first_done, release = threading.Event(), threading.Event()\n"
+        "def first():\n"
+        "    churn()\n"
+        "    first_done.set()\n"
+        "    release.wait()\n"
+        "base = rss_mib()\n"
+        "a = threading.Thread(target=first)\n"
+        "a.start()\n"
+        "first_done.wait()\n"
+        "b = threading.Thread(target=churn)\n"
+        "b.start()\n"
+        "b.join()\n"
+        "kept = rss_mib() - base\n"
+        "release.set()\n"
+        "a.join()\n"
+        f"assert abs(kept - {kept_mib}) < 2, kept\n"
+    )
+
+
+def test_main_shares_one_malloc_arena(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_share_one_malloc_arena", lambda: calls.append(1))
+    run(["stats", "--interactions", str(tmp_path / "nope.tsv")])
+    assert calls == [1]
 
 
 def test_evaluate_dimension_mismatch_exits_2(wmf_dir, tmp_path, capsys):
@@ -604,6 +700,19 @@ def test_friend_groups_table(dataset, boost_dir, split_dir, tmp_path, capsys):
         seen.append(label)
     assert seen == sorted(seen, key=("0", "1-5", "6-15", "15+").index)
     assert total_users <= 40
+
+
+def test_friend_groups_loads_the_split_once(dataset, boost_dir, split_dir, monkeypatch):
+    calls, load_split = [], dm.load_split
+
+    def counted(in_dir):
+        calls.append(in_dir)
+        return load_split(in_dir)
+
+    monkeypatch.setattr(dm, "load_split", counted)
+    assert run(["friend-groups", "--model-dir", str(boost_dir), "--split-dir", str(split_dir),
+                "--social", str(dataset / "social.tsv")]) == 0
+    assert calls == [str(split_dir)]
 
 
 # ------------------------------------------------------------ exposure-curve

@@ -90,6 +90,28 @@ class TestInteractionMatrix:
         assert toy_matrix.item_counts().tolist() == [2, 1, 2, 1, 1]
         assert toy_matrix.user_counts().tolist() == [2, 2, 1, 2]
 
+    @pytest.mark.parametrize("n_items", [9, 70_000])  # radix-sorted and not
+    def test_index_arrays_match_scipy(self, rng, n_items):
+        import scipy.sparse as sp
+
+        pairs = np.column_stack([rng.integers(0, 30, 500), rng.integers(0, n_items, 500)])
+        y = InteractionMatrix(30, n_items, pairs)
+        want = sp.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(30, n_items)).tocsr()
+        want.data[:] = 1.0  # duplicates summed
+        csc = want.tocsc()
+        assert np.array_equal(y.csr_indptr, want.indptr)
+        assert np.array_equal(y.item_idx, want.indices)
+        assert np.array_equal(y.csc_indptr, csc.indptr)
+        assert np.array_equal(y.csc_indices, csc.indices)
+        assert (y.to_csr() != want).nnz == 0
+        assert y.to_csr() is y.to_csr()
+        probes = zip(rng.integers(0, 30, 200).tolist(), rng.integers(0, n_items, 200).tolist())
+        assert all(((u, i) in y) == bool(want[u, i]) for u, i in [*probes, *pairs[:50].tolist()])
+        graph = SocialGraph(30, pairs % 30)
+        assert np.array_equal(graph.indptr, graph.adjacency().indptr)
+        assert np.array_equal(graph.dst, graph.adjacency().indices)
+        assert np.array_equal(graph.out_degree(), np.diff(graph.adjacency().indptr))
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             InteractionMatrix(2, 2, [(0, 2)])

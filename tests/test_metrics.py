@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import random_interactions
-from reference_impls import brute_evaluate, brute_map, brute_ndcg, brute_rank, brute_recall
+from reference_impls import (
+    RankedList,
+    brute_evaluate,
+    brute_map,
+    brute_ndcg,
+    brute_rank,
+    brute_recall,
+    map_at_k,
+    ndcg_at_k,
+    per_user_metrics_reference,
+    rank_items,
+    recall_at_k,
+)
 from serec import (
     DatasetSplit,
     FactorModel,
@@ -13,13 +25,9 @@ from serec import (
     SocialGraph,
     evaluate,
     group_by_friends,
-    map_at_k,
-    ndcg_at_k,
-    rank_items,
-    recall_at_k,
 )
 from serec import metrics
-from serec.metrics import EvalReport, RankedList
+from serec.metrics import EvalReport
 
 
 def ranked(items):
@@ -297,6 +305,61 @@ class TestEvaluate:
         model = FactorModel(np.ones((3, 1)), np.ones((4, 1)))
         with pytest.raises(ValueError, match="target"):
             evaluate(model, None, split, target="holdout")
+
+
+def ranking_case(rng, n_users, n_items, scores):
+    """A split whose users cover the ranker's edge cases, and a model.
+
+    User 0 has every item in train, user 1 no validation or test items,
+    and user 2 only validation and test items that are also in train.
+    Other users keep about 45% of the items as candidates, so with a
+    cutoff of 20 over 40 items some have fewer candidates than places.  ``scores`` "ties" gives integer
+    scores with few distinct values; "special" gives normal scores with
+    NaN, +inf and -inf ones, and users whose scores are all NaN or all 0.
+    """
+    stack = rng.random((n_users, n_items))
+    train, val, test = stack < 0.4, (stack >= 0.4) & (stack < 0.55), stack >= 0.75
+    train[0] = True
+    val[1] = test[1] = False
+    val[2] = test[2] = train[2]
+    if scores == "ties":
+        theta = rng.integers(-1, 2, (n_users, 2)).astype(float)
+        beta = rng.integers(-1, 2, (n_items, 2)).astype(float)
+    else:
+        theta = rng.normal(0, 1, (n_users, 3))
+        beta = rng.normal(0, 1, (n_items, 3))
+        beta[rng.choice(n_items, size=3, replace=False)] = np.nan
+        beta[rng.choice(n_items, size=3, replace=False), 0] = np.inf
+        beta[rng.choice(n_items, size=3, replace=False), 1] = -np.inf
+        theta[3] = 0.0  # inf * 0: NaN where beta is infinite, 0 elsewhere
+        theta[4] = np.nan
+        theta[5, :2] = [1.0, -1.0]  # +inf - inf
+    return split_from_dense(train, val, test), FactorModel(theta, beta)
+
+
+class TestBlockRanker:
+    """``_per_user_metrics`` against the per-user loop it replaced
+    (``reference_impls.per_user_metrics_reference``), bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scores", ["ties", "special"])
+    @pytest.mark.parametrize("target", ["test", "validation"])
+    def test_matches_per_user_loop_bit_for_bit(self, rng, scores, target):
+        for n_items, cutoffs in ((40, (1, 5, 20)), (12, (3, 50)), (300, (1, 10, 100))):
+            split, model = ranking_case(rng, 50, n_items, scores)
+            want, want_users = per_user_metrics_reference(model, split, cutoffs, target)
+            assert 0 not in want_users and 1 not in want_users and 2 not in want_users
+            for n_threads in (1, 2, 4):
+                for batch in (1, 3, 7, None):  # 50 users: none divides them but 1
+                    got, users = metrics._per_user_metrics(
+                        model, split, cutoffs, target, n_threads, batch
+                    )
+                    assert users.tolist() == want_users.tolist()
+                    assert got.keys() == want.keys()
+                    for name in want:
+                        assert got[name].tobytes() == want[name].tobytes(), (
+                            n_items, n_threads, batch, name
+                        )
 
 
 class TestGroupByFriends:
