@@ -15,7 +15,8 @@ Provider protocol (duck-typed):
     update(p, y) -> None                refresh internal state from the
                                         U x V posterior array p
     kind -> str                         short model name for persistence
-    save(dir_path) -> None              write provider state files
+    save(dir_path) -> None              write provider state files; arrays
+                                        go to exposure.npz via save_state
     bypass_bayes -> bool (optional)     when True the E-step stores the
                                         prior directly as p (fixed-weight
                                         mode; clicked pairs still get 1)
@@ -26,13 +27,14 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import zipfile
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from serec.data import InteractionMatrix, csr_matrix
+from serec.data import DataFormatError, InteractionMatrix, csr_matrix
 
 MU_EPS = 1e-6
 _TINY = np.finfo(np.float64).tiny
@@ -46,6 +48,7 @@ DEFAULT_BLOCK_SIZE = 512
 # in the heap: peak RSS then varied by ~70 MiB from run to run.
 CHUNK_ENTRIES = 1 << 21
 META_NAME = "meta.json"
+STATE_NAME = "exposure.npz"  # a provider's arrays, by name
 
 
 class TrainingError(RuntimeError):
@@ -603,3 +606,45 @@ def load_model(model_dir: str | Path) -> tuple[FactorModel, dict]:
         lambda_y=meta["lambda_y"],
     )
     return model, meta
+
+
+def save_state(out_dir: str | Path, **arrays: np.ndarray) -> None:
+    """Write a provider's named arrays to ``exposure.npz``, in the format of
+    ``np.savez``.  Every member carries the same fixed timestamp, so equal
+    arrays give equal bytes."""
+    with zipfile.ZipFile(Path(out_dir) / STATE_NAME, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
+
+
+def load_state(model_dir: str | Path, **shapes: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Read the named float64 arrays of ``exposure.npz``, each checked
+    against the shape its keyword gives.  Nothing is unpickled: an object
+    array fails like any other malformed array, naming file and array."""
+    path = Path(model_dir) / STATE_NAME
+    if not path.exists():
+        raise DataFormatError(
+            f"{path} is missing (model directories whose provider arrays are "
+            ".tsv files predate it; train the model again)"
+        )
+    arrays = {}
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    with npz:
+        for name, shape in shapes.items():
+            try:
+                array = npz[name]
+            except KeyError:
+                raise DataFormatError(f"{path}: no array {name!r}") from None
+            except ValueError as exc:  # an object array, which only pickle reads
+                raise DataFormatError(f"{path}: array {name!r}: {exc}") from None
+            if array.dtype != np.float64 or array.shape != shape:
+                raise DataFormatError(
+                    f"{path}: array {name!r} is {array.dtype} {array.shape}, "
+                    f"expected float64 {shape}"
+                )
+            arrays[name] = array
+    return arrays

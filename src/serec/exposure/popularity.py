@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, ConfigError, _clicked_in_block
+from serec.engine import MU_EPS, ConfigError, _clicked_in_block, load_state, save_state
 
 
 def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -64,9 +64,8 @@ class PopularityExposure:
         self.mu_items = popularity_update_mu(p.sum(axis=0), self.n_users, self.alpha1, self.alpha2)
 
     def save(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        np.savetxt(out_dir / "mu_items.tsv", self.mu_items, fmt="%.17g", delimiter="\t")
-        with open(out_dir / "exposure.json", "w", encoding="utf-8") as fh:
+        save_state(out_dir, mu_items=self.mu_items)
+        with open(Path(out_dir) / "exposure.json", "w", encoding="utf-8") as fh:
             json.dump({"alpha1": self.alpha1, "alpha2": self.alpha2}, fh, indent=2)
 
     @classmethod
@@ -75,7 +74,7 @@ class PopularityExposure:
         with open(model_dir / "exposure.json", encoding="utf-8") as fh:
             params = json.load(fh)
         provider = cls(y, alpha1=params["alpha1"], alpha2=params["alpha2"])
-        provider.mu_items = np.loadtxt(model_dir / "mu_items.tsv", delimiter="\t", ndmin=1)
+        provider.mu_items = load_state(model_dir, mu_items=(y.n_items,))["mu_items"]
         return provider
 
 

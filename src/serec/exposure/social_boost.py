@@ -65,8 +65,8 @@ class BoostExposure:
         self._num0 = alpha1 + y.item_counts().astype(np.float64) - 1.0
         # p proxy at init: the clicks themselves, so friend mass is sparse.
         # This also builds the cached adjacency that mu_block reads on the
-        # sweep's pool threads.
-        self._source = graph.adjacency() @ y.to_csr()
+        # sweep's pool threads.  Column-major, since mu_block slices columns.
+        self._source = (graph.adjacency() @ y.to_csr()).tocsc()
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         """The boosted Beta mode for items [j0, j1), a new array.
@@ -80,8 +80,9 @@ class BoostExposure:
         src = self._source
         if isinstance(src, np.ndarray):  # posterior handed over by the engine
             mass = self.graph.adjacency() @ np.asarray(src[:, j0:j1])
-        else:  # sparse click proxy from initialization
-            mass = src[:, j0:j1].toarray()
+        else:  # sparse click proxy from initialization; row-major like the
+            # posterior's mass, so the sums downstream add in the same order
+            mass = src[:, j0:j1].toarray(order="C")
         mass *= self.s_coeff - 1.0
         den = mass + self._den0
         mass += self._num0[j0:j1]

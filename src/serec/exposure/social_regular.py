@@ -4,10 +4,10 @@ people they trust.
 The prior is a low-rank bilinear form mu_ui = X_u . T_i + gamma_i.  The
 trust graph enters as a second factorization task sharing X: for an edge
 (u, k) the product X_u . B_k should approach 1, for a non-edge 0.  Both
-tasks are fit jointly by SGD over (i, u, k) triplets.  Consecutive
-triplets that share no item, truster or trustee touch disjoint rows, so
-each maximal run of them is applied as one batched step; the result is
-sequential SGD up to dot-product rounding.
+tasks are fit jointly by SGD over (i, u, k) triplets.  Triplets that
+share no item, truster or trustee touch disjoint rows and commute, so each
+epoch is applied layer by layer, one batched step per layer of its
+conflict graph; the result is sequential SGD up to dot-product rounding.
 
 Regression targets: an observed pair pulls mu toward the item's audience
 share n_i / U; a sampled unobserved pair pulls it toward the current
@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError, TrainingError
+from serec.engine import MU_EPS, ConfigError, TrainingError, load_state, save_state
 
 DIVERGENCE_FACTOR = 10.0
+OBJECTIVE_CHUNK = 8192  # triplets per gather of the sampled objective
 
 
 @dataclass
@@ -42,21 +43,17 @@ def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
     return ExposureTargets(observed_per_item=per_item, posterior=p)
 
 
-def _run_gradients(state, i, u, k, target, s_uk):
-    """The four half-gradients of the sampled loss at each triplet of a run.
+def _run_gradients(h, xu, ti, bk, gamma, target, s_uk):
+    """The four half-gradients of the sampled loss at each triplet of a batch.
 
-    For triplet j with err = X_u.T_i + gamma_i - target and
-    serr = X_u.B_k - s_uk:
+    Row j of ``xu``, ``ti``, ``bk`` and ``gamma`` holds X_u, T_i, B_k and
+    gamma_i of triplet j = (i, u, k).  With err = X_u.T_i + gamma_i - target
+    and serr = X_u.B_k - s_uk:
         dT_i    = err * X_u + lambda_t * T_i
         dX_u    = err * T_i + lambda_sr * serr * B_k + lambda_x * X_u
         dB_k    = lambda_sr * serr * X_u + lambda_b * B_k
         dgamma  = err + lambda_gamma * gamma_i
-    Row j of each result belongs to triplet (i[j], u[j], k[j]); all rows
-    are evaluated at the current point.
     """
-    h = state.hyper
-    xu, ti, bk = state.x[u], state.t[i], state.b[k]
-    gamma = state.gamma[i]
     # overflow lands on the finite-guard in the step, not on a warning
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.einsum("ij,ij->i", xu, ti) + gamma - target
@@ -68,14 +65,17 @@ def _run_gradients(state, i, u, k, target, s_uk):
     return g_t, g_x, g_b, g_gamma
 
 
-def _sgd_run(state, i, u, k, target, s_uk, lr: float) -> None:
-    """One simultaneous SGD step for every triplet of a conflict-free run.
+def _sgd_run(state, i, u, k, target, s_uk, lr: float) -> int:
+    """One simultaneous SGD step for every triplet of a conflict-free batch.
 
-    No item, truster or trustee repeats within the run, so each triplet
+    No item, truster or trustee repeats within the batch, so each triplet
     reads and writes rows no other one touches, and the batched step
-    equals the same steps taken one after another.
+    equals the same steps taken one after another.  Returns -1 once the
+    step is applied.  If a gradient is not finite, nothing is applied and
+    the position of the first such triplet is returned.
     """
-    g_t, g_x, g_b, g_gamma = _run_gradients(state, i, u, k, target, s_uk)
+    xu, ti, bk, gamma = state.x[u], state.t[i], state.b[k], state.gamma[i]
+    g_t, g_x, g_b, g_gamma = _run_gradients(state.hyper, xu, ti, bk, gamma, target, s_uk)
     finite = (
         np.isfinite(g_t).all(axis=1)
         & np.isfinite(g_x).all(axis=1)
@@ -83,27 +83,27 @@ def _sgd_run(state, i, u, k, target, s_uk, lr: float) -> None:
         & np.isfinite(g_gamma)
     )
     if not finite.all():
-        j = int(np.argmin(finite))
-        raise TrainingError(
-            f"non-finite gradient at triplet (i={int(i[j])}, u={int(u[j])}, k={int(k[j])})"
-        )
-    state.t[i] -= lr * g_t
-    state.x[u] -= lr * g_x
-    state.b[k] -= lr * g_b
-    state.gamma[i] -= lr * g_gamma
-
-
-def _one(triplet, target, s_uk):
-    """A single triplet as a run of length one."""
-    i, u, k = triplet
-    return np.array([i]), np.array([u]), np.array([k]), np.array([target]), np.array([s_uk])
+        return int(np.argmin(finite))
+    # the gathered rows are still the current ones: step them, write them back
+    ti -= lr * g_t
+    xu -= lr * g_x
+    bk -= lr * g_b
+    gamma -= lr * g_gamma
+    state.t[i] = ti
+    state.x[u] = xu
+    state.b[k] = bk
+    state.gamma[i] = gamma
+    return -1
 
 
 def triplet_gradients(state, triplet, target: float, s_uk: int):
     """The four half-gradients of the sampled loss at one (i, u, k) triplet
     (formulas in :func:`_run_gradients`)."""
-    g_t, g_x, g_b, g_gamma = _run_gradients(state, *_one(triplet, target, s_uk))
-    return g_t[0], g_x[0], g_b[0], g_gamma[0]
+    i, u, k = triplet
+    grads = _run_gradients(
+        state.hyper, state.x[[u]], state.t[[i]], state.b[[k]], state.gamma[[i]], target, s_uk
+    )
+    return tuple(g[0] for g in grads)
 
 
 def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
@@ -127,40 +127,84 @@ def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
 def sgd_triplet_step(state, triplet, target: float, s_uk: int, lr: float):
     """One simultaneous SGD step: all four gradients evaluated at the
     current point, then applied together."""
-    _sgd_run(state, *_one(triplet, target, s_uk), lr)
+    i, u, k = triplet
+    _sgd_epoch(state, np.array([[u, i]]), np.array([target]), np.array([k]), np.array([s_uk]), lr)
     return state
 
 
-def _conflict_free_runs(*columns) -> list[int]:
-    """Boundaries of the greedy maximal runs in which no column repeats a value.
+def _conflict_layers(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """The rows grouped into the as-soon-as-possible layers of their
+    conflict graph.
 
-    Returns offsets ``[0, b_1, ..., n]``: run r is ``[b_r, b_{r+1})``, and
-    each run ends just before the first row that repeats a value of its
-    own run in some column.
+    Row j conflicts with every earlier row that shares its value in some
+    column.  Its layer is 1 + the largest layer among those rows, or 0 if
+    there are none.  Returns ``(order, bounds)``: layer L is
+    ``order[bounds[L]:bounds[L + 1]]``, in ascending row order.
+
+    Rows that share a value lie in increasing layers, so only the latest
+    earlier row per column counts as a predecessor.  The layers are found
+    one round each, as in Kahn's topological sort: a layer releases its
+    rows' successors, and a row joins the next layer once none of its
+    predecessors is left unplaced.
     """
     n = len(columns[0])
-    prev = np.full(n, -1, dtype=np.int64)  # latest earlier row sharing a value
-    for col in columns:
+    successor = np.full((n, len(columns)), n)  # next later row with the value; n if none
+    waiting = np.zeros(n + 1, dtype=np.int64)  # unplaced predecessors per row
+    waiting[n] = successor.size + 1  # slot n takes every "none" and never reaches 0
+    for c, col in enumerate(columns):
+        # indices below 2**16 sort by radix in a narrow dtype, several times faster
+        col = col.astype(np.min_scalar_type(col.max(initial=0)))
         order = np.argsort(col, kind="stable")
         later, earlier = order[1:], order[:-1]
         same = col[later] == col[earlier]
-        later, earlier = later[same], earlier[same]
-        prev[later] = np.maximum(prev[later], earlier)
-    bounds = [0]
-    for row, p in enumerate(prev.tolist()):
-        if p >= bounds[-1]:
-            bounds.append(row)
-    bounds.append(n)
-    return bounds
+        successor[earlier[same], c] = later[same]
+        waiting[later[same]] += 1
+    layers = [np.flatnonzero(waiting[:n] == 0)]
+    while True:
+        released = successor[layers[-1]].ravel()
+        np.subtract.at(waiting, released, 1)
+        # a row appears once per column through which the last layer released it
+        ready = np.sort(released[waiting[released] == 0])
+        if not ready.size:
+            break
+        first = np.empty(ready.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ready[1:], ready[:-1], out=first[1:])
+        layers.append(ready[first])
+    bounds = np.zeros(len(layers) + 1, dtype=np.int64)
+    np.cumsum([len(rows) for rows in layers], out=bounds[1:])
+    return np.concatenate(layers), bounds
 
 
 def _sgd_epoch(state, pairs, t_vals, partners, s_flags, lr: float) -> None:
-    """Sequential SGD over one epoch's triplets, one batched step per
-    conflict-free run."""
+    """Sequential SGD over one epoch's triplets, one batched step per layer
+    of their conflict graph.
+
+    Triplets that share no item, truster or trustee commute exactly, and
+    the layers keep every conflicting pair in epoch order, so the result
+    is the sequential pass's.  A non-finite gradient names the first bad
+    triplet in epoch order: once one is found, only the triplets before it
+    still run, each layer cut to its prefix of them, and a bad one among
+    them takes its place.
+    """
     u, i = pairs[:, 0], pairs[:, 1]
-    bounds = _conflict_free_runs(i, u, partners)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        _sgd_run(state, i[a:b], u[a:b], partners[a:b], t_vals[a:b], s_flags[a:b], lr)
+    order, bounds = _conflict_layers(i, u, partners)
+    columns = (i[order], u[order], partners[order], t_vals[order], s_flags[order])
+    n = len(order)
+    bad = n  # epoch position of the first triplet with a non-finite gradient
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if bad < n:
+            b = a + int(np.searchsorted(order[a:b], bad))
+        while a < b:
+            j = _sgd_run(state, *(col[a:b] for col in columns), lr)
+            if j < 0:
+                break
+            bad, b = int(order[a + j]), a + j
+    if bad < n:
+        raise TrainingError(
+            f"non-finite gradient at triplet "
+            f"(i={int(i[bad])}, u={int(u[bad])}, k={int(partners[bad])})"
+        )
 
 
 def _sample_negatives(y: InteractionMatrix, n: int, rng) -> np.ndarray:
@@ -214,13 +258,21 @@ def _epoch_sample(y, graph, targets: ExposureTargets, seed: int, epoch: int):
 
 def _sampled_objective(state, pairs, t_vals, partners, s_flags) -> float:
     """The joint objective on a fixed sample: squared prediction and trust
-    errors plus the global decay terms (counted once)."""
+    errors plus the global decay terms (counted once).
+
+    The rows are gathered ``OBJECTIVE_CHUNK`` triplets at a time, so the
+    gathers stay in cache and hold a few MiB whatever the sample size.
+    """
     h = state.hyper
-    u_idx = pairs[:, 0]
-    i_idx = pairs[:, 1]
+    pred = np.empty(len(pairs))
+    serr = np.empty(len(pairs))
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = np.einsum("ij,ij->i", state.x[u_idx], state.t[i_idx]) + state.gamma[i_idx]
-        serr = np.einsum("ij,ij->i", state.x[u_idx], state.b[partners]) - s_flags
+        for a in range(0, len(pairs), OBJECTIVE_CHUNK):
+            b = a + OBJECTIVE_CHUNK
+            i = pairs[a:b, 1]
+            xu = state.x[pairs[a:b, 0]]
+            pred[a:b] = np.einsum("ij,ij->i", xu, state.t[i]) + state.gamma[i]
+            serr[a:b] = np.einsum("ij,ij->i", xu, state.b[partners[a:b]]) - s_flags[a:b]
         return float(
             np.sum((pred - t_vals) ** 2)
             + h["lambda_sr"] * np.sum(serr**2)
@@ -342,12 +394,8 @@ class RegularExposure:
         self._n_updates += 1
 
     def save(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        np.savetxt(out_dir / "X.tsv", self.x, fmt="%.17g", delimiter="\t")
-        np.savetxt(out_dir / "T.tsv", self.t, fmt="%.17g", delimiter="\t")
-        np.savetxt(out_dir / "B.tsv", self.b, fmt="%.17g", delimiter="\t")
-        np.savetxt(out_dir / "gamma.tsv", self.gamma, fmt="%.17g", delimiter="\t")
-        with open(out_dir / "exposure.json", "w", encoding="utf-8") as fh:
+        save_state(out_dir, x=self.x, t=self.t, b=self.b, gamma=self.gamma)
+        with open(Path(out_dir) / "exposure.json", "w", encoding="utf-8") as fh:
             json.dump({**self.hyper, "refit_every": self.refit_every, "seed": self.seed}, fh, indent=2)
 
     @classmethod
@@ -358,8 +406,13 @@ class RegularExposure:
         refit = params.pop("refit_every", "once")
         seed = params.pop("seed", 0)
         provider = cls(y, graph, refit_every=refit, seed=seed, **params)
-        provider.x = np.loadtxt(model_dir / "X.tsv", delimiter="\t", ndmin=2)
-        provider.t = np.loadtxt(model_dir / "T.tsv", delimiter="\t", ndmin=2)
-        provider.b = np.loadtxt(model_dir / "B.tsv", delimiter="\t", ndmin=2)
-        provider.gamma = np.loadtxt(model_dir / "gamma.tsv", delimiter="\t", ndmin=1)
+        k_sr = provider.hyper["k_sr"]
+        state = load_state(
+            model_dir,
+            x=(y.n_users, k_sr),
+            t=(y.n_items, k_sr),
+            b=(y.n_users, k_sr),
+            gamma=(y.n_items,),
+        )
+        provider.x, provider.t, provider.b, provider.gamma = state.values()
         return provider

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: explicit loops, scipy densities,
 augmented least-squares instead of normal equations.  Nothing imports the
-package's numerics beyond plain data containers and the metric table of
-the ranking oracles, so agreement is evidence rather than tautology.
+package's numerics beyond plain data containers, the metric table of the
+ranking oracles and the batched SGD step of the greedy-run epoch (an
+oracle for the order of the steps, not for the step), so agreement is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from serec.exposure.social_regular import _sgd_run
 from serec.metrics import _metric_table
 
 
@@ -232,6 +235,42 @@ def sgd_epoch_reference(state, pairs, t_vals, partners, s_flags, lr):
         state.x[u] -= lr * (err * ti + h["lambda_sr"] * serr * bk + h["lambda_x"] * xu)
         state.b[k] -= lr * (h["lambda_sr"] * serr * xu + h["lambda_b"] * bk)
         state.gamma[i] -= lr * (err + h["lambda_gamma"] * state.gamma[i])
+
+
+def conflict_free_runs(*columns) -> list[int]:
+    """Boundaries of the greedy maximal runs in which no column repeats a value.
+
+    Returns offsets ``[0, b_1, ..., n]``: run r is ``[b_r, b_{r+1})``, and
+    each run ends just before the first row that repeats a value of its
+    own run in some column.
+    """
+    n = len(columns[0])
+    prev = np.full(n, -1, dtype=np.int64)  # latest earlier row sharing a value
+    for col in columns:
+        order = np.argsort(col, kind="stable")
+        later, earlier = order[1:], order[:-1]
+        same = col[later] == col[earlier]
+        later, earlier = later[same], earlier[same]
+        prev[later] = np.maximum(prev[later], earlier)
+    bounds = [0]
+    for row, p in enumerate(prev.tolist()):
+        if p >= bounds[-1]:
+            bounds.append(row)
+    bounds.append(n)
+    return bounds
+
+
+def sgd_epoch_runs_reference(state, pairs, t_vals, partners, s_flags, lr):
+    """Sequential SGD over one epoch, one batched step per greedy maximal
+    run of consecutive conflict-free triplets, in epoch order: the epoch
+    the conflict-graph layers replaced, which they must equal byte for
+    byte.  Raises ValueError at the first non-finite gradient."""
+    u, i = pairs[:, 0], pairs[:, 1]
+    bounds = conflict_free_runs(i, u, partners)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        j = _sgd_run(state, i[a:b], u[a:b], partners[a:b], t_vals[a:b], s_flags[a:b], lr)
+        if j >= 0:
+            raise ValueError(f"non-finite gradient at triplet {a + j} of the epoch")
 
 
 def fit_exposure_reference(state, y, posterior, graph, seed):

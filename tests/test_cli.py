@@ -783,6 +783,23 @@ def test_exposure_curve_regular_model_needs_social(dataset, split_dir, tmp_path,
     assert "--social" in capsys.readouterr().err
 
 
+def test_exposure_curve_regular_model_reads_exposure_npz(dataset, split_dir, tmp_path, capsys):
+    model_dir = tmp_path / "m"
+    assert _train(split_dir, model_dir, "serec-regular", social=dataset / "social.tsv",
+                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=1"]) == 0
+    assert {f.name for f in model_dir.glob("*.tsv")} == {"theta.tsv", "beta.tsv", "trace.tsv"}
+    argv = ["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
+            "--user", _raw_user_ids(dataset)[0], "--social", str(dataset / "social.tsv")]
+    assert run(argv) == 0
+    # a directory from before exposure.npz: its arrays are TSV files
+    (model_dir / "exposure.npz").unlink()
+    (model_dir / "X.tsv").write_text("0\t0\t0\t0\n")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "exposure.npz is missing" in err and "train the model again" in err
+
+
 def test_exposure_curve_unknown_user_exits_2(expomf_dir, split_dir, capsys):
     rc = run(["exposure-curve", "--model-dir", str(expomf_dir),
               "--split-dir", str(split_dir), "--user", "no-such-user"])

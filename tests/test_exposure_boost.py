@@ -184,7 +184,9 @@ class TestBoostProvider:
         def check(source):
             want = boost_update_mu(source, graph, s_coeff=4.0)
             for j0, j1 in [(0, 11), (3, 7), (10, 11)]:
-                assert np.array_equal(provider.mu_block(j0, j1), want[:, j0:j1])
+                block = provider.mu_block(j0, j1)
+                assert np.array_equal(block, want[:, j0:j1])
+                assert block.flags.c_contiguous  # the sweep's sums add row-major
 
         check(dense_clicks(y))
         p = rng.uniform(0, 1, (9, 11))

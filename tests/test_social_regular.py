@@ -1,4 +1,5 @@
 import copy
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 
 from conftest import random_graph, random_interactions
 from reference_impls import (
+    conflict_free_runs,
     epoch_sample_reference,
     fit_exposure_reference,
     is_observed,
     regular_mu,
     sample_negatives_reference,
+    sgd_epoch_runs_reference,
     target_lookup,
 )
 from serec import (
+    DataFormatError,
     InteractionMatrix,
     RegularExposure,
     SocialGraph,
@@ -25,8 +29,9 @@ from serec import (
     fit_exposure,
     sgd_triplet_step,
 )
+from serec.exposure import social_regular
 from serec.exposure.social_regular import (
-    _conflict_free_runs,
+    _conflict_layers,
     _draw_trust_partners,
     _epoch_sample,
     _sample_negatives,
@@ -45,6 +50,20 @@ DEFAULT_HYPER = {
     "learning_rate": 0.01,
     "n_sgd_epochs": 10,
 }
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """Unpickling one calls _record_unpickling."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
 
 
 def make_state(x, t, b, gamma, **hyper_overrides):
@@ -330,6 +349,35 @@ class TestRegularProvider:
         assert back.hyper == provider.hyper
         assert back.refit_every == provider.refit_every and back.seed == 6
 
+    @pytest.mark.parametrize(
+        "change, array",
+        [("k_sr", "'x'"), ("n_items", "'t'")],
+    )
+    def test_load_checks_each_array_against_split_and_k_sr(self, tmp_path, rng, change, array):
+        y = random_interactions(rng, 5, 6, density=0.3)
+        graph = random_graph(rng, 5, density=0.3)
+        RegularExposure(y, graph, k_sr=2).save(tmp_path)
+        if change == "k_sr":
+            params = json.loads((tmp_path / "exposure.json").read_text())
+            (tmp_path / "exposure.json").write_text(json.dumps({**params, "k_sr": 3}))
+        else:
+            y = InteractionMatrix(5, 7, np.column_stack([y.user_idx, y.item_idx]))
+        with pytest.raises(DataFormatError, match=rf"exposure\.npz: array {array}"):
+            RegularExposure.load(tmp_path, y, graph)
+
+    def test_load_refuses_an_object_array_without_unpickling(self, tmp_path, rng):
+        y = random_interactions(rng, 5, 6, density=0.3)
+        graph = random_graph(rng, 5, density=0.3)
+        provider = RegularExposure(y, graph, k_sr=2)
+        provider.save(tmp_path)
+        tripwire = np.empty((5, 2), dtype=object)
+        tripwire[:] = _Tripwire()
+        np.savez(tmp_path / "exposure.npz", x=tripwire, t=provider.t, b=provider.b,
+                 gamma=provider.gamma)
+        with pytest.raises(DataFormatError, match=r"exposure\.npz: array 'x'.*allow_pickle"):
+            RegularExposure.load(tmp_path, y, graph)
+        assert UNPICKLED == []
+
     def test_end_to_end_fit(self, rng):
         y = random_interactions(rng, 10, 12, density=0.25)
         graph = random_graph(rng, 10, density=0.3)
@@ -374,20 +422,59 @@ class TestBatchedRefit:
         for name in ("x", "t", "b", "gamma"):
             np.testing.assert_allclose(getattr(provider, name), getattr(ref, name), rtol=1e-10)
 
-    def test_runs_are_conflict_free_and_maximal(self):
+    @pytest.mark.parametrize(
+        "shape, epochs",
+        [
+            ((6, 5, 2, 1), 10),
+            ((200, 2000, 30, 13), 3),
+            ((60, 80, 30, 5), 3),  # 22% of the pairs clicked: long conflict chains
+        ],
+    )
+    def test_layers_equal_greedy_runs_byte_for_byte(self, monkeypatch, shape, epochs):
+        y, graph, p = befriended_instance(3, *shape)
+        provider = RegularExposure(
+            y, graph, k_sr=5, learning_rate=0.02, n_sgd_epochs=epochs, seed=4, init_scale=0.3
+        )
+        ref = copy.deepcopy(provider)
+        fit_exposure(provider, y, p, graph, seed=8)
+        monkeypatch.setattr(social_regular, "_sgd_epoch", sgd_epoch_runs_reference)
+        fit_exposure(ref, y, p, graph, seed=8)
+        for name in ("x", "t", "b", "gamma"):
+            assert getattr(provider, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert provider.last_objective == ref.last_objective
+
+    def test_layers_are_conflict_free_and_as_soon_as_possible(self):
         rng = np.random.default_rng(5)
         n = 400
         i, u, k = rng.integers(0, 9, n), rng.integers(0, 5, n), rng.integers(0, 5, n)
-        bounds = _conflict_free_runs(i, u, k)
+        order, bounds = _conflict_layers(i, u, k)
+        assert sorted(order.tolist()) == list(range(n))
         assert bounds[0] == 0 and bounds[-1] == n
         assert np.all(np.diff(bounds) > 0)
-        assert len(bounds) > 20
-        for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        layer = np.empty(n, dtype=np.int64)
+        for number, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = order[a:b]
+            assert np.all(np.diff(rows) > 0)  # epoch order within a layer
             for col in (i, u, k):
-                assert len(set(col[a:b].tolist())) == b - a
-            if r:
-                before = slice(bounds[r - 1], a)
-                assert any(col[a] in col[before] for col in (i, u, k))
+                assert len(set(col[rows].tolist())) == b - a
+            layer[rows] = number
+        for j in range(n):
+            earlier = [r for r in range(j) if i[r] == i[j] or u[r] == u[j] or k[r] == k[j]]
+            assert layer[j] == 1 + max((layer[r] for r in earlier), default=-1)
+        # far fewer batches than greedy runs of consecutive triplets
+        assert len(bounds) - 1 < len(conflict_free_runs(i, u, k)) - 1
+
+    def test_empty_epoch_has_no_layers(self):
+        order, bounds = _conflict_layers(*(np.empty(0, dtype=np.int64),) * 3)
+        assert order.size == 0 and bounds.tolist() == [0, 0]
+
+    def test_objective_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        y, graph, p = befriended_instance(6, 40, 120, 10, 4)
+        provider = RegularExposure(y, graph, k_sr=5, seed=1, init_scale=0.3)
+        sample = _epoch_sample(y, graph, build_targets(y, p), 0, 0)
+        whole = social_regular._sampled_objective(provider, *sample)
+        monkeypatch.setattr(social_regular, "OBJECTIVE_CHUNK", 7)
+        assert social_regular._sampled_objective(provider, *sample) == whole
 
     def test_epoch_sample_equals_reference_sampler(self):
         y, graph, p = befriended_instance(6, 40, 120, 10, 4)
@@ -432,8 +519,28 @@ class TestBatchedRefit:
         state = random_state(rng, n_users=6, n_items=6, k_sr=3)
         pairs = np.array([[0, 5], [1, 4], [2, 3], [3, 2], [4, 1]])
         partners = np.array([5, 4, 3, 2, 1])
-        assert _conflict_free_runs(pairs[:, 1], pairs[:, 0], partners) == [0, 5]
+        order, bounds = _conflict_layers(pairs[:, 1], pairs[:, 0], partners)
+        assert bounds.tolist() == [0, 5]  # one layer holds all five
         state.x[2] = np.inf  # triplet 2: (i=3, u=2, k=3)
         state.b[1, 0] = np.inf  # triplet 4 is bad as well, but later
         with pytest.raises(TrainingError, match=r"\(i=3, u=2, k=3\)"):
             _sgd_epoch(state, pairs, np.full(5, 0.2), partners, np.ones(5, dtype=np.int64), 0.1)
+
+    def test_non_finite_in_a_later_layer_but_earlier_in_the_epoch_is_named(self):
+        # triplet 1 shares item 0 with triplet 0, so it runs in layer 1;
+        # triplet 2 runs in layer 0.  Both are bad, and 1 comes first.
+        rng = np.random.default_rng(3)
+        state = random_state(rng, n_users=6, n_items=6, k_sr=3)
+        pairs = np.array([[0, 0], [2, 0], [4, 4]])  # (u, i)
+        partners = np.array([1, 3, 5])
+        order, bounds = _conflict_layers(pairs[:, 1], pairs[:, 0], partners)
+        assert order.tolist() == [0, 2, 1] and bounds.tolist() == [0, 2, 3]
+        state.x[2] = np.inf  # triplet 1: (i=0, u=2, k=3)
+        state.x[4] = np.inf  # triplet 2: (i=4, u=4, k=5)
+        sequential = copy.deepcopy(state)
+        sgd_triplet_step(sequential, (0, 0, 1), 0.2, 1, 0.1)  # the one good triplet
+        with pytest.raises(TrainingError, match=r"\(i=0, u=2, k=3\)"):
+            _sgd_epoch(state, pairs, np.full(3, 0.2), partners, np.ones(3, dtype=np.int64), 0.1)
+        # what ran is exactly the triplets before the named one
+        for name in ("x", "t", "b", "gamma"):
+            assert np.array_equal(getattr(state, name), getattr(sequential, name))
