@@ -28,6 +28,7 @@ from serec import engine, metrics, synthetic
 from serec.exposure import PROVIDERS
 
 MODEL_KINDS = tuple(PROVIDERS)
+TARGETS = ("test", "validation")
 
 # glibc's mallopt parameter number for the most malloc arenas a process uses
 M_ARENA_MAX = -8
@@ -70,6 +71,8 @@ RunConfig = dataclasses.make_dataclass(
     },
 )
 
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
 
 def _coerce(where: str, name: str, value):
     """``value`` as config key ``name`` takes it: an integer key takes only
@@ -78,6 +81,9 @@ def _coerce(where: str, name: str, value):
         text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
         return tuple(_parse_cutoffs(text, "cutoffs"))
     default = getattr(RunConfig, name)
+    if name == "target" and value not in TARGETS:
+        expects = " or ".join(map(json.dumps, TARGETS))
+        raise UsageError(f"{where}: config key {name!r} expects {expects}, got {value!r}")
     if isinstance(default, str) and (name != "refit_every" or value == "once"):
         return value
     number = value
@@ -98,26 +104,31 @@ def _coerce(where: str, name: str, value):
     raise UsageError(f"{where}: config key {name!r} expects {expects}, got {shown!r}")
 
 
+def _set_config(cfg: RunConfig, where: str, loaded) -> None:
+    """Set each key of the JSON object ``loaded`` on ``cfg``, checked as
+    ``_coerce`` checks it; ``where`` names the object's file."""
+    if not isinstance(loaded, dict):
+        raise UsageError(f"{where}: config must be a JSON object")
+    for key, value in loaded.items():
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        setattr(cfg, key, _coerce(where, key, value))
+
+
 def load_config(config_path: str | None, overrides: list[str] | None) -> RunConfig:
     cfg = RunConfig()
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{config_path}: not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"{config_path}: config must be a JSON object")
-        for key, value in loaded.items():
-            if key not in valid:
-                raise UsageError(f"{config_path}: unknown config key {key!r}")
-            setattr(cfg, key, _coerce(config_path, key, value))
+        _set_config(cfg, config_path, loaded)
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        if key not in valid:
+        if key not in CONFIG_KEYS:
             raise UsageError(f"--set: unknown config key {key!r}")
         try:
             value = json.loads(raw)
@@ -148,11 +159,33 @@ def make_provider(cfg: RunConfig, y: dm.InteractionMatrix, graph: dm.SocialGraph
     return cls(y, **kwargs)
 
 
-def load_provider(model_dir: Path, kind: str, y, graph):
+def load_provider(
+    model_dir: str | Path, meta: dict, y: dm.InteractionMatrix, graph: dm.SocialGraph | None
+):
+    """The provider a model directory was trained with: built by
+    ``make_provider`` from the ``config`` of its ``meta.json``, with each
+    array of its ``state`` read from ``exposure.npz``."""
+    kind = meta.get("kind")
     if kind not in PROVIDERS:
         raise ValueError(f"model directory has unknown kind {kind!r}")
-    cls = PROVIDERS[kind]
-    return cls.load(model_dir, y, _provider_graph(cls, y, graph))
+    meta_path = Path(model_dir) / engine.META_NAME
+    if "config" not in meta:
+        raise dm.DataFormatError(f"{meta_path}: missing key 'config'")
+    cfg = RunConfig()
+    try:
+        _set_config(cfg, str(meta_path), meta["config"])
+    except UsageError as exc:  # the file is at fault, not the command line
+        raise dm.DataFormatError(str(exc)) from None
+    cfg.model = kind
+    try:
+        provider = make_provider(cfg, y, graph)
+    except engine.ConfigError as exc:
+        raise dm.DataFormatError(f"{meta_path}: {exc}") from None
+    shapes = {name: getattr(provider, name).shape for name in provider.state}
+    if shapes:
+        for name, array in engine.load_state(model_dir, **shapes).items():
+            setattr(provider, name, array)
+    return provider
 
 
 def _load_graph(path: str | None, id_map: dm.IdMap) -> dm.SocialGraph | None:
@@ -314,7 +347,7 @@ def cmd_exposure_curve(args) -> int:
     u = id_map.user_index[args.user]
     y = split.train
     graph = _load_graph(args.social, id_map)
-    provider = load_provider(Path(args.model_dir), meta.get("kind"), y, graph)
+    provider = load_provider(args.model_dir, meta, y, graph)
     post = engine.e_step(y, model, provider)
     refresh = getattr(provider, "refresh_on_load", False)
     if refresh:
@@ -461,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-dir", required=True)
     p.add_argument("--cutoffs", default=",".join(map(str, metrics.DEFAULT_CUTOFFS)))
-    p.add_argument("--target", choices=("test", "validation"), default="test")
+    p.add_argument("--target", choices=TARGETS, default="test")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
 
@@ -469,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-dir", required=True)
     p.add_argument("--social", required=True)
-    p.add_argument("--target", choices=("test", "validation"), default="test")
+    p.add_argument("--target", choices=TARGETS, default="test")
     p.add_argument("--out")
     p.set_defaults(func=cmd_friend_groups)
 

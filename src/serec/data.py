@@ -512,6 +512,22 @@ def write_social(path: str | Path, graph: SocialGraph, id_map: IdMap | None = No
     _write_pairs(path, graph.src, graph.dst, users, users)
 
 
+def read_json_object(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``, which must hold each of ``keys``; a
+    fault names the file, and the key."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise DataFormatError(f"{path}: missing key '{key}'")
+    return obj
+
+
 def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
     """Write train/validation/test edge lists, the id maps, and split-meta.json."""
     out_dir = Path(out_dir)
@@ -539,17 +555,7 @@ def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
 def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
     """Inverse of :func:`save_split`; indices are restored via the stored id maps."""
     in_dir = Path(in_dir)
-    meta_path = in_dir / SPLIT_META_NAME
-    with open(meta_path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{meta_path}: not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{meta_path}: expected a JSON object")
-    for key in ("n_users", "n_items", "seed", "ratios"):
-        if key not in meta:
-            raise DataFormatError(f"{meta_path}: missing key '{key}'")
+    meta = read_json_object(in_dir / SPLIT_META_NAME, ("n_users", "n_items", "seed", "ratios"))
     id_map = IdMap.load(in_dir)
     n_users, n_items = meta["n_users"], meta["n_items"]
     for name, ids, key in (

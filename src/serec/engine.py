@@ -15,8 +15,8 @@ Provider protocol (duck-typed):
     update(p, y) -> None                refresh internal state from the
                                         U x V posterior array p
     kind -> str                         short model name for persistence
-    save(dir_path) -> None              write provider state files; arrays
-                                        go to exposure.npz via save_state
+    state -> tuple of str (optional)    names of the array attributes that
+                                        save_model writes to exposure.npz
     bypass_bayes -> bool (optional)     when True the E-step stores the
                                         prior directly as p (fixed-weight
                                         mode; clicked pairs still get 1)
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from serec.data import DataFormatError, InteractionMatrix, csr_matrix
+from serec.data import DataFormatError, InteractionMatrix, csr_matrix, read_json_object
 
 MU_EPS = 1e-6
 _TINY = np.finfo(np.float64).tiny
@@ -561,7 +561,8 @@ def save_model(
     cfg: TrainConfig,
     extra_meta: dict | None = None,
 ) -> None:
-    """Write theta/beta TSVs, provider state, and a meta.json manifest."""
+    """Write theta/beta TSVs, the provider's ``state`` arrays, and a
+    meta.json manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "theta.tsv", result.model.theta, fmt="%.17g", delimiter="\t")
@@ -587,24 +588,35 @@ def save_model(
         fh.write("iteration\tlog_likelihood\n")
         for i, ll in enumerate(result.trace, start=1):
             fh.write(f"{i}\t{ll:.17g}\n")
-    if hasattr(provider, "save"):
-        provider.save(out_dir)
+    state = getattr(provider, "state", ())
+    if state:
+        save_state(out_dir, **{name: getattr(provider, name) for name in state})
 
 
 def load_model(model_dir: str | Path) -> tuple[FactorModel, dict]:
-    """Read back the factor matrices and the meta manifest."""
+    """Read back the factor matrices and the meta manifest.  A fault names
+    the file, and the meta.json key or the shape it breaks."""
     model_dir = Path(model_dir)
-    with open(model_dir / META_NAME, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    theta = np.loadtxt(model_dir / "theta.tsv", delimiter="\t", ndmin=2)
-    beta = np.loadtxt(model_dir / "beta.tsv", delimiter="\t", ndmin=2)
-    model = FactorModel(
-        theta,
-        beta,
-        lambda_theta=meta["lambda_theta"],
-        lambda_beta=meta["lambda_beta"],
-        lambda_y=meta["lambda_y"],
-    )
+    meta_path = model_dir / META_NAME
+    precisions = ("lambda_theta", "lambda_beta", "lambda_y")
+    meta = read_json_object(meta_path, ("k", "n_users", "n_items", *precisions))
+    factors = []
+    for name, rows in (("theta.tsv", "n_users"), ("beta.tsv", "n_items")):
+        path = model_dir / name
+        try:
+            array = np.loadtxt(path, delimiter="\t", ndmin=2)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+        if array.shape != (meta[rows], meta["k"]):
+            raise DataFormatError(
+                f"{path}: shape {array.shape}, but {META_NAME} has "
+                f"{rows} = {meta[rows]} and k = {meta['k']}"
+            )
+        factors.append(array)
+    try:
+        model = FactorModel(*factors, **{key: meta[key] for key in precisions})
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{meta_path}: {exc}") from None
     return model, meta
 
 

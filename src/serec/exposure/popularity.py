@@ -8,13 +8,10 @@ matrix factorization.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, ConfigError, _clicked_in_block, load_state, save_state
+from serec.engine import MU_EPS, ConfigError, _clicked_in_block
 
 
 def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -47,6 +44,7 @@ class PopularityExposure:
     """
 
     kind = "expomf"
+    state = ("mu_items",)
 
     def __init__(self, y: InteractionMatrix, alpha1: float = 1.0, alpha2: float = 1.0) -> None:
         _check_beta_parameters(alpha1, alpha2)
@@ -63,20 +61,6 @@ class PopularityExposure:
     def update(self, p, y: InteractionMatrix) -> None:
         self.mu_items = popularity_update_mu(p.sum(axis=0), self.n_users, self.alpha1, self.alpha2)
 
-    def save(self, out_dir) -> None:
-        save_state(out_dir, mu_items=self.mu_items)
-        with open(Path(out_dir) / "exposure.json", "w", encoding="utf-8") as fh:
-            json.dump({"alpha1": self.alpha1, "alpha2": self.alpha2}, fh, indent=2)
-
-    @classmethod
-    def load(cls, model_dir, y: InteractionMatrix, graph=None) -> "PopularityExposure":
-        model_dir = Path(model_dir)
-        with open(model_dir / "exposure.json", encoding="utf-8") as fh:
-            params = json.load(fh)
-        provider = cls(y, alpha1=params["alpha1"], alpha2=params["alpha2"])
-        provider.mu_items = load_state(model_dir, mu_items=(y.n_items,))["mu_items"]
-        return provider
-
 
 class FixedExposure:
     """Constant exposure weights: the WMF special case.
@@ -87,6 +71,7 @@ class FixedExposure:
     """
 
     kind = "wmf"
+    state = ()
     bypass_bayes = True
 
     def __init__(self, y: InteractionMatrix, mu_unobserved: float = 0.4) -> None:
@@ -103,13 +88,3 @@ class FixedExposure:
 
     def update(self, p, y: InteractionMatrix) -> None:
         pass  # weights are fixed by definition
-
-    def save(self, out_dir) -> None:
-        with open(Path(out_dir) / "exposure.json", "w", encoding="utf-8") as fh:
-            json.dump({"mu_unobserved": self.mu_unobserved}, fh, indent=2)
-
-    @classmethod
-    def load(cls, model_dir, y: InteractionMatrix, graph=None) -> "FixedExposure":
-        with open(Path(model_dir) / "exposure.json", encoding="utf-8") as fh:
-            params = json.load(fh)
-        return cls(y, mu_unobserved=params["mu_unobserved"])

@@ -13,9 +13,6 @@ degenerates to the per-item popularity prior, bit for bit.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
@@ -40,7 +37,10 @@ class BoostExposure:
     """
 
     kind = "serec-boost"
-    refresh_on_load = True  # load() restores the click-proxy prior, not the fitted one
+    state = ()
+    # no array is saved, so a provider rebuilt from a model directory holds
+    # the click-proxy prior, not the fitted one, until a refresh
+    refresh_on_load = True
 
     def __init__(
         self,
@@ -93,19 +93,3 @@ class BoostExposure:
     def update(self, p, y: InteractionMatrix) -> None:
         self._num0 = self.alpha1 + p.sum(axis=0) - 1.0
         self._source = p
-
-    def save(self, out_dir) -> None:
-        with open(Path(out_dir) / "boost.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"s_coeff": self.s_coeff, "alpha1": self.alpha1, "alpha2": self.alpha2},
-                fh,
-                indent=2,
-            )
-
-    @classmethod
-    def load(cls, model_dir, y: InteractionMatrix, graph: SocialGraph) -> "BoostExposure":
-        """Rebuild from hyperparameters; the prior starts from the click
-        proxy and callers refresh it with an E-step plus update()."""
-        with open(Path(model_dir) / "boost.json", encoding="utf-8") as fh:
-            params = json.load(fh)
-        return cls(y, graph, **params)

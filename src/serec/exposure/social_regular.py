@@ -16,14 +16,12 @@ posterior p_ui, the exposure estimate the likelihood itself produces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError, TrainingError, load_state, save_state
+from serec.engine import MU_EPS, ConfigError, TrainingError
 
 DIVERGENCE_FACTOR = 10.0
 OBJECTIVE_CHUNK = 8192  # triplets per gather of the sampled objective
@@ -328,6 +326,7 @@ class RegularExposure:
     """
 
     kind = "serec-regular"
+    state = ("x", "t", "b", "gamma")
     requires_social = True  # the trust graph is half the objective; none is a usage error
 
     def __init__(
@@ -392,27 +391,3 @@ class RegularExposure:
         if due:
             fit_exposure(self, y, p, self.graph, seed=self.seed + self._n_updates)
         self._n_updates += 1
-
-    def save(self, out_dir) -> None:
-        save_state(out_dir, x=self.x, t=self.t, b=self.b, gamma=self.gamma)
-        with open(Path(out_dir) / "exposure.json", "w", encoding="utf-8") as fh:
-            json.dump({**self.hyper, "refit_every": self.refit_every, "seed": self.seed}, fh, indent=2)
-
-    @classmethod
-    def load(cls, model_dir, y: InteractionMatrix, graph: SocialGraph) -> "RegularExposure":
-        model_dir = Path(model_dir)
-        with open(model_dir / "exposure.json", encoding="utf-8") as fh:
-            params = json.load(fh)
-        refit = params.pop("refit_every", "once")
-        seed = params.pop("seed", 0)
-        provider = cls(y, graph, refit_every=refit, seed=seed, **params)
-        k_sr = provider.hyper["k_sr"]
-        state = load_state(
-            model_dir,
-            x=(y.n_users, k_sr),
-            t=(y.n_items, k_sr),
-            b=(y.n_users, k_sr),
-            gamma=(y.n_items,),
-        )
-        provider.x, provider.t, provider.b, provider.gamma = state.values()
-        return provider

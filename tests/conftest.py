@@ -7,7 +7,16 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from serec import InteractionMatrix, SocialGraph
+from serec import (
+    FactorModel,
+    FitResult,
+    InteractionMatrix,
+    SocialGraph,
+    TrainConfig,
+    load_model,
+    save_model,
+)
+from serec import cli
 
 
 @pytest.fixture
@@ -59,8 +68,30 @@ class MatrixProvider:
     def update(self, posterior, y):
         self.updates += 1
 
-    def save(self, out_dir):
-        pass
+
+def save_provider(model_dir, provider, y, **config):
+    """Write ``provider`` with ``engine.save_model`` as ``serec train`` does,
+    ``config`` (with the provider's kind as ``model``) being meta.json's
+    config."""
+    result = FitResult(
+        FactorModel(np.zeros((y.n_users, 1)), np.zeros((y.n_items, 1))),
+        trace=[],
+        converged=False,
+        n_iters=0,
+    )
+    save_model(
+        model_dir,
+        result,
+        provider,
+        TrainConfig(k=1),
+        extra_meta={"config": {"model": provider.kind, **config}},
+    )
+
+
+def load_provider(model_dir, y, graph=None):
+    """The provider ``serec exposure-curve`` rebuilds from ``model_dir``."""
+    _, meta = load_model(model_dir)
+    return cli.load_provider(model_dir, meta, y, graph)
 
 
 @pytest.fixture

@@ -100,6 +100,18 @@ def boost_dir(dataset, split_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="session")
+def regular_dir(dataset, split_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("regular")
+    assert _train(split_dir, out, "serec-regular", social=dataset / "social.tsv",
+                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=1"]) == 0
+    return out
+
+
+MODEL_DIRS = {"wmf": "wmf_dir", "expomf": "expomf_dir", "serec-regular": "regular_dir",
+              "serec-boost": "boost_dir"}
+
+
 def _raw_user_ids(dataset):
     ids = []
     for line in (dataset / "interactions.tsv").read_text().splitlines():
@@ -407,6 +419,26 @@ def test_train_config_file_with_set_override(split_dir, tmp_path):
     assert meta["seed"] == 9
 
 
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_target_other_than_test_or_validation_is_a_usage_error(
+    dataset, split_dir, tmp_path, capsys, command
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"target": "training"}))
+    argv = {
+        "train": ["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m")],
+        "robustness": ["robustness", "--split-dir", str(split_dir),
+                       "--social", str(dataset / "social.tsv"), "--out", str(tmp_path / "rob.tsv")],
+    }[command]
+    assert run(argv + ["--set", "target=bogus"]) == 1
+    err = capsys.readouterr().err
+    assert """--set: config key 'target' expects "test" or "validation", got 'bogus'""" in err
+    assert run(argv + ["--config", str(cfg_path)]) == 1
+    assert f"{cfg_path}: config key 'target' expects" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "rob.tsv").exists()
+    assert cli.load_config(None, ["target=validation"]).target == "validation"
+
+
 def test_train_config_must_be_object(split_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("[1, 2]")
@@ -674,6 +706,39 @@ def test_evaluate_malformed_split_meta_exits_2_naming_the_file(
     assert f"{meta}: {message}" in capsys.readouterr().err
 
 
+def _widen(text):
+    return "".join(line + "\t0\t0\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("theta.tsv", lambda t: t + "0\tx\t0\n", "theta.tsv: could not convert string 'x'"),
+        ("theta.tsv", lambda t: t + "0\t0\n", "theta.tsv: the number of columns changed"),
+        ("theta.tsv", lambda t: t.split("\n", 1)[1],
+         "theta.tsv: shape (39, 3), but meta.json has n_users = 40 and k = 3"),
+        ("beta.tsv", _widen, "beta.tsv: shape (60, 5), but meta.json has n_items = 60 and k = 3"),
+        ("meta.json", lambda t: t[: len(t) // 2], "meta.json: not valid JSON: "),
+        ("meta.json", lambda t: "[]", "meta.json: expected a JSON object"),
+        ("meta.json", lambda t: t.replace('"lambda_y"', '"lambda_y_"'),
+         "meta.json: missing key 'lambda_y'"),
+        ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": -1'),
+         "meta.json: precisions must be positive"),
+    ],
+    ids=["non-numeric", "short-row", "missing-row", "wide-beta", "truncated-meta",
+         "meta-not-an-object", "meta-missing-key", "meta-bad-precision"],
+)
+def test_evaluate_malformed_model_exits_2_naming_the_file(
+    wmf_dir, split_dir, tmp_path, capsys, name, edit, message
+):
+    bad = tmp_path / "model"
+    shutil.copytree(wmf_dir, bad)
+    (bad / name).write_text(edit((bad / name).read_text()))
+    rc = run(["evaluate", "--model-dir", str(bad), "--split-dir", str(split_dir)])
+    assert rc == 2
+    assert str(bad / message) in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- friend-groups
 
 
@@ -743,14 +808,81 @@ def test_exposure_curve_popularity_prior_is_user_invariant(
         assert 0.0 <= float(row[5]) <= 1.0
 
 
-def test_exposure_curve_boost_model(dataset, boost_dir, split_dir, capsys):
-    uid = _raw_user_ids(dataset)[0]
-    rc = run(["exposure-curve", "--model-dir", str(boost_dir),
-              "--split-dir", str(split_dir), "--user", uid,
-              "--social", str(dataset / "social.tsv")])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
+@pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+def test_exposure_curve_reads_settings_from_meta_config(
+    dataset, split_dir, tmp_path, capsys, request, kind
+):
+    """A model directory states its settings once, in meta.json's config,
+    and keeps the provider's state arrays in exposure.npz; a stale
+    exposure.json or boost.json from an older serec is ignored."""
+    model_dir = tmp_path / "m"
+    shutil.copytree(request.getfixturevalue(MODEL_DIRS[kind]), model_dir)
+    written = {"meta.json", "timing.json", "theta.tsv", "beta.tsv", "trace.tsv"}
+    if PROVIDERS[kind].state:
+        written.add("exposure.npz")
+    evaluated = {"report.json", "report.tsv"}  # if a test evaluated the fixture's model
+    assert {f.name for f in model_dir.iterdir()} - evaluated == written
+    argv = ["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
+            "--user", _raw_user_ids(dataset)[0], "--bins", "6",
+            "--social", str(dataset / "social.tsv")]
+    capsys.readouterr()  # what the model fixtures printed
+    assert run(argv) == 0
+    curve = capsys.readouterr().out
+    lines = curve.splitlines()
+    assert lines[0] == "bin_lo\tbin_hi\tn_items\tmean_popularity\tmean_mu\tmean_p"
     assert sum(int(line.split("\t")[2]) for line in lines[1:]) == 60
+    for line in lines[1:]:
+        assert 0.0 <= float(line.split("\t")[4]) <= 1.0
+        assert 0.0 <= float(line.split("\t")[5]) <= 1.0
+    stale = {"mu_unobserved": 0.9, "alpha1": 7.0, "alpha2": 7.0, "s_coeff": 9.0, "k_sr": 9}
+    for name in ("exposure.json", "boost.json"):
+        (model_dir / name).write_text(json.dumps(stale))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == curve
+    if PROVIDERS[kind].state:
+        # a directory from before exposure.npz: its arrays are TSV files
+        (model_dir / "exposure.npz").unlink()
+        (model_dir / "X.tsv").write_text("0\t0\t0\t0\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "exposure.npz is missing" in err and "train the model again" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta.pop("config"), "missing key 'config'"),
+        (lambda meta: meta["config"].update(granularity=9), "unknown config key 'granularity'"),
+        (lambda meta: meta["config"].update(alpha1="x"), "config key 'alpha1' expects a number"),
+        (lambda meta: meta["config"].update(alpha1=0), "config key 'alpha1' must be positive"),
+        (lambda meta: meta["config"].update(target="bogus"), "config key 'target' expects"),
+        (lambda meta: meta.update(config=[1]), "config must be a JSON object"),
+    ],
+    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "bad-target", "not-an-object"],
+)
+def test_exposure_curve_bad_meta_config_exits_2_naming_meta_json(
+    dataset, expomf_dir, split_dir, tmp_path, capsys, edit, message
+):
+    model_dir = tmp_path / "m"
+    shutil.copytree(expomf_dir, model_dir)
+    meta = json.loads((model_dir / "meta.json").read_text())
+    edit(meta)
+    (model_dir / "meta.json").write_text(json.dumps(meta))
+    rc = run(["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
+              "--user", _raw_user_ids(dataset)[0]])
+    assert rc == 2
+    assert f"{model_dir / 'meta.json'}: {message}" in capsys.readouterr().err
+
+
+def test_exposure_curve_unknown_kind_exits_2(dataset, wmf_dir, split_dir, tmp_path, capsys):
+    model_dir = tmp_path / "m"
+    shutil.copytree(wmf_dir, model_dir)
+    meta = json.loads((model_dir / "meta.json").read_text())
+    (model_dir / "meta.json").write_text(json.dumps({**meta, "kind": "svd"}))
+    rc = run(["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
+              "--user", _raw_user_ids(dataset)[0]])
+    assert rc == 2
+    assert "model directory has unknown kind 'svd'" in capsys.readouterr().err
 
 
 def test_exposure_curve_refreshes_boost_in_one_posterior(
@@ -772,32 +904,11 @@ def test_exposure_curve_refreshes_boost_in_one_posterior(
     assert len(built) == 1
 
 
-def test_exposure_curve_regular_model_needs_social(dataset, split_dir, tmp_path, capsys):
-    model_dir = tmp_path / "m"
-    assert _train(split_dir, model_dir, "serec-regular", social=dataset / "social.tsv",
-                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=1"]) == 0
-    capsys.readouterr()
-    rc = run(["exposure-curve", "--model-dir", str(model_dir),
+def test_exposure_curve_regular_model_needs_social(dataset, regular_dir, split_dir, capsys):
+    rc = run(["exposure-curve", "--model-dir", str(regular_dir),
               "--split-dir", str(split_dir), "--user", _raw_user_ids(dataset)[0]])
     assert rc == 1
     assert "--social" in capsys.readouterr().err
-
-
-def test_exposure_curve_regular_model_reads_exposure_npz(dataset, split_dir, tmp_path, capsys):
-    model_dir = tmp_path / "m"
-    assert _train(split_dir, model_dir, "serec-regular", social=dataset / "social.tsv",
-                  extra=["--set", "k_sr=4", "--set", "n_sgd_epochs=1"]) == 0
-    assert {f.name for f in model_dir.glob("*.tsv")} == {"theta.tsv", "beta.tsv", "trace.tsv"}
-    argv = ["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
-            "--user", _raw_user_ids(dataset)[0], "--social", str(dataset / "social.tsv")]
-    assert run(argv) == 0
-    # a directory from before exposure.npz: its arrays are TSV files
-    (model_dir / "exposure.npz").unlink()
-    (model_dir / "X.tsv").write_text("0\t0\t0\t0\n")
-    capsys.readouterr()
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "exposure.npz is missing" in err and "train the model again" in err
 
 
 def test_exposure_curve_unknown_user_exits_2(expomf_dir, split_dir, capsys):
@@ -1021,6 +1132,21 @@ def _changed(value):
     return value + 1 if isinstance(value, int) else value * 1.5
 
 
+def _attributes(provider):
+    """A provider's attributes, arrays (sparse ones too) by dtype, shape and
+    bytes, and the split and graph it was built on by identity."""
+    out = {}
+    for name, value in vars(provider).items():
+        if hasattr(value, "toarray"):
+            value = value.toarray()
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, (dm.InteractionMatrix, dm.SocialGraph)):
+            value = id(value)
+        out[name] = value
+    return out
+
+
 @pytest.mark.parametrize(
     "kind, name, default",
     [
@@ -1031,7 +1157,7 @@ def _changed(value):
     ],
 )
 def test_make_provider_passes_each_keyword_parameter(
-    dataset, split_dir, tmp_path, kind, name, default
+    dataset, split_dir, kind, name, default
 ):
     """make_provider builds what the class builds from the same value, and
     the value changes the provider, so no key is dropped on the way."""
@@ -1043,15 +1169,13 @@ def test_make_provider_passes_each_keyword_parameter(
         args.append(graph)
     value = _changed(default)
     cfg = cli.load_config(None, [f"model={kind}", f"{name}={json.dumps(value)}"])
-    saved = []
-    for label, provider in (
-        ("cli", cli.make_provider(cfg, split.train, graph)),
-        ("direct", cls(*args, **{name: value})),
-        ("default", cls(*args)),
-    ):
-        out = tmp_path / label
-        out.mkdir()
-        provider.save(out)
-        saved.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert saved[0] == saved[1]
-    assert saved[1] != saved[2]
+    built = [
+        _attributes(provider)
+        for provider in (
+            cli.make_provider(cfg, split.train, graph),
+            cls(*args, **{name: value}),
+            cls(*args),
+        )
+    ]
+    assert built[0] == built[1]
+    assert built[1] != built[2]

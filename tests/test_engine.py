@@ -715,6 +715,26 @@ class TestPersistence:
         meta_raw = json.loads((tmp_path / "m" / "meta.json").read_text())
         assert meta_raw == meta
 
+    def test_saves_the_state_a_delegating_wrapper_reaches(self, rng, tmp_path):
+        # a wrapper that forwards attribute reads (as the benchmark's
+        # counting provider does) saves the arrays its provider names
+        class Forwarding:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        y = random_interactions(rng, 6, 7, density=0.3)
+        provider = PopularityExposure(y)
+        cfg = TrainConfig(k=2, max_em_iters=2, seed=3)
+        res = fit(y, provider, cfg)
+        save_model(tmp_path, res, Forwarding(provider), cfg)
+        with np.load(tmp_path / "exposure.npz", allow_pickle=False) as npz:
+            assert npz.files == ["mu_items"]
+            assert np.array_equal(npz["mu_items"], provider.mu_items)
+        assert json.loads((tmp_path / "meta.json").read_text())["kind"] == "expomf"
+
 
 class TestValidation:
     def test_train_config_rejects_bad_values(self):

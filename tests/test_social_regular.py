@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_interactions
+from conftest import load_provider, random_graph, random_interactions, save_provider
 from reference_impls import (
     conflict_free_runs,
     epoch_sample_reference,
@@ -336,12 +336,11 @@ class TestRegularProvider:
     def test_save_load_round_trip(self, tmp_path, rng):
         y = random_interactions(rng, 5, 6, density=0.3)
         graph = random_graph(rng, 5, density=0.3)
-        provider = RegularExposure(
-            y, graph, k_sr=2, lambda_sr=3.0, learning_rate=0.02, n_sgd_epochs=4, seed=6
-        )
+        params = dict(k_sr=2, lambda_sr=3.0, learning_rate=0.02, n_sgd_epochs=4, seed=6)
+        provider = RegularExposure(y, graph, **params)
         fit_exposure(provider, y, rng.uniform(0, 1, (5, 6)), graph, seed=1)
-        provider.save(tmp_path)
-        back = RegularExposure.load(tmp_path, y, graph)
+        save_provider(tmp_path, provider, y, **params)
+        back = load_provider(tmp_path, y, graph)
         assert np.array_equal(back.x, provider.x)
         assert np.array_equal(back.t, provider.t)
         assert np.array_equal(back.b, provider.b)
@@ -356,26 +355,27 @@ class TestRegularProvider:
     def test_load_checks_each_array_against_split_and_k_sr(self, tmp_path, rng, change, array):
         y = random_interactions(rng, 5, 6, density=0.3)
         graph = random_graph(rng, 5, density=0.3)
-        RegularExposure(y, graph, k_sr=2).save(tmp_path)
+        save_provider(tmp_path, RegularExposure(y, graph, k_sr=2), y, k_sr=2)
         if change == "k_sr":
-            params = json.loads((tmp_path / "exposure.json").read_text())
-            (tmp_path / "exposure.json").write_text(json.dumps({**params, "k_sr": 3}))
+            meta = json.loads((tmp_path / "meta.json").read_text())
+            meta["config"]["k_sr"] = 3
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
         else:
             y = InteractionMatrix(5, 7, np.column_stack([y.user_idx, y.item_idx]))
         with pytest.raises(DataFormatError, match=rf"exposure\.npz: array {array}"):
-            RegularExposure.load(tmp_path, y, graph)
+            load_provider(tmp_path, y, graph)
 
     def test_load_refuses_an_object_array_without_unpickling(self, tmp_path, rng):
         y = random_interactions(rng, 5, 6, density=0.3)
         graph = random_graph(rng, 5, density=0.3)
         provider = RegularExposure(y, graph, k_sr=2)
-        provider.save(tmp_path)
+        save_provider(tmp_path, provider, y, k_sr=2)
         tripwire = np.empty((5, 2), dtype=object)
         tripwire[:] = _Tripwire()
         np.savez(tmp_path / "exposure.npz", x=tripwire, t=provider.t, b=provider.b,
                  gamma=provider.gamma)
         with pytest.raises(DataFormatError, match=r"exposure\.npz: array 'x'.*allow_pickle"):
-            RegularExposure.load(tmp_path, y, graph)
+            load_provider(tmp_path, y, graph)
         assert UNPICKLED == []
 
     def test_end_to_end_fit(self, rng):
