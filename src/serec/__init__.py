@@ -32,11 +32,9 @@ from serec.engine import (
     TrainConfig,
     TrainingError,
     e_step,
-    e_step_pair,
     fit,
     load_model,
     log_likelihood,
-    predict_scores,
     save_model,
     update_item_factors,
     update_user_factors,
@@ -58,12 +56,7 @@ from serec.metrics import (
     evaluate,
     group_by_friends,
 )
-from serec.synthetic import (
-    SyntheticSpec,
-    brute_force_posterior,
-    finite_difference,
-    generate,
-)
+from serec.synthetic import SyntheticSpec, generate
 
 __version__ = "0.1.0"
 
@@ -87,13 +80,10 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TrainingError",
-    "brute_force_posterior",
     "build_targets",
     "dataset_stats",
     "e_step",
-    "e_step_pair",
     "evaluate",
-    "finite_difference",
     "fit",
     "fit_exposure",
     "generate",
@@ -104,7 +94,6 @@ __all__ = [
     "load_split",
     "log_likelihood",
     "popularity_update_mu",
-    "predict_scores",
     "prune_social",
     "save_model",
     "save_split",

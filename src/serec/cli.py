@@ -29,6 +29,8 @@ from serec.exposure import PROVIDERS
 
 MODEL_KINDS = tuple(PROVIDERS)
 TARGETS = ("test", "validation")
+# the config keys that take one of a fixed set of strings
+CHOICES = {"model": MODEL_KINDS, "target": TARGETS}
 
 # glibc's mallopt parameter number for the most malloc arenas a process uses
 M_ARENA_MAX = -8
@@ -81,8 +83,9 @@ def _coerce(where: str, name: str, value):
         text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
         return tuple(_parse_cutoffs(text, "cutoffs"))
     default = getattr(RunConfig, name)
-    if name == "target" and value not in TARGETS:
-        expects = " or ".join(map(json.dumps, TARGETS))
+    if name in CHOICES and value not in CHOICES[name]:
+        *rest, last = map(json.dumps, CHOICES[name])
+        expects = f"{', '.join(rest)} or {last}"
         raise UsageError(f"{where}: config key {name!r} expects {expects}, got {value!r}")
     if isinstance(default, str) and (name != "refit_every" or value == "once"):
         return value
@@ -105,8 +108,9 @@ def _coerce(where: str, name: str, value):
 
 
 def _set_config(cfg: RunConfig, where: str, loaded) -> None:
-    """Set each key of the JSON object ``loaded`` on ``cfg``, checked as
-    ``_coerce`` checks it; ``where`` names the object's file."""
+    """Set each key of the JSON object ``loaded`` on ``cfg``, in order,
+    checked as ``_coerce`` checks it; ``where`` names the object's file,
+    or ``--set``."""
     if not isinstance(loaded, dict):
         raise UsageError(f"{where}: config must be a JSON object")
     for key, value in loaded.items():
@@ -128,15 +132,11 @@ def load_config(config_path: str | None, overrides: list[str] | None) -> RunConf
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"--set: unknown config key {key!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        setattr(cfg, key, _coerce("--set", key, value))
-    if cfg.model not in MODEL_KINDS:
-        raise UsageError(f"model must be one of {', '.join(MODEL_KINDS)}")
+        _set_config(cfg, "--set", {key: value})
     return cfg
 
 
@@ -289,14 +289,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_model(args, split: dm.DatasetSplit, cutoffs, groups=None) -> metrics.EvalReport:
-    """The report of the model in ``--model-dir`` on ``split``, ranked on all cores."""
+def _load_model(args, split: dm.DatasetSplit) -> tuple[engine.FactorModel, dict]:
+    """The model in ``--model-dir`` and its meta, checked against ``split``'s shape."""
     model, meta = engine.load_model(args.model_dir)
     if model.n_users != split.n_users or model.n_items != split.n_items:
         raise ValueError(
             f"model is {model.n_users}x{model.n_items} but split is "
             f"{split.n_users}x{split.n_items}"
         )
+    return model, meta
+
+
+def _evaluate_model(args, split: dm.DatasetSplit, cutoffs, groups=None) -> metrics.EvalReport:
+    """The report of the model in ``--model-dir`` on ``split``, ranked on all cores."""
+    model, meta = _load_model(args, split)
     return metrics.evaluate(
         model,
         meta.get("kind"),
@@ -326,10 +332,8 @@ def cmd_friend_groups(args) -> int:
     groups = metrics.group_by_friends(graph)
     report = _evaluate_model(args, split, cutoffs=[50], groups=groups)
     lines = ["bucket\tn_users\trecall@50"]
-    for label in ("0", "1-5", "6-15", "15+"):
-        if report.groups and label in report.groups:
-            g = report.groups[label]
-            lines.append(f"{label}\t{g['n_users']}\t{g['recall@50']:.17g}")
+    for label, g in report.groups.items():
+        lines.append(f"{label}\t{g['n_users']}\t{g['recall@50']:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -340,8 +344,8 @@ def cmd_friend_groups(args) -> int:
 def cmd_exposure_curve(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
-    model, meta = engine.load_model(args.model_dir)
     split, id_map = dm.load_split(args.split_dir)
+    model, meta = _load_model(args, split)
     if args.user not in id_map.user_index:
         raise ValueError(f"unknown user id {args.user!r}")
     u = id_map.user_index[args.user]
@@ -527,16 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a synthetic dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-users", type=int, default=100)
-    p.add_argument("--n-items", type=int, default=150)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--lambda-theta", type=float, default=1.0)
-    p.add_argument("--lambda-beta", type=float, default=1.0)
-    p.add_argument("--lambda-y", type=float, default=1.0)
-    p.add_argument("--social-density", type=float, default=0.05)
-    p.add_argument("--base-exposure", type=float, default=0.1)
-    p.add_argument("--s-coeff", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(synthetic.SyntheticSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_generate)
 
     return parser

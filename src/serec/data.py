@@ -152,17 +152,6 @@ class InteractionMatrix:
     def n_entries(self) -> int:
         return len(self.user_idx)
 
-    def __len__(self) -> int:
-        return self.n_entries
-
-    def items_of(self, u: int) -> np.ndarray:
-        """Item indices clicked by user ``u`` (ascending)."""
-        return self.item_idx[self.csr_indptr[u] : self.csr_indptr[u + 1]]
-
-    def users_of(self, i: int) -> np.ndarray:
-        """User indices that clicked item ``i`` (ascending)."""
-        return self.csc_indices[self.csc_indptr[i] : self.csc_indptr[i + 1]]
-
     def item_counts(self) -> np.ndarray:
         """Per-item click counts n_i, shape (n_items,)."""
         return np.diff(self.csc_indptr)
@@ -178,21 +167,12 @@ class InteractionMatrix:
             self._csr = csr_matrix(np.ones(self.n_entries), self.item_idx, self.csr_indptr, shape)
         return self._csr
 
-    def entry_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.user_idx.tolist(), self.item_idx.tolist()))
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        u, i = pair
-        items = self.items_of(u)
-        k = np.searchsorted(items, i)
-        return bool(k < len(items) and items[k] == i)
-
 
 class SocialGraph:
     """Directed user-to-user trust adjacency.
 
-    Edge (u, k) means u trusts/follows k; ``friends_of(u)`` are the
-    out-neighbors of u, ``dst[indptr[u]:indptr[u + 1]]`` (CSR order).
+    Edge (u, k) means u trusts/follows k; the out-neighbors of u, the
+    users u trusts, are ``dst[indptr[u]:indptr[u + 1]]`` (CSR order).
     Self-loops and duplicates are never stored.
     """
 
@@ -215,10 +195,6 @@ class SocialGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
-    def friends_of(self, u: int) -> np.ndarray:
-        """Out-neighbors of ``u`` (the users u trusts), ascending."""
-        return self.dst[self.indptr[u] : self.indptr[u + 1]]
-
     def out_degree(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -231,9 +207,6 @@ class SocialGraph:
                 np.ones(self.n_edges), self.dst, self.indptr, (self.n_users, self.n_users)
             )
         return self._adj
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.src.tolist(), self.dst.tolist()))
 
 
 @dataclass

@@ -168,27 +168,6 @@ def _log_pdf_const(lambda_y: float) -> float:
     return 0.5 * math.log(lambda_y / (2.0 * math.pi))
 
 
-def _gaussian_pdf0(scores: np.ndarray, lambda_y: float) -> np.ndarray:
-    """Density of N(mean=scores, var=1/lambda_y) evaluated at 0."""
-    return math.sqrt(lambda_y / (2.0 * math.pi)) * np.exp(-0.5 * lambda_y * scores**2)
-
-
-def e_step_pair(mu, score, lambda_y: float):
-    """Posterior exposure probability for an unclicked pair.
-
-    Bayes rule over alpha in {0, 1}: the prior mu against the evidence
-    that a zero response is certain without exposure but Gaussian around
-    ``score`` with it.  Exact at mu = 0 and mu = 1.  Accepts scalars or
-    arrays (broadcast together).
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    num = mu * _gaussian_pdf0(np.asarray(score, dtype=np.float64), lambda_y)
-    out = num / (num + (1.0 - mu))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _clicked_in_block(y: InteractionMatrix, j0: int, j1: int):
     """Row indices and block-local column indices of clicks in items [j0, j1)."""
     start, end = y.csc_indptr[j0], y.csc_indptr[j1]
@@ -542,16 +521,6 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
                 converged = True
                 break
     return FitResult(model=model, trace=trace, converged=converged, n_iters=n_iters, posterior=post)
-
-
-def predict_scores(model: FactorModel, u: int) -> np.ndarray:
-    """Preference scores theta_u . beta_i for all items.
-
-    Exposure never enters ranking; it only reweights training.
-    """
-    if not 0 <= u < model.n_users:
-        raise IndexError(f"user index {u} out of range")
-    return model.beta @ model.theta[u]
 
 
 def save_model(

@@ -14,18 +14,16 @@ from serec.data import InteractionMatrix
 from serec.engine import MU_EPS, ConfigError, _clicked_in_block
 
 
-def popularity_update_mu(p, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
-    """Per-item prior from posterior mass: (a1 + sum_u p_ui - 1)/(a1 + a2 + U - 2).
+def popularity_update_mu(col, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
+    """Per-item prior from the posterior's column sums ``col``:
+    (a1 + sum_u p_ui - 1)/(a1 + a2 + U - 2).
 
-    ``p`` may be the full (U, V) posterior array or precomputed column
-    sums.  With a1 = a2 = 1 this is exactly the column mean before the
-    boundary clamp to [1e-6, 1 - 1e-6].
+    With a1 = a2 = 1 this is exactly the column mean before the boundary
+    clamp to [1e-6, 1 - 1e-6].
     """
     if alpha1 + alpha2 + n_users <= 2:
         raise ValueError("alpha1 + alpha2 + n_users must exceed 2")
-    p = np.asarray(p, dtype=np.float64)
-    col = p.sum(axis=0) if p.ndim == 2 else p
-    mu = (alpha1 + col - 1.0) / (alpha1 + alpha2 + n_users - 2.0)
+    mu = (alpha1 + np.asarray(col, dtype=np.float64) - 1.0) / (alpha1 + alpha2 + n_users - 2.0)
     return np.clip(mu, MU_EPS, 1.0 - MU_EPS)
 
 

@@ -94,34 +94,6 @@ def _sgd_run(state, i, u, k, target, s_uk, lr: float) -> int:
     return -1
 
 
-def triplet_gradients(state, triplet, target: float, s_uk: int):
-    """The four half-gradients of the sampled loss at one (i, u, k) triplet
-    (formulas in :func:`_run_gradients`)."""
-    i, u, k = triplet
-    grads = _run_gradients(
-        state.hyper, state.x[[u]], state.t[[i]], state.b[[k]], state.gamma[[i]], target, s_uk
-    )
-    return tuple(g[0] for g in grads)
-
-
-def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
-    """Half of (squared errors plus decay terms) for one triplet; its exact
-    gradient is what :func:`triplet_gradients` returns."""
-    i, u, k = triplet
-    h = state.hyper
-    xu, ti, bk = state.x[u], state.t[i], state.b[k]
-    err = float(xu @ ti) + state.gamma[i] - target
-    serr = float(xu @ bk) - s_uk
-    return 0.5 * (
-        err**2
-        + h["lambda_sr"] * serr**2
-        + h["lambda_x"] * float(xu @ xu)
-        + h["lambda_t"] * float(ti @ ti)
-        + h["lambda_b"] * float(bk @ bk)
-        + h["lambda_gamma"] * state.gamma[i] ** 2
-    )
-
-
 def sgd_triplet_step(state, triplet, target: float, s_uk: int, lr: float):
     """One simultaneous SGD step: all four gradients evaluated at the
     current point, then applied together."""

@@ -17,7 +17,9 @@ from serec.data import DatasetSplit, InteractionMatrix, SocialGraph
 from serec.engine import FactorModel, _in_pool
 
 DEFAULT_CUTOFFS = (10, 50, 100)
-DEFAULT_FRIEND_BUCKETS = ((0, 0), (1, 5), (6, 15), (16, None))
+# friend-count buckets and the lowest out-degree of each after the first
+FRIEND_BUCKETS = ("0", "1-5", "6-15", "15+")
+FRIEND_BUCKET_EDGES = (1, 6, 16)
 
 
 @dataclass
@@ -257,36 +259,9 @@ def evaluate(
     return report
 
 
-def group_by_friends(graph: SocialGraph, buckets=DEFAULT_FRIEND_BUCKETS) -> dict[str, np.ndarray]:
-    """Partition users by out-degree into labeled buckets.
-
-    Default buckets follow the usual presentation: 0, 1-5, 6-15, and 15+
-    friends, where "15+" means degree 16 or more.  Buckets must not
-    overlap and must cover every observed degree.
-    """
-    spans = []
-    for lo, hi in buckets:
-        if hi is not None and hi < lo:
-            raise ValueError(f"bucket ({lo}, {hi}) is inverted")
-        spans.append((int(lo), None if hi is None else int(hi)))
-    spans_sorted = sorted(spans, key=lambda s: s[0])
-    for (lo1, hi1), (lo2, _) in zip(spans_sorted, spans_sorted[1:]):
-        if hi1 is None or lo2 <= hi1:
-            raise ValueError("buckets overlap")
-    degrees = graph.out_degree()
-    out: dict[str, np.ndarray] = {}
-    assigned = np.zeros(graph.n_users, dtype=bool)
-    for lo, hi in spans:
-        if lo == hi:
-            label = str(lo)
-        elif hi is None:
-            label = f"{lo - 1}+"
-        else:
-            label = f"{lo}-{hi}"
-        mask = degrees >= lo if hi is None else (degrees >= lo) & (degrees <= hi)
-        out[label] = np.flatnonzero(mask)
-        assigned |= mask
-    if not assigned.all():
-        missing = degrees[~assigned]
-        raise ValueError(f"degrees {sorted(set(missing.tolist()))} fall in no bucket")
-    return out
+def group_by_friends(graph: SocialGraph) -> dict[str, np.ndarray]:
+    """Users by out-degree in the buckets of ``FRIEND_BUCKETS``: 0, 1-5,
+    6-15 and 15+ friends, where "15+" means degree 16 or more.  Every
+    bucket is listed, empty or not."""
+    which = np.digitize(graph.out_degree(), FRIEND_BUCKET_EDGES)
+    return {label: np.flatnonzero(which == b) for b, label in enumerate(FRIEND_BUCKETS)}

@@ -1,10 +1,8 @@
-"""Seeded generative sampler and brute-force references for testing.
+"""Seeded generative sampler.
 
 ``generate`` samples the full generative story: Gaussian factors, a random
 directed trust graph, per-user exposure raised by friend count, Bernoulli
 exposure bits, and clicks that can only happen where exposure happened.
-The brute-force functions are deliberately naive, independent
-re-derivations used as oracles.
 """
 
 from __future__ import annotations
@@ -83,35 +81,3 @@ def generate(spec: SyntheticSpec) -> tuple[InteractionMatrix, SocialGraph, Groun
     y = alpha & (rng.random(mu.shape) < click_prob)
     matrix = InteractionMatrix(spec.n_users, spec.n_items, np.argwhere(y))
     return matrix, graph, GroundTruth(theta=theta, beta=beta, mu=mu, alpha=alpha)
-
-
-def brute_force_posterior(mu: float, score: float, lambda_y: float) -> float:
-    """P(exposed | no click) by explicit two-case enumeration.
-
-    Case alpha=0: prior 1-mu, a zero response is certain.  Case alpha=1:
-    prior mu, the response is Gaussian around the score.  Uses the scipy
-    density on purpose, as an implementation independent of the engine.
-    """
-    from scipy import stats  # here, not at module level: importing serec must stay cheap
-
-    prior = np.array([1.0 - mu, mu])
-    likelihood = np.array(
-        [1.0, stats.norm.pdf(0.0, loc=score, scale=1.0 / math.sqrt(lambda_y))]
-    )
-    joint = prior * likelihood
-    return float(joint[1] / joint.sum())
-
-
-def finite_difference(loss, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``point``."""
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.empty_like(point)
-    for idx in range(point.size):
-        bump = np.zeros_like(point)
-        bump.flat[idx] = h
-        hi = loss(point + bump)
-        lo = loss(point - bump)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"non-finite loss near coordinate {idx}")
-        grad.flat[idx] = (hi - lo) / (2.0 * h)
-    return grad

@@ -17,6 +17,7 @@ from serec import (
     save_model,
 )
 from serec import cli
+from serec.exposure.social_regular import _run_gradients
 
 
 @pytest.fixture
@@ -44,6 +45,24 @@ def random_graph(rng, n_users, density=0.1):
     np.fill_diagonal(mask, False)
     srcs, dsts = np.nonzero(mask)
     return SocialGraph(n_users, list(zip(srcs.tolist(), dsts.tolist())))
+
+
+def entry_set(matrix):
+    """The clicked (user, item) pairs of an interaction matrix."""
+    return set(zip(matrix.user_idx.tolist(), matrix.item_idx.tolist()))
+
+
+def edge_set(graph):
+    """The (truster, trustee) edges of a social graph."""
+    return set(zip(graph.src.tolist(), graph.dst.tolist()))
+
+
+def triplet_gradients(state, triplet, target, s_uk):
+    """The four half-gradients of serec-regular's sampled loss at one
+    (i, u, k) triplet: ``_run_gradients`` on a batch of one row."""
+    i, u, k = triplet
+    rows = (state.x[[u]], state.t[[i]], state.b[[k]], state.gamma[[i]])
+    return tuple(g[0] for g in _run_gradients(state.hyper, *rows, target, s_uk))
 
 
 def dense_clicks(matrix):

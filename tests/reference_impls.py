@@ -5,7 +5,9 @@ augmented least-squares instead of normal equations.  Nothing imports the
 package's numerics beyond plain data containers, the metric table of the
 ranking oracles and the batched SGD step of the greedy-run epoch (an
 oracle for the order of the steps, not for the step), so agreement is
-evidence rather than tautology.
+evidence rather than tautology.  ``items_of`` and ``friends_of`` read one
+row of the CSR arrays; ``e_step_pair`` is the closed-form posterior that
+``brute_force_posterior`` checks by enumeration.
 """
 
 from __future__ import annotations
@@ -18,6 +20,67 @@ from scipy import stats
 
 from serec.exposure.social_regular import _sgd_run
 from serec.metrics import _metric_table
+
+
+def items_of(matrix, u):
+    """The items user ``u`` clicked, ascending: row u of the CSR arrays."""
+    return matrix.item_idx[matrix.csr_indptr[u] : matrix.csr_indptr[u + 1]]
+
+
+def friends_of(graph, u):
+    """The users ``u`` trusts, ascending: row u of the CSR arrays."""
+    return graph.dst[graph.indptr[u] : graph.indptr[u + 1]]
+
+
+def _gaussian_pdf0(scores: np.ndarray, lambda_y: float) -> np.ndarray:
+    """Density of N(mean=scores, var=1/lambda_y) evaluated at 0."""
+    return math.sqrt(lambda_y / (2.0 * math.pi)) * np.exp(-0.5 * lambda_y * scores**2)
+
+
+def e_step_pair(mu, score, lambda_y: float):
+    """Posterior exposure probability for an unclicked pair.
+
+    Bayes rule over alpha in {0, 1}: the prior mu against the evidence
+    that a zero response is certain without exposure but Gaussian around
+    ``score`` with it.  Exact at mu = 0 and mu = 1.  Accepts scalars or
+    arrays (broadcast together).
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    num = mu * _gaussian_pdf0(np.asarray(score, dtype=np.float64), lambda_y)
+    out = num / (num + (1.0 - mu))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def brute_force_posterior(mu: float, score: float, lambda_y: float) -> float:
+    """P(exposed | no click) by explicit two-case enumeration.
+
+    Case alpha=0: prior 1-mu, a zero response is certain.  Case alpha=1:
+    prior mu, the response is Gaussian around the score, by the scipy
+    density.
+    """
+    prior = np.array([1.0 - mu, mu])
+    likelihood = np.array(
+        [1.0, stats.norm.pdf(0.0, loc=score, scale=1.0 / math.sqrt(lambda_y))]
+    )
+    joint = prior * likelihood
+    return float(joint[1] / joint.sum())
+
+
+def finite_difference(loss, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function at ``point``."""
+    point = np.asarray(point, dtype=np.float64)
+    grad = np.empty_like(point)
+    for idx in range(point.size):
+        bump = np.zeros_like(point)
+        bump.flat[idx] = h
+        hi = loss(point + bump)
+        lo = loss(point - bump)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"non-finite loss near coordinate {idx}")
+        grad.flat[idx] = (hi - lo) / (2.0 * h)
+    return grad
 
 
 def ridge_row_oracle(factors, p_row, y_row, lambda_y, lambda_reg):
@@ -194,7 +257,7 @@ def sample_negatives_reference(y, n, rng):
 def draw_trust_partner_reference(graph, u, rng):
     """A trustee for u: a friend with s=1, or a random non-friend with s=0,
     redrawn while it is u itself."""
-    friends = graph.friends_of(u)
+    friends = friends_of(graph, u)
     if friends.size:
         return int(friends[rng.integers(friends.size)]), 1
     k = int(rng.integers(graph.n_users))
@@ -222,6 +285,24 @@ def epoch_sample_reference(y, graph, posterior, seed, epoch):
         partners[idx], s_flags[idx] = draw_trust_partner_reference(graph, int(u), rng)
     order = rng.permutation(len(pairs))
     return pairs[order], t_vals[order], partners[order], s_flags[order]
+
+
+def sampled_triplet_loss(state, triplet, target: float, s_uk: int) -> float:
+    """Half of (squared errors plus decay terms) for one (i, u, k) triplet,
+    the loss whose exact gradient the refit's SGD step takes."""
+    i, u, k = triplet
+    h = state.hyper
+    xu, ti, bk = state.x[u], state.t[i], state.b[k]
+    err = float(xu @ ti) + state.gamma[i] - target
+    serr = float(xu @ bk) - s_uk
+    return 0.5 * (
+        err**2
+        + h["lambda_sr"] * serr**2
+        + h["lambda_x"] * float(xu @ xu)
+        + h["lambda_t"] * float(ti @ ti)
+        + h["lambda_b"] * float(bk @ bk)
+        + h["lambda_gamma"] * state.gamma[i] ** 2
+    )
 
 
 def sgd_epoch_reference(state, pairs, t_vals, partners, s_flags, lr):
@@ -288,7 +369,7 @@ def fit_exposure_reference(state, y, posterior, graph, seed):
 
 def phi_social(graph, p, u, i, s_coeff):
     """Social exposure mass friends contribute to pair (u, i): sum_f s * p_fi."""
-    friends = graph.friends_of(u)
+    friends = friends_of(graph, u)
     if friends.size == 0:
         return 0.0
     return float(s_coeff * np.sum(np.asarray(p)[friends, i]))
@@ -458,8 +539,8 @@ def per_user_metrics_reference(model, split, cutoffs, target):
     for u in range(split.n_users):
         keep[:] = True
         for part in seen:
-            keep[part.items_of(u)] = False
-        relevant = target_matrix.items_of(u)
+            keep[items_of(part, u)] = False
+        relevant = items_of(target_matrix, u)
         relevant = relevant[keep[relevant]]
         if not len(relevant):
             continue

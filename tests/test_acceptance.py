@@ -19,8 +19,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import dense_clicks, random_graph, random_interactions
-from reference_impls import brute_evaluate, fixed_exposure_p, ridge_row_oracle, wals_reference
+from conftest import (
+    MatrixProvider,
+    dense_clicks,
+    random_graph,
+    random_interactions,
+    triplet_gradients,
+)
+from reference_impls import (
+    brute_evaluate,
+    brute_force_posterior,
+    finite_difference,
+    fixed_exposure_p,
+    items_of,
+    ridge_row_oracle,
+    sampled_triplet_loss,
+    wals_reference,
+)
 from serec import (
     BoostExposure,
     DatasetSplit,
@@ -30,8 +45,7 @@ from serec import (
     PopularityExposure,
     SocialGraph,
     TrainConfig,
-    e_step_pair,
-    finite_difference,
+    e_step,
     fit,
     popularity_update_mu,
     update_item_factors,
@@ -39,7 +53,6 @@ from serec import (
 )
 from serec import data as dm
 from serec import metrics, synthetic
-from serec.exposure.social_regular import sampled_triplet_loss, triplet_gradients
 
 
 @contextmanager
@@ -80,8 +93,10 @@ def test_c1_posterior_and_factor_update_oracles(rng):
             mu = float(pair_rng.uniform(0, 1))
             score = float(pair_rng.normal(0, 2))
             lam = float(pair_rng.uniform(0.1, 10))
-            got = float(e_step_pair(mu, score, lam))
-            want = synthetic.brute_force_posterior(mu, score, lam)
+            # the engine's E-step on one unclicked pair whose score is theta . beta
+            pair = FactorModel([[score]], [[1.0]], lambda_y=lam)
+            got = float(e_step(InteractionMatrix(1, 1, []), pair, MatrixProvider([[mu]]))[0, 0])
+            want = brute_force_posterior(mu, score, lam)
             worst = max(worst, abs(got - want))
         assert worst < 1e-12, worst
 
@@ -211,7 +226,7 @@ def test_c3_reduction_properties(rng):
 
         # (c) the uniform Beta prior turns the popularity update into a mean
         p = rng.uniform(0.2, 0.8, (30, 12))
-        mu = popularity_update_mu(p, n_users=30, alpha1=1.0, alpha2=1.0)
+        mu = popularity_update_mu(p.sum(axis=0), n_users=30, alpha1=1.0, alpha2=1.0)
         assert np.allclose(mu, p.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
@@ -262,7 +277,7 @@ def test_c5_metric_oracle(rng):
                 rng.normal(0, 1, (n_users, 3)), rng.normal(0, 1, (n_items, 3))
             )
             sets = [
-                [set(part.items_of(u).tolist()) for u in range(n_users)]
+                [set(items_of(part, u).tolist()) for u in range(n_users)]
                 for part in (split.train, split.validation, split.test)
             ]
             for target in ("test", "validation"):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serec import cli, engine, metrics
+from serec import cli, engine, metrics, synthetic
 from serec import data as dm
 from serec.exposure import PROVIDERS
 
@@ -151,6 +151,19 @@ def test_generate_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "interactions.tsv").read_bytes() != (
         tmp_path / "c" / "interactions.tsv"
     ).read_bytes()
+
+
+def test_generate_flags_are_the_spec_fields():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {
+        a.dest: (a.option_strings, a.default, a.type)
+        for a in sub.choices["generate"]._actions
+        if a.dest not in ("help", "out_dir")
+    }
+    assert flags == {
+        f.name: ([f"--{f.name.replace('_', '-')}"], f.default, type(f.default))
+        for f in dataclasses.fields(synthetic.SyntheticSpec)
+    }
 
 
 def test_generate_reports_counts(dataset, capsys, tmp_path):
@@ -419,24 +432,42 @@ def test_train_config_file_with_set_override(split_dir, tmp_path):
     assert meta["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "key, choices",
+    [
+        ("target", '"test" or "validation"'),
+        ("model", '"wmf", "expomf", "serec-regular" or "serec-boost"'),
+    ],
+)
 @pytest.mark.parametrize("command", ["train", "robustness"])
-def test_target_other_than_test_or_validation_is_a_usage_error(
-    dataset, split_dir, tmp_path, capsys, command
+def test_value_outside_a_keys_choices_is_a_usage_error_naming_where_it_was_set(
+    dataset, split_dir, tmp_path, capsys, command, key, choices
 ):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"target": "training"}))
+    cfg_path.write_text(json.dumps({key: "training"}))
     argv = {
         "train": ["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m")],
         "robustness": ["robustness", "--split-dir", str(split_dir),
                        "--social", str(dataset / "social.tsv"), "--out", str(tmp_path / "rob.tsv")],
     }[command]
-    assert run(argv + ["--set", "target=bogus"]) == 1
+    assert run(argv + ["--set", f"{key}=bogus"]) == 1
     err = capsys.readouterr().err
-    assert """--set: config key 'target' expects "test" or "validation", got 'bogus'""" in err
+    assert f"--set: config key '{key}' expects {choices}, got 'bogus'" in err
     assert run(argv + ["--config", str(cfg_path)]) == 1
-    assert f"{cfg_path}: config key 'target' expects" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: config key '{key}' expects {choices}, got 'training'" in err
     assert not (tmp_path / "m").exists() and not (tmp_path / "rob.tsv").exists()
     assert cli.load_config(None, ["target=validation"]).target == "validation"
+
+
+def test_set_flags_are_checked_in_command_line_order():
+    with pytest.raises(cli.UsageError, match="'model' expects"):
+        cli.load_config(None, ["model=svd", "model=wmf"])  # a later value does not mask it
+    with pytest.raises(cli.UsageError, match="'model' expects"):
+        cli.load_config(None, ["model=svd", "granularity=9"])
+    with pytest.raises(cli.UsageError, match="unknown config key 'granularity'"):
+        cli.load_config(None, ["granularity=9", "model=svd"])
+    assert cli.load_config(None, ["model=wmf", "model=expomf"]).model == "expomf"
 
 
 def test_train_config_must_be_object(split_dir, tmp_path, capsys):
@@ -632,14 +663,26 @@ def test_main_shares_one_malloc_arena(monkeypatch, tmp_path):
     assert calls == [1]
 
 
-def test_evaluate_dimension_mismatch_exits_2(wmf_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "friend-groups", "exposure-curve"])
+def test_model_of_another_shape_than_the_split_exits_2_naming_both(
+    wmf_dir, tmp_path, capsys, command
+):
     assert run(["generate", "--out-dir", str(tmp_path / "d"), "--n-users", "30",
                 "--n-items", "25", "--seed", "2"]) == 0
     assert run(["split", "--interactions", str(tmp_path / "d" / "interactions.tsv"),
                 "--out-dir", str(tmp_path / "s")]) == 0
-    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(tmp_path / "s")])
-    assert rc == 2
-    assert "but split is" in capsys.readouterr().err
+    model = json.loads((wmf_dir / "meta.json").read_text())
+    split = json.loads((tmp_path / "s" / "split-meta.json").read_text())
+    argv = [command, "--model-dir", str(wmf_dir), "--split-dir", str(tmp_path / "s")]
+    if command != "evaluate":
+        argv += ["--social", str(tmp_path / "d" / "social.tsv")]
+    if command == "exposure-curve":
+        argv += ["--user", dm.IdMap.load(tmp_path / "s").users[0]]
+    assert run(argv) == 2
+    assert (
+        f"error: model is {model['n_users']}x{model['n_items']} "
+        f"but split is {split['n_users']}x{split['n_items']}"
+    ) in capsys.readouterr().err
 
 
 def test_evaluate_unknown_split_id_exits_2_naming_the_file(wmf_dir, split_dir, tmp_path, capsys):
@@ -856,9 +899,11 @@ def test_exposure_curve_reads_settings_from_meta_config(
         (lambda meta: meta["config"].update(alpha1="x"), "config key 'alpha1' expects a number"),
         (lambda meta: meta["config"].update(alpha1=0), "config key 'alpha1' must be positive"),
         (lambda meta: meta["config"].update(target="bogus"), "config key 'target' expects"),
+        (lambda meta: meta["config"].update(model="svd"), "config key 'model' expects"),
         (lambda meta: meta.update(config=[1]), "config must be a JSON object"),
     ],
-    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "bad-target", "not-an-object"],
+    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "bad-target", "bad-model",
+         "not-an-object"],
 )
 def test_exposure_curve_bad_meta_config_exits_2_naming_meta_json(
     dataset, expomf_dir, split_dir, tmp_path, capsys, edit, message
@@ -1117,6 +1162,27 @@ def test_run_config_defaults_match_their_consumers():
         assert run_defaults[name] == default, name
         checked += 1
     assert checked >= 20
+
+
+def test_test_only_names_are_not_in_the_package():
+    """The oracles live in tests/reference_impls.py; the package keeps what
+    the CLI and the library run."""
+    import serec
+    from serec.exposure import social_regular
+
+    removed = {
+        serec: ("brute_force_posterior", "e_step_pair", "finite_difference", "predict_scores"),
+        engine: ("_gaussian_pdf0", "e_step_pair", "predict_scores"),
+        synthetic: ("brute_force_posterior", "finite_difference"),
+        social_regular: ("sampled_triplet_loss", "triplet_gradients"),
+        dm.InteractionMatrix: ("__contains__", "__len__", "entry_set", "items_of", "users_of"),
+        dm.SocialGraph: ("edge_set", "friends_of"),
+        metrics: ("DEFAULT_FRIEND_BUCKETS",),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert list(inspect.signature(metrics.group_by_friends).parameters) == ["graph"]
 
 
 def test_usage_errors_exit_1():

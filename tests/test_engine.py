@@ -18,7 +18,7 @@ import pytest
 import serec.engine
 from serec.engine import DEFAULT_BLOCK_SIZE, DEFAULT_DENSE_BUDGET
 from conftest import MatrixProvider, dense_clicks, random_graph, random_interactions
-from reference_impls import ll_oracle, ridge_row_oracle
+from reference_impls import brute_force_posterior, e_step_pair, ll_oracle, ridge_row_oracle
 from serec import (
     BoostExposure,
     ConfigError,
@@ -31,16 +31,13 @@ from serec import (
     TrainConfig,
     TrainingError,
     e_step,
-    e_step_pair,
     fit,
     load_model,
     log_likelihood,
-    predict_scores,
     save_model,
     update_item_factors,
     update_user_factors,
 )
-from serec.synthetic import brute_force_posterior
 
 
 def make_model(theta, beta, lt=0.01, lb=0.01, ly=1.0):
@@ -679,21 +676,6 @@ class TestThreadedSweep:
         for block_size, n_threads, peak in calls:
             assert (block_size, n_threads) == (DEFAULT_BLOCK_SIZE, 2)
             assert peak < bound
-
-
-class TestPredictScores:
-    def test_matches_direct_product(self, rng):
-        model = make_model(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (6, 4)))
-        for u in range(3):
-            want = np.array([model.theta[u] @ model.beta[i] for i in range(6)])
-            assert np.allclose(predict_scores(model, u), want, atol=1e-12)
-
-    def test_out_of_range(self):
-        model = make_model(np.zeros((2, 1)), np.zeros((3, 1)))
-        with pytest.raises(IndexError):
-            predict_scores(model, 2)
-        with pytest.raises(IndexError):
-            predict_scores(model, -1)
 
 
 class TestPersistence:

@@ -12,6 +12,7 @@ from reference_impls import (
     brute_ndcg,
     brute_rank,
     brute_recall,
+    items_of,
     map_at_k,
     ndcg_at_k,
     per_user_metrics_reference,
@@ -159,9 +160,9 @@ class TestEvaluate:
             n_items = int(rng.integers(2, 21))
             split = self.random_split(rng, n_users, n_items)
             model = FactorModel(rng.normal(0, 1, (n_users, 3)), rng.normal(0, 1, (n_items, 3)))
-            train_sets = [set(split.train.items_of(u).tolist()) for u in range(n_users)]
-            val_sets = [set(split.validation.items_of(u).tolist()) for u in range(n_users)]
-            test_sets = [set(split.test.items_of(u).tolist()) for u in range(n_users)]
+            train_sets = [set(items_of(split.train, u).tolist()) for u in range(n_users)]
+            val_sets = [set(items_of(split.validation, u).tolist()) for u in range(n_users)]
+            test_sets = [set(items_of(split.test, u).tolist()) for u in range(n_users)]
             cutoffs = (1, 3, 10)
             for target in ("test", "validation"):
                 try:
@@ -189,7 +190,7 @@ class TestEvaluate:
                 rng.integers(-1, 2, (n_items, 2)).astype(float),
             )
             sets = [
-                [set(part.items_of(u).tolist()) for u in range(n_users)]
+                [set(items_of(part, u).tolist()) for u in range(n_users)]
                 for part in (split.train, split.validation, split.test)
             ]
             for target in ("test", "validation"):
@@ -211,8 +212,8 @@ class TestEvaluate:
             parts = (split.train, split.validation) if target == "test" else (split.train,)
             truth = split.test if target == "test" else split.validation
             for pos, u in enumerate(users.tolist()):
-                excluded = np.concatenate([m.items_of(u) for m in parts])
-                relevant = np.setdiff1d(truth.items_of(u), excluded)
+                excluded = np.concatenate([items_of(m, u) for m in parts])
+                relevant = np.setdiff1d(items_of(truth, u), excluded)
                 ranked = rank_items(model.beta @ model.theta[u], excluded, max(cutoffs))
                 for k in cutoffs:
                     assert per_user[f"recall@{k}"][pos] == recall_at_k(ranked, relevant, k)
@@ -371,7 +372,7 @@ class TestGroupByFriends:
         edges += [(3, k) for k in list(range(4, 24)) + [0]][:20]
         graph = SocialGraph(30, [(a, b % 30) for a, b in edges])
         groups = group_by_friends(graph)
-        assert set(groups) == {"0", "1-5", "6-15", "15+"}
+        assert list(groups) == ["0", "1-5", "6-15", "15+"]
         assert 1 in groups["1-5"]
         assert 2 in groups["6-15"]
         assert 3 in groups["15+"]
@@ -382,7 +383,7 @@ class TestGroupByFriends:
         graph = SocialGraph(20, edges)
         groups = group_by_friends(graph)
         assert 0 in groups["6-15"]
-        assert 0 not in groups["15+"]
+        assert groups["15+"].size == 0  # listed, though empty
 
     def test_sixteen_friends_is_fifteen_plus(self):
         edges = [(0, k) for k in range(1, 17)]
@@ -396,16 +397,6 @@ class TestGroupByFriends:
         groups = group_by_friends(graph)
         seen = np.concatenate(list(groups.values()))
         assert sorted(seen.tolist()) == list(range(40))
-
-    def test_overlapping_buckets_rejected(self):
-        graph = SocialGraph(5, [(0, 1)])
-        with pytest.raises(ValueError, match="overlap"):
-            group_by_friends(graph, buckets=((0, 5), (5, 10)))
-
-    def test_uncovered_degree_rejected(self):
-        graph = SocialGraph(5, [(0, 1), (0, 2)])
-        with pytest.raises(ValueError, match="no bucket"):
-            group_by_friends(graph, buckets=((0, 1), (3, None)))
 
 
 class TestEvalReport:

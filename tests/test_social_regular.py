@@ -5,14 +5,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import load_provider, random_graph, random_interactions, save_provider
+from conftest import (
+    entry_set,
+    load_provider,
+    random_graph,
+    random_interactions,
+    save_provider,
+    triplet_gradients,
+)
 from reference_impls import (
     conflict_free_runs,
     epoch_sample_reference,
+    finite_difference,
     fit_exposure_reference,
     is_observed,
     regular_mu,
     sample_negatives_reference,
+    sampled_triplet_loss,
     sgd_epoch_runs_reference,
     target_lookup,
 )
@@ -24,7 +33,6 @@ from serec import (
     TrainConfig,
     TrainingError,
     build_targets,
-    finite_difference,
     fit,
     fit_exposure,
     sgd_triplet_step,
@@ -36,8 +44,6 @@ from serec.exposure.social_regular import (
     _epoch_sample,
     _sample_negatives,
     _sgd_epoch,
-    sampled_triplet_loss,
-    triplet_gradients,
 )
 
 DEFAULT_HYPER = {
@@ -492,7 +498,7 @@ class TestBatchedRefit:
         got = _sample_negatives(y, 500, np.random.default_rng(1))
         want = sample_negatives_reference(y, 500, np.random.default_rng(1))
         assert np.array_equal(got, want)
-        assert not set(map(tuple, got.tolist())) & y.entry_set()
+        assert not set(map(tuple, got.tolist())) & entry_set(y)
 
     def test_friendless_users_never_draw_themselves(self):
         graph = SocialGraph(6, [(0, 1), (0, 2), (4, 5)])
