@@ -164,7 +164,7 @@ def load_provider(
 ):
     """The provider a model directory was trained with: built by
     ``make_provider`` from the ``config`` of its ``meta.json``, with each
-    array of its ``state`` read from ``exposure.npz``."""
+    array of its ``state`` read from ``model.npz``."""
     kind = meta.get("kind")
     if kind not in PROVIDERS:
         raise ValueError(f"model directory has unknown kind {kind!r}")
@@ -182,9 +182,9 @@ def load_provider(
     except engine.ConfigError as exc:
         raise dm.DataFormatError(f"{meta_path}: {exc}") from None
     shapes = {name: getattr(provider, name).shape for name in provider.state}
-    if shapes:
-        for name, array in engine.load_state(model_dir, **shapes).items():
-            setattr(provider, name, array)
+    path = Path(model_dir) / engine.MODEL_NAME
+    for name, array in dm.load_arrays(path, "train", np.float64, shapes).items():
+        setattr(provider, name, array)
     return provider
 
 
@@ -441,9 +441,8 @@ def cmd_generate(args) -> int:
     truth_dir.mkdir(parents=True, exist_ok=True)
     dm.write_interactions(out_dir / "interactions.tsv", y)
     dm.write_social(out_dir / "social.tsv", graph)
-    np.savetxt(truth_dir / "theta.tsv", truth.theta, fmt="%.17g", delimiter="\t")
-    np.savetxt(truth_dir / "beta.tsv", truth.beta, fmt="%.17g", delimiter="\t")
-    np.savetxt(truth_dir / "mu.tsv", truth.mu, fmt="%.17g", delimiter="\t")
+    for name in ("theta", "beta", "mu"):
+        dm.write_matrix(truth_dir / f"{name}.tsv", getattr(truth, name))
     np.savetxt(truth_dir / "alpha.tsv", truth.alpha.astype(int), fmt="%d", delimiter="\t")
     print(
         f"generated {y.n_entries} interactions over {spec.n_users} users x "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,8 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SPLIT_META_NAME = "split-meta.json"
+SPLIT_NAME = "split.npz"  # each part's user and item index arrays
+SPLIT_PARTS = ("train", "validation", "test")
 
 
 class DataFormatError(ValueError):
@@ -501,34 +504,102 @@ def read_json_object(path: Path, keys: tuple[str, ...]) -> dict:
     return obj
 
 
+def write_matrix(path: str | Path, array: np.ndarray) -> None:
+    """Write a float matrix as tab-separated rows in ``%.17g``, which reads
+    back bit for bit."""
+    np.savetxt(path, array, fmt="%.17g", delimiter="\t")
+
+
+def save_arrays(path: str | Path, **arrays: np.ndarray) -> None:
+    """Write named arrays to ``path`` in the format of ``np.savez``.  Every
+    member carries the same fixed timestamp, so equal arrays give equal
+    bytes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
+
+
+def load_arrays(
+    path: Path, command: str, dtype, shapes: dict[str, tuple], meta: tuple[str, dict] | None = None
+) -> dict[str, np.ndarray]:
+    """The arrays of the ``.npz`` file ``path`` that ``shapes`` names, each
+    of ``dtype`` and of the shape ``shapes`` gives it: a tuple of sizes or,
+    with ``meta`` a ``(file name, object)`` pair, of the object's keys that
+    hold them.  Nothing is unpickled: an object array fails like any other
+    malformed array.  A fault names the file and the array; a missing file
+    says to run ``serec <command>`` again."""
+    if not path.exists():
+        raise DataFormatError(
+            f"{path} is missing (directories from an older serec lack it); "
+            f"run serec {command} again"
+        )
+    arrays = {}
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (EOFError, OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
+        raise DataFormatError(f"{path}: not an .npz archive")
+    with npz:
+        for name, dims in shapes.items():
+            try:
+                array = npz[name]
+            except KeyError:
+                raise DataFormatError(f"{path}: no array {name!r}") from None
+            # an object array, which only pickle reads, or a damaged member
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                raise DataFormatError(f"{path}: array {name!r}: {exc}") from None
+            if array.dtype != dtype:
+                raise DataFormatError(
+                    f"{path}: array {name!r} is {array.dtype}, expected {np.dtype(dtype)}"
+                )
+            shape = dims if meta is None else tuple(meta[1][key] for key in dims)
+            if array.shape != shape:
+                if meta is None:
+                    expected = f"expected {shape}"
+                else:
+                    sizes = " and ".join(f"{key} = {meta[1][key]}" for key in dims)
+                    expected = f"but {meta[0]} has {sizes}"
+                raise DataFormatError(f"{path}: array {name!r} has shape {array.shape}, {expected}")
+            arrays[name] = array
+    return arrays
+
+
 def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
-    """Write train/validation/test edge lists, the id maps, and split-meta.json."""
+    """Write ``split.npz``, the id maps and ``split-meta.json``, which
+    :func:`load_split` reads, and the parts as edge lists, a readable copy
+    that it does not."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, part in (
-        ("train.tsv", split.train),
-        ("validation.tsv", split.validation),
-        ("test.tsv", split.test),
-    ):
-        write_interactions(out_dir / name, part, id_map)
+    parts = dict(zip(SPLIT_PARTS, (split.train, split.validation, split.test)))
+    arrays = {}
+    for name, part in parts.items():
+        write_interactions(out_dir / f"{name}.tsv", part, id_map)
+        arrays[f"{name}_user"], arrays[f"{name}_item"] = part.user_idx, part.item_idx
+    save_arrays(out_dir / SPLIT_NAME, **arrays)
     id_map.save(out_dir)
     meta = {
         "seed": split.seed,
         "ratios": list(split.ratios),
         "n_users": split.n_users,
         "n_items": split.n_items,
-        "n_train": split.train.n_entries,
-        "n_validation": split.validation.n_entries,
-        "n_test": split.test.n_entries,
+        **{f"n_{name}": part.n_entries for name, part in parts.items()},
     }
     with open(out_dir / SPLIT_META_NAME, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
 
 
 def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
-    """Inverse of :func:`save_split`; indices are restored via the stored id maps."""
+    """Inverse of :func:`save_split`: the parts from ``split.npz``, their
+    lengths checked against ``split-meta.json``'s counts and their indices
+    against its ``n_users`` and ``n_items``, and the ids from ``users.tsv``
+    and ``items.tsv``.  A fault names the file, and the array or line."""
     in_dir = Path(in_dir)
-    meta = read_json_object(in_dir / SPLIT_META_NAME, ("n_users", "n_items", "seed", "ratios"))
+    counts = tuple(f"n_{name}" for name in SPLIT_PARTS)
+    meta = read_json_object(
+        in_dir / SPLIT_META_NAME, ("n_users", "n_items", "seed", "ratios", *counts)
+    )
     id_map = IdMap.load(in_dir)
     n_users, n_items = meta["n_users"], meta["n_items"]
     for name, ids, key in (
@@ -539,25 +610,23 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
             raise DataFormatError(
                 f"{in_dir / name}: {len(ids)} ids, but {SPLIT_META_NAME} has {key} = {meta[key]}"
             )
-
-    def read(name):
-        path = in_dir / name
-        (users, items), _, lines, fault = _scan(path, (2,), "expected 'user item'")
-        user, item = _indices(id_map.user_index, users), _indices(id_map.item_index, items)
-        unknown = np.flatnonzero((user < 0) | (item < 0))
-        if unknown.size:
-            r = unknown[0]
-            what = f"user id '{users[r]}'" if user[r] < 0 else f"item id '{items[r]}'"
-            raise DataFormatError(f"{path}:{lines[r]}: unknown {what}")
-        if fault:
-            raise fault
-        return InteractionMatrix(n_users, n_items, np.column_stack([user, item]))
-
-    split = DatasetSplit(
-        train=read("train.tsv"),
-        validation=read("validation.tsv"),
-        test=read("test.tsv"),
-        seed=meta["seed"],
-        ratios=tuple(meta["ratios"]),
+    path = in_dir / SPLIT_NAME
+    shapes = {
+        f"{name}_{axis}": (f"n_{name}",) for name in SPLIT_PARTS for axis in ("user", "item")
+    }
+    arrays = load_arrays(path, "split", np.int64, shapes, (SPLIT_META_NAME, meta))
+    for name, array in arrays.items():
+        n = n_users if name.endswith("_user") else n_items
+        if array.size and not (array.min() >= 0 and array.max() < n):
+            at = np.flatnonzero((array < 0) | (array >= n))[0]
+            raise DataFormatError(
+                f"{path}: array {name!r} holds index {array[at]} at position {at}, "
+                f"outside 0..{n - 1}"
+            )
+    parts = (
+        InteractionMatrix(
+            n_users, n_items, np.column_stack([arrays[f"{name}_user"], arrays[f"{name}_item"]])
+        )
+        for name in SPLIT_PARTS
     )
-    return split, id_map
+    return DatasetSplit(*parts, seed=meta["seed"], ratios=tuple(meta["ratios"])), id_map

@@ -16,7 +16,7 @@ from serec.exposure.social_regular import (
 # Every model kind, in the order the CLI lists them.  Each class is built as
 # ``cls(y[, graph], **params)``, where every keyword parameter is a config key
 # of the same name; ``state`` names the array attributes a model directory
-# keeps in exposure.npz, and, where it applies, the class sets
+# keeps in model.npz, and, where it applies, the class sets
 # ``requires_social`` or ``refresh_on_load`` (the CLI reads both).
 PROVIDERS = {c.kind: c for c in (FixedExposure, PopularityExposure, RegularExposure, BoostExposure)}
 

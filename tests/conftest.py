@@ -88,6 +88,15 @@ class MatrixProvider:
         self.updates += 1
 
 
+def edit_npz(path, edit):
+    """Rewrite the ``.npz`` file ``path`` with ``edit`` applied to a dict of
+    its arrays."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
 def save_provider(model_dir, provider, y, **config):
     """Write ``provider`` with ``engine.save_model`` as ``serec train`` does,
     ``config`` (with the provider's kind as ``model``) being meta.json's

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import edit_npz
 
 from serec import cli, engine, metrics, synthetic
 from serec import data as dm
@@ -216,7 +217,7 @@ def test_stats_missing_file_exits_2(tmp_path, capsys):
 
 def test_split_writes_directory(dataset, split_dir):
     for name in ("train.tsv", "validation.tsv", "test.tsv",
-                 "users.tsv", "items.tsv", "split-meta.json"):
+                 "users.tsv", "items.tsv", "split-meta.json", "split.npz"):
         assert (split_dir / name).exists()
     meta = json.loads((split_dir / "split-meta.json").read_text())
     assert meta["ratios"] == [0.7, 0.2]
@@ -281,7 +282,7 @@ def test_crlf_dataset_gives_byte_identical_outputs(dataset, tmp_path):
 
 
 def test_train_writes_model_dir(wmf_dir):
-    for name in ("meta.json", "theta.tsv", "beta.tsv", "trace.tsv", "timing.json"):
+    for name in ("meta.json", "model.npz", "theta.tsv", "beta.tsv", "trace.tsv", "timing.json"):
         assert (wmf_dir / name).exists()
     meta = json.loads((wmf_dir / "meta.json").read_text())
     assert meta["kind"] == "wmf"
@@ -685,16 +686,88 @@ def test_model_of_another_shape_than_the_split_exits_2_naming_both(
     ) in capsys.readouterr().err
 
 
-def test_evaluate_unknown_split_id_exits_2_naming_the_file(wmf_dir, split_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a: a.update(test_user=a["test_user"][:5], test_item=a["test_item"][:5]),
+         "split.npz: array 'test_user' has shape (5,), but split-meta.json has n_test = {n_test}"),
+        (lambda a: a["test_item"].__setitem__(0, 60),
+         "split.npz: array 'test_item' holds index 60 at position 0, outside 0..59"),
+        (lambda a: a.pop("train_user"), "split.npz: no array 'train_user'"),
+    ],
+    ids=["short", "out-of-range", "missing-array"],
+)
+def test_evaluate_malformed_split_npz_exits_2_naming_file_and_array(
+    wmf_dir, split_dir, tmp_path, capsys, edit, message
+):
     bad = tmp_path / "split"
     shutil.copytree(split_dir, bad)
-    with open(bad / "test.tsv", "a", encoding="utf-8") as fh:
-        fh.write("uX\ti0\n")
+    edit_npz(bad / "split.npz", edit)
+    n_test = json.loads((bad / "split-meta.json").read_text())["n_test"]
     rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
     assert rc == 2
+    assert str(bad / message.format(n_test=n_test)) in capsys.readouterr().err
+
+
+def test_evaluate_checks_each_split_count_against_split_meta(wmf_dir, split_dir, tmp_path, capsys):
+    bad = tmp_path / "split"
+    shutil.copytree(split_dir, bad)
+    meta_path = bad / "split-meta.json"
+    meta = json.loads(meta_path.read_text())
+    n_test = meta["n_test"]
+    meta["n_test"] = n_test + 1
+    meta_path.write_text(json.dumps(meta))
+    rc = run(["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(bad)])
+    assert rc == 2
+    assert (
+        f"{bad / 'split.npz'}: array 'test_user' has shape ({n_test},), "
+        f"but split-meta.json has n_test = {n_test + 1}"
+    ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "directory, name, command",
+    [("split", "split.npz", "split"), ("model", "model.npz", "train")],
+)
+def test_evaluate_without_npz_exits_2_saying_to_run_again(
+    wmf_dir, split_dir, tmp_path, capsys, directory, name, command
+):
+    dirs = {"split": tmp_path / "split", "model": tmp_path / "model"}
+    shutil.copytree(split_dir, dirs["split"])
+    shutil.copytree(wmf_dir, dirs["model"])
+    (dirs[directory] / name).unlink()
+    rc = run(["evaluate", "--model-dir", str(dirs["model"]), "--split-dir", str(dirs["split"])])
+    assert rc == 2
     err = capsys.readouterr().err
-    assert f"{bad / 'test.tsv'}:" in err
-    assert "unknown user id 'uX'" in err
+    assert f"{dirs[directory] / name} is missing" in err
+    assert f"run serec {command} again" in err
+
+
+def test_split_and_factor_tsvs_agree_with_the_npz_files(split_dir, request):
+    """The edge lists and factor TSVs serec writes but never reads back hold
+    what split.npz and model.npz hold."""
+    split, ids = dm.load_split(split_dir)
+    with np.load(split_dir / "split.npz") as npz:
+        for part in dm.SPLIT_PARTS:
+            y, raw = dm.load_interactions(split_dir / f"{part}.tsv")
+            users = np.array([ids.user_index[u] for u in raw.users])
+            items = np.array([ids.item_index[i] for i in raw.items])
+            pairs = np.column_stack([users[y.user_idx], items[y.item_idx]])
+            back = dm.InteractionMatrix(split.n_users, split.n_items, pairs)
+            assert np.array_equal(back.user_idx, npz[f"{part}_user"])
+            assert np.array_equal(back.item_idx, npz[f"{part}_item"])
+            assert back.n_entries == getattr(split, part).n_entries
+    for fixture in MODEL_DIRS.values():
+        model_dir = request.getfixturevalue(fixture)
+        with np.load(model_dir / "model.npz") as npz:
+            for name in ("theta", "beta"):
+                text = np.loadtxt(model_dir / f"{name}.tsv", delimiter="\t", ndmin=2)
+                assert text.tobytes() == npz[name].tobytes(), (fixture, name)
+
+
+def test_no_provider_state_is_named_like_a_factor():
+    for cls in PROVIDERS.values():
+        assert not {"theta", "beta"} & set(cls.state), cls.kind
 
 
 @pytest.mark.parametrize(
@@ -749,18 +822,20 @@ def test_evaluate_malformed_split_meta_exits_2_naming_the_file(
     assert f"{meta}: {message}" in capsys.readouterr().err
 
 
-def _widen(text):
-    return "".join(line + "\t0\t0\n" for line in text.splitlines())
-
-
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("theta.tsv", lambda t: t + "0\tx\t0\n", "theta.tsv: could not convert string 'x'"),
-        ("theta.tsv", lambda t: t + "0\t0\n", "theta.tsv: the number of columns changed"),
-        ("theta.tsv", lambda t: t.split("\n", 1)[1],
-         "theta.tsv: shape (39, 3), but meta.json has n_users = 40 and k = 3"),
-        ("beta.tsv", _widen, "beta.tsv: shape (60, 5), but meta.json has n_items = 60 and k = 3"),
+        ("model.npz", lambda a: a.pop("theta"), "model.npz: no array 'theta'"),
+        ("model.npz", lambda a: a.update(beta=a["beta"].astype(object)),
+         "model.npz: array 'beta': Object arrays cannot be loaded"),
+        ("model.npz", lambda a: a.update(theta=a["theta"].astype(np.float32)),
+         "model.npz: array 'theta' is float32, expected float64"),
+        ("model.npz", lambda a: a.update(theta=a["theta"].ravel()),
+         "model.npz: array 'theta' has shape (120,), but meta.json has n_users = 40 and k = 3"),
+        ("model.npz", lambda a: a.update(theta=a["theta"][1:]),
+         "model.npz: array 'theta' has shape (39, 3), but meta.json has n_users = 40 and k = 3"),
+        ("model.npz", lambda a: a.update(beta=np.hstack([a["beta"], np.zeros((60, 2))])),
+         "model.npz: array 'beta' has shape (60, 5), but meta.json has n_items = 60 and k = 3"),
         ("meta.json", lambda t: t[: len(t) // 2], "meta.json: not valid JSON: "),
         ("meta.json", lambda t: "[]", "meta.json: expected a JSON object"),
         ("meta.json", lambda t: t.replace('"lambda_y"', '"lambda_y_"'),
@@ -768,7 +843,8 @@ def _widen(text):
         ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": -1'),
          "meta.json: precisions must be positive"),
     ],
-    ids=["non-numeric", "short-row", "missing-row", "wide-beta", "truncated-meta",
+    ids=["no-theta", "object-beta", "float32-theta", "flat-theta", "missing-row", "wide-beta",
+         "truncated-meta",
          "meta-not-an-object", "meta-missing-key", "meta-bad-precision"],
 )
 def test_evaluate_malformed_model_exits_2_naming_the_file(
@@ -776,7 +852,10 @@ def test_evaluate_malformed_model_exits_2_naming_the_file(
 ):
     bad = tmp_path / "model"
     shutil.copytree(wmf_dir, bad)
-    (bad / name).write_text(edit((bad / name).read_text()))
+    if name == "model.npz":
+        edit_npz(bad / name, edit)
+    else:
+        (bad / name).write_text(edit((bad / name).read_text()))
     rc = run(["evaluate", "--model-dir", str(bad), "--split-dir", str(split_dir)])
     assert rc == 2
     assert str(bad / message) in capsys.readouterr().err
@@ -856,13 +935,11 @@ def test_exposure_curve_reads_settings_from_meta_config(
     dataset, split_dir, tmp_path, capsys, request, kind
 ):
     """A model directory states its settings once, in meta.json's config,
-    and keeps the provider's state arrays in exposure.npz; a stale
+    and keeps the provider's state arrays in model.npz; a stale
     exposure.json or boost.json from an older serec is ignored."""
     model_dir = tmp_path / "m"
     shutil.copytree(request.getfixturevalue(MODEL_DIRS[kind]), model_dir)
-    written = {"meta.json", "timing.json", "theta.tsv", "beta.tsv", "trace.tsv"}
-    if PROVIDERS[kind].state:
-        written.add("exposure.npz")
+    written = {"meta.json", "timing.json", "model.npz", "theta.tsv", "beta.tsv", "trace.tsv"}
     evaluated = {"report.json", "report.tsv"}  # if a test evaluated the fixture's model
     assert {f.name for f in model_dir.iterdir()} - evaluated == written
     argv = ["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
@@ -882,13 +959,19 @@ def test_exposure_curve_reads_settings_from_meta_config(
         (model_dir / name).write_text(json.dumps(stale))
     assert run(argv) == 0
     assert capsys.readouterr().out == curve
-    if PROVIDERS[kind].state:
-        # a directory from before exposure.npz: its arrays are TSV files
-        (model_dir / "exposure.npz").unlink()
-        (model_dir / "X.tsv").write_text("0\t0\t0\t0\n")
+    for name in PROVIDERS[kind].state:
+        npz = model_dir / "model.npz"
+        kept = npz.read_bytes()
+        edit_npz(npz, lambda arrays: arrays.pop(name))
         assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "exposure.npz is missing" in err and "train the model again" in err
+        assert f"{npz}: no array {name!r}" in capsys.readouterr().err
+        npz.write_bytes(kept)
+    # a directory from before model.npz: its arrays are TSV files
+    (model_dir / "model.npz").unlink()
+    (model_dir / "X.tsv").write_text("0\t0\t0\t0\n")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "model.npz is missing" in err and "run serec train again" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import edge_set, entry_set
+from conftest import edge_set, edit_npz, entry_set
 from reference_impls import (
     friends_of,
     items_of,
@@ -32,6 +33,12 @@ from serec import (
     write_interactions,
     write_social,
 )
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
 
 
 def write(path, text):
@@ -306,26 +313,73 @@ class TestRoundTrips:
         assert loaded_ids.users == ids.users
 
     @pytest.mark.parametrize(
-        "line, message",
+        "edit, message",
         [
-            ("zz\tv\n", "unknown user id 'zz'"),
-            ("a\tqq\n", "unknown item id 'qq'"),
-            # the first faulty line wins; within a line, user before item
-            ("zz\tqq\n", "unknown user id 'zz'"),
-            ("a\tqq\nb\n", "unknown item id 'qq'"),
-            ("a\nzz\tv\n", "expected 'user item'"),
-            ("zz\tv\na\n", "unknown user id 'zz'"),
+            (lambda a: a.pop("validation_item"), "no array 'validation_item'"),
+            (lambda a: a.update(validation_user=a["validation_user"].astype(object)),
+             "array 'validation_user': Object arrays cannot be loaded"),
+            (lambda a: a.update(train_item=a["train_item"].astype(float)),
+             "array 'train_item' is float64, expected int64"),
+            (lambda a: a.update(train_user=a["train_user"][:, None]),
+             "array 'train_user' has shape ({n_train}, 1), but split-meta.json has "
+             "n_train = {n_train}"),
+            (lambda a: a.update(test_user=a["test_user"][1:], test_item=a["test_item"][1:]),
+             "array 'test_user' has shape ({short},), but split-meta.json has n_test = {n_test}"),
+            # user and item arrays of unequal length
+            (lambda a: a.update(test_item=a["test_item"][1:]),
+             "array 'test_item' has shape ({short},), but split-meta.json has n_test = {n_test}"),
+            (lambda a: a["validation_user"].__setitem__(0, 4),
+             "array 'validation_user' holds index 4 at position 0, outside 0..3"),
+            (lambda a: a["train_item"].__setitem__(-1, -1),
+             "array 'train_item' holds index -1 at position {last}, outside 0..4"),
         ],
+        ids=["missing", "object", "float", "2-d", "short", "unequal", "user-range",
+             "item-negative"],
     )
-    def test_load_split_unknown_id_names_file_and_line(self, tmp_path, toy_matrix, line, message):
+    def test_load_split_npz_fault_names_file_and_array(self, tmp_path, toy_matrix, edit, message):
         ids = IdMap(users=list("abcd"), items=list("vwxyz"))
-        save_split(tmp_path / "split", split_interactions(toy_matrix, seed=11), ids)
-        path = tmp_path / "split" / "validation.tsv"
-        n_lines = len(path.read_text().splitlines())
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-        with pytest.raises(DataFormatError, match=f"validation.tsv:{n_lines + 1}: {message}"):
-            load_split(tmp_path / "split")
+        split = split_interactions(toy_matrix, seed=11)
+        save_split(tmp_path, split, ids)
+        edit_npz(tmp_path / "split.npz", edit)
+        n_test = split.test.n_entries
+        message = message.format(n_train=split.train.n_entries, last=split.train.n_entries - 1,
+                                 n_test=n_test, short=n_test - 1)
+        path = tmp_path / "split.npz"
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            load_split(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw: b"", "No data left in file"),
+            (lambda raw: raw[: len(raw) // 2], "File is not a zip file"),
+            (lambda raw: raw[:100] + bytes([raw[100] ^ 0xFF]) + raw[101:], "Bad CRC-32"),
+            (lambda raw: _npy_bytes(np.arange(3)), "not an .npz archive"),
+        ],
+        ids=["empty", "truncated", "bad-crc", "npy"],
+    )
+    def test_load_split_damaged_npz_names_the_file(self, tmp_path, toy_matrix, damage, message):
+        ids = IdMap(users=list("abcd"), items=list("vwxyz"))
+        save_split(tmp_path, split_interactions(toy_matrix, seed=11), ids)
+        path = tmp_path / "split.npz"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: ") + ".*" + message):
+            load_split(tmp_path)
+
+    def test_load_split_reads_no_edge_list(self, tmp_path, toy_matrix):
+        ids = IdMap(users=list("abcd"), items=list("vwxyz"))
+        split = split_interactions(toy_matrix, seed=11)
+        save_split(tmp_path, split, ids)
+        for name in ("train.tsv", "validation.tsv", "test.tsv"):
+            (tmp_path / name).unlink()
+        loaded, _ = load_split(tmp_path)
+        assert entry_set(loaded.test) == entry_set(split.test)
+        (tmp_path / "split.npz").unlink()
+        with pytest.raises(DataFormatError, match=re.escape(
+            f"{tmp_path / 'split.npz'} is missing (directories from an older serec lack it); "
+            "run serec split again"
+        )):
+            load_split(tmp_path)
 
     @pytest.mark.parametrize(
         "name, lines, message",
@@ -489,16 +543,18 @@ def test_load_social_fault_deep_in_file(tmp_path):
         load_social(path, ids)
 
 
-@pytest.mark.parametrize(
-    "fault, message", [("zz\ti1\n", "unknown user id 'zz'"), ("u1\tqq\n", "unknown item id 'qq'")]
-)
-def test_load_split_unknown_id_deep_in_file(tmp_path, fault, message):
+def test_load_split_index_out_of_range_deep_in_array(tmp_path):
     ids = IdMap(users=[f"u{k}" for k in range(997)], items=[f"i{k}" for k in range(89)])
-    ids.save(tmp_path)
-    meta = {"seed": 0, "ratios": [0.7, 0.2], "n_users": 997, "n_items": 89}
-    (tmp_path / "split-meta.json").write_text(json.dumps(meta), encoding="utf-8")
-    path = _deep_file(tmp_path / "train.tsv", lambda k: f"u{k % 997}\ti{k % 89}\n", fault)
-    write(tmp_path / "validation.tsv", "u0\ti0\n")
-    write(tmp_path / "test.tsv", "")
-    with pytest.raises(DataFormatError, match=re.escape(f"{path}:{DEEP + 1}: {message}")):
+    pairs = np.column_stack([np.arange(DEEP + 9) % 997, np.arange(DEEP + 9) % 89])
+    y = InteractionMatrix(997, 89, pairs)
+    save_split(tmp_path, split_interactions(y, seed=0), ids)
+    n = json.loads((tmp_path / "split-meta.json").read_text())["n_train"]
+
+    def edit(arrays):
+        arrays["train_item"][n - 3] = 89  # the first of two faults is named
+        arrays["train_item"][n - 1] = -1
+
+    edit_npz(tmp_path / "split.npz", edit)
+    message = f"array 'train_item' holds index 89 at position {n - 3}, outside 0..88"
+    with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / 'split.npz'}: {message}")):
         load_split(tmp_path)

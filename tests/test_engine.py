@@ -646,6 +646,15 @@ class TestThreadedSweep:
             assert len(provider.started) < n_items // block // 2 + 10
         assert messages[1] == messages[4] == "no prior for items 200-204"
 
+    def test_each_thread_reuses_its_arrays_block_after_block(self):
+        scratch = {}
+        first = serec.engine._scratch(scratch, "n0", (4, 3))
+        narrower = serec.engine._scratch(scratch, "n0", (4, 2))  # the last block
+        assert np.shares_memory(first, narrower) and narrower.flags.c_contiguous
+        wider = serec.engine._scratch(scratch, "n0", (4, 5))
+        assert wider.shape == (4, 5) and not np.shares_memory(first, wider)
+        assert scratch["n0"].size == 20
+
     @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost"])
     def test_two_thread_sweep_holds_a_few_blocks_per_thread(self, rng, kind, monkeypatch):
         n_users, n_items = 256, 5000
@@ -712,8 +721,8 @@ class TestPersistence:
         cfg = TrainConfig(k=2, max_em_iters=2, seed=3)
         res = fit(y, provider, cfg)
         save_model(tmp_path, res, Forwarding(provider), cfg)
-        with np.load(tmp_path / "exposure.npz", allow_pickle=False) as npz:
-            assert npz.files == ["mu_items"]
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as npz:
+            assert npz.files == ["theta", "beta", "mu_items"]
             assert np.array_equal(npz["mu_items"], provider.mu_items)
         assert json.loads((tmp_path / "meta.json").read_text())["kind"] == "expomf"
 

@@ -368,7 +368,7 @@ class TestRegularProvider:
             (tmp_path / "meta.json").write_text(json.dumps(meta))
         else:
             y = InteractionMatrix(5, 7, np.column_stack([y.user_idx, y.item_idx]))
-        with pytest.raises(DataFormatError, match=rf"exposure\.npz: array {array}"):
+        with pytest.raises(DataFormatError, match=rf"model\.npz: array {array}"):
             load_provider(tmp_path, y, graph)
 
     def test_load_refuses_an_object_array_without_unpickling(self, tmp_path, rng):
@@ -378,9 +378,9 @@ class TestRegularProvider:
         save_provider(tmp_path, provider, y, k_sr=2)
         tripwire = np.empty((5, 2), dtype=object)
         tripwire[:] = _Tripwire()
-        np.savez(tmp_path / "exposure.npz", x=tripwire, t=provider.t, b=provider.b,
-                 gamma=provider.gamma)
-        with pytest.raises(DataFormatError, match=r"exposure\.npz: array 'x'.*allow_pickle"):
+        np.savez(tmp_path / "model.npz", theta=np.zeros((5, 1)), beta=np.zeros((6, 1)),
+                 x=tripwire, t=provider.t, b=provider.b, gamma=provider.gamma)
+        with pytest.raises(DataFormatError, match=r"model\.npz: array 'x'.*allow_pickle"):
             load_provider(tmp_path, y, graph)
         assert UNPICKLED == []
 
