@@ -162,9 +162,9 @@ def make_provider(cfg: RunConfig, y: dm.InteractionMatrix, graph: dm.SocialGraph
 def load_provider(
     model_dir: str | Path, meta: dict, y: dm.InteractionMatrix, graph: dm.SocialGraph | None
 ):
-    """The provider a model directory was trained with: built by
-    ``make_provider`` from the ``config`` of its ``meta.json``, with each
-    array of its ``state`` read from ``model.npz``."""
+    """The provider a model directory was trained with and the config it
+    was built from by ``make_provider``, the ``config`` of its
+    ``meta.json``; each array of its ``state`` is read from ``model.npz``."""
     kind = meta.get("kind")
     if kind not in PROVIDERS:
         raise ValueError(f"model directory has unknown kind {kind!r}")
@@ -185,7 +185,7 @@ def load_provider(
     path = Path(model_dir) / engine.MODEL_NAME
     for name, array in dm.load_arrays(path, "train", np.float64, shapes).items():
         setattr(provider, name, array)
-    return provider
+    return provider, cfg
 
 
 def _load_graph(path: str | None, id_map: dm.IdMap) -> dm.SocialGraph | None:
@@ -351,19 +351,20 @@ def cmd_exposure_curve(args) -> int:
     u = id_map.user_index[args.user]
     y = split.train
     graph = _load_graph(args.social, id_map)
-    provider = load_provider(args.model_dir, meta, y, graph)
-    post = engine.e_step(y, model, provider)
+    provider, cfg = load_provider(args.model_dir, meta, y, graph)
+    post = engine.ExposurePosterior(provider, y.n_users, y.n_items, cfg.dense_budget)
+    engine.e_step(y, model, provider, out=post, block_size=cfg.block_size)
     refresh = getattr(provider, "refresh_on_load", False)
     if refresh:
         # one refresh restores the training-time prior from the actual posterior
         provider.update(post, y)
-    mu_user = np.concatenate(
-        [provider.mu_block(j0, j1)[u] for j0, j1 in engine._iter_blocks(y.n_items, 8192)]
-    )
+    blocks = engine._iter_blocks(y.n_items, cfg.block_size)
+    # copies of row u, so that no U x block prior outlives its block
+    mu_user = np.concatenate([np.array(provider.mu_block(j0, j1)[u]) for j0, j1 in blocks])
     if refresh:
         # in place, as in fit: the sweep reads each block's prior before
         # overwriting that block
-        engine.e_step(y, model, provider, out=post)
+        engine.e_step(y, model, provider, out=post, block_size=cfg.block_size)
     p_user = np.array(post[u])
     popularity = y.item_counts()
     edges = np.linspace(0, popularity.max() + 1, args.bins + 1)

@@ -11,7 +11,7 @@ generic over providers and alternates
     prior    provider.update(p, y)
 
 Provider protocol (duck-typed):
-    mu_block(j0, j1) -> (n_users, j1 - j0) array of priors in [0, 1]
+    mu_block(j0, j1) -> (n_users, j1 - j0) priors in [0, 1]; may be a read-only view
     update(p, y) -> None                refresh internal state from the
                                         U x V posterior array p
     kind -> str                         short model name for persistence
@@ -19,7 +19,8 @@ Provider protocol (duck-typed):
                                         save_model writes to model.npz
     bypass_bayes -> bool (optional)     when True the E-step stores the
                                         prior directly as p (fixed-weight
-                                        mode; clicked pairs still get 1)
+                                        mode); clicked pairs weigh 1 in p
+                                        and in the likelihood
 """
 
 from __future__ import annotations
@@ -203,20 +204,19 @@ def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int):
     return mu, bool(lo >= MU_EPS and hi <= 1.0 - MU_EPS)
 
 
-def _block_log_likelihood(model: FactorModel, mu, den, rows, cols, s_obs, j0: int) -> float:
+def _block_log_likelihood(model: FactorModel, mu_obs, den, rows, cols, s_obs, j0: int) -> float:
     """Likelihood terms of the item block starting at ``j0``; consumes ``den``.
 
     ``den`` holds mu * N0 + 1 - mu for the raw prior, whose log is the
     unclicked term.  The clicked pairs (``rows``, ``cols``, block-local)
-    are set to 1 there (log 1 = 0) and add log(mu * N(1 | score)) instead,
-    from their scores ``s_obs``.  A clicked pair with mu = 0 is
-    inconsistent (zero exposure prior, observed click) and raises.
+    are set to 1 there (log 1 = 0) and add log(mu_obs * N(1 | score))
+    instead, from their priors ``mu_obs`` and scores ``s_obs``; mu_obs = 0
+    is inconsistent (zero exposure prior, observed click) and raises.
     """
     ly = model.lambda_y
     log_c = _log_pdf_const(ly)
     total = 0.0
     if rows.size:
-        mu_obs = mu[rows, cols]
         if np.any(mu_obs == 0.0):
             raise ValueError("observed click with zero exposure prior")
         total += float(np.sum(np.log(mu_obs) + log_c - 0.5 * ly * (1.0 - s_obs) ** 2))
@@ -258,6 +258,8 @@ def _sweep(
     likelihood terms are added in block order, so the result depends on
     ``block_size`` but not on ``n_threads``.
     """
+    if model.n_users != y.n_users or model.n_items != y.n_items:
+        raise ValueError("model and interaction matrix disagree on dimensions")
     total = 0.0
     if with_ll:
         total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
@@ -302,7 +304,8 @@ def _sweep_block(
     does both computes it once.  N0 and the likelihood's own denominator
     are written on the calling thread's ``scratch`` arrays.
     """
-    bayes = p_out is not None and not getattr(provider, "bypass_bayes", False)
+    bypass = getattr(provider, "bypass_bayes", False)
+    bayes = p_out is not None and not bypass
     mu, unclamped = _provider_mu_block(provider, y, j0, j1)
     rows, cols = _clicked_in_block(y, j0, j1)
     if with_ll or bayes:
@@ -334,7 +337,8 @@ def _sweep_block(
         p_out[rows, j0 + cols] = 1.0
     if not with_ll:
         return 0.0
-    return _block_log_likelihood(model, mu, den, rows, cols, s_obs, j0)
+    mu_obs = 1.0 if bypass else mu[rows, cols]
+    return _block_log_likelihood(model, mu_obs, den, rows, cols, s_obs, j0)
 
 
 def e_step(
@@ -353,8 +357,6 @@ def e_step(
     Bayes rule so the posterior stays numerically stable; values outside
     [0, 1] are a provider contract violation and raise.
     """
-    if model.n_users != y.n_users or model.n_items != y.n_items:
-        raise ValueError("model and interaction matrix disagree on dimensions")
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
     _sweep(y, model, provider, post, block_size, with_ll=False)
     return post

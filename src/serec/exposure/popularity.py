@@ -1,9 +1,9 @@
 """Exposure priors that ignore the social graph.
 
 ``PopularityExposure`` shares one prior per item, updated as the mode of a
-Beta posterior over how many users saw the item.  ``FixedExposure`` pins
-the posterior to constants, which turns the EM engine into plain weighted
-matrix factorization.
+Beta posterior over how many users saw the item.  ``FixedExposure`` is a
+constant prior that the engine stores as the posterior, which turns the EM
+engine into plain weighted matrix factorization.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, ConfigError, _clicked_in_block
+from serec.engine import MU_EPS, ConfigError
 
 
 def popularity_update_mu(col, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -63,9 +63,9 @@ class PopularityExposure:
 class FixedExposure:
     """Constant exposure weights: the WMF special case.
 
-    The engine skips the Bayes E-step for this provider (``bypass_bayes``)
-    and stores the prior directly as p, so unobserved pairs keep weight
-    ``mu_unobserved`` and clicked pairs weight 1 throughout training.
+    The prior is ``mu_unobserved`` at every pair.  The engine skips the
+    Bayes E-step for this provider (``bypass_bayes``), stores the prior as
+    p, and gives clicked pairs weight 1 in p and in the likelihood.
     """
 
     kind = "wmf"
@@ -76,13 +76,10 @@ class FixedExposure:
         if not 0.0 < mu_unobserved <= 1.0:
             raise ConfigError("mu_unobserved", "must be in (0, 1]")
         self.mu_unobserved = mu_unobserved
-        self._y = y
+        self.n_users = y.n_users
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
-        block = np.full((self._y.n_users, j1 - j0), self.mu_unobserved, dtype=np.float64)
-        rows, cols = _clicked_in_block(self._y, j0, j1)
-        block[rows, cols] = 1.0
-        return block
+        return np.broadcast_to(self.mu_unobserved, (self.n_users, j1 - j0))
 
     def update(self, p, y: InteractionMatrix) -> None:
         pass  # weights are fixed by definition

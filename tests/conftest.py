@@ -119,7 +119,7 @@ def save_provider(model_dir, provider, y, **config):
 def load_provider(model_dir, y, graph=None):
     """The provider ``serec exposure-curve`` rebuilds from ``model_dir``."""
     _, meta = load_model(model_dir)
-    return cli.load_provider(model_dir, meta, y, graph)
+    return cli.load_provider(model_dir, meta, y, graph)[0]
 
 
 @pytest.fixture

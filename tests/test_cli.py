@@ -1032,6 +1032,64 @@ def test_exposure_curve_refreshes_boost_in_one_posterior(
     assert len(built) == 1
 
 
+def test_exposure_curve_shows_the_wmf_prior_and_fixed_weights(
+    dataset, wmf_dir, split_dir, tmp_path
+):
+    # the prior is mu_unobserved at every pair; only the posterior gives
+    # the user's clicked items weight 1
+    uid = _raw_user_ids(dataset)[0]
+    out_file = tmp_path / "curve.tsv"
+    rc = run(["exposure-curve", "--model-dir", str(wmf_dir), "--split-dir", str(split_dir),
+              "--user", uid, "--bins", "6", "--out", str(out_file)])
+    assert rc == 0
+    split, id_map = dm.load_split(split_dir)
+    y = split.train
+    u = id_map.user_index[uid]
+    p_user = np.full(y.n_items, 0.4)
+    p_user[y.item_idx[y.user_idx == u]] = 1.0
+    popularity = y.item_counts()
+    edges = np.linspace(0, popularity.max() + 1, 7)
+    which = np.clip(np.digitize(popularity, edges) - 1, 0, 5)
+    rows = [line.split("\t") for line in out_file.read_text().splitlines()[1:]]
+    bins = [b for b in range(6) if (which == b).any()]
+    assert len(rows) == len(bins)
+    for b, row in zip(bins, rows):
+        assert float(row[4]) == pytest.approx(0.4, rel=1e-15)
+        assert float(row[5]) == p_user[which == b].mean()
+    assert any(float(row[5]) != float(row[4]) for row in rows)
+
+
+def test_exposure_curve_spills_and_blocks_as_the_model_was_trained(
+    dataset, split_dir, tmp_path, monkeypatch
+):
+    # the posterior spills at the model's dense_budget, and no U x block
+    # prior outlives its block, so the curve holds no U x V array in RAM
+    model_dir = tmp_path / "m"
+    assert _train(split_dir, model_dir, "serec-boost", social=dataset / "social.tsv",
+                  extra=["--set", "dense_budget=1", "--set", "block_size=7"]) == 0
+    sweeps, served = [], []
+    sweep = engine._sweep
+    mu_block = PROVIDERS["serec-boost"].mu_block
+
+    def recording_sweep(y, model, provider, p_out, block_size, *args, **kwargs):
+        sweeps.append((type(p_out), block_size))
+        return sweep(y, model, provider, p_out, block_size, *args, **kwargs)
+
+    def recording_mu_block(self, j0, j1):
+        assert all(ref() is None for ref in served)
+        block = mu_block(self, j0, j1)
+        served.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(engine, "_sweep", recording_sweep)
+    monkeypatch.setattr(PROVIDERS["serec-boost"], "mu_block", recording_mu_block)
+    rc = run(["exposure-curve", "--model-dir", str(model_dir), "--split-dir", str(split_dir),
+              "--user", _raw_user_ids(dataset)[0], "--social", str(dataset / "social.tsv")])
+    assert rc == 0
+    assert sweeps == [(np.memmap, 7)] * 2
+    assert len(served) == 3 * 9  # two sweeps and the curve, over 60 items in blocks of 7
+
+
 def test_exposure_curve_regular_model_needs_social(dataset, regular_dir, split_dir, capsys):
     rc = run(["exposure-curve", "--model-dir", str(regular_dir),
               "--split-dir", str(split_dir), "--user", _raw_user_ids(dataset)[0]])

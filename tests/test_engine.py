@@ -109,6 +109,15 @@ class TestEStep:
         with pytest.raises(ValueError, match="dimensions"):
             e_step(y, model, MatrixProvider(np.full((4, 5), 0.5)))
 
+    @pytest.mark.parametrize("n_users, n_items", [(3, 5), (4, 6)])
+    def test_log_likelihood_checks_dimensions_as_e_step_does(self, rng, n_users, n_items):
+        y = random_interactions(rng, 4, 5)
+        model = make_model(np.zeros((n_users, 2)), np.zeros((n_items, 2)))
+        provider = MatrixProvider(np.full((4, 5), 0.5))
+        for sweep in (e_step, log_likelihood):
+            with pytest.raises(ValueError, match="model and interaction matrix disagree"):
+                sweep(y, model, provider)
+
     def test_provider_contract_violations(self, rng):
         y = random_interactions(rng, 4, 5)
         model = make_model(np.zeros((4, 2)), np.zeros((5, 2)))
@@ -679,8 +688,11 @@ class TestThreadedSweep:
         monkeypatch.setattr(serec.engine, "_sweep", traced_sweep)
         fit(y, _provider_of_kind(kind, y, graph), cfg)
         # three U x block arrays per block in flight (the prior, N0 and the
-        # E-step denominator; serec-boost's friend mass replaces one), plus slack
-        bound = 4 * n_users * DEFAULT_BLOCK_SIZE * 8 * cfg.n_threads
+        # E-step denominator; serec-boost's friend mass replaces one), plus
+        # slack; wmf's prior is a view, so it holds N0 and the likelihood's
+        # denominator only
+        blocks = 2.5 if kind == "wmf" else 4
+        bound = blocks * n_users * DEFAULT_BLOCK_SIZE * 8 * cfg.n_threads
         assert len(calls) == 3
         for block_size, n_threads, peak in calls:
             assert (block_size, n_threads) == (DEFAULT_BLOCK_SIZE, 2)

@@ -105,6 +105,16 @@ class TestFixedExposureProvider:
         with pytest.raises(ValueError):
             FixedExposure(toy_matrix, mu_unobserved=1.5)
 
+    def test_mu_block_is_a_read_only_constant_view(self, toy_matrix):
+        # the engine, not the prior, gives clicked pairs weight 1, so the
+        # provider keeps no copy of the clicks
+        provider = FixedExposure(toy_matrix, mu_unobserved=0.4)
+        block = provider.mu_block(1, 4)
+        assert block.shape == (4, 3) and block.dtype == np.float64
+        assert not block.flags.writeable
+        assert np.all(block == 0.4)
+        assert not any(isinstance(v, InteractionMatrix) for v in vars(provider).values())
+
     def test_posterior_is_fixed_weights(self, rng):
         y = random_interactions(rng, 6, 8)
         provider = FixedExposure(y, mu_unobserved=0.4)
