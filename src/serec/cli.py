@@ -16,6 +16,7 @@ import ctypes
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -78,7 +79,8 @@ CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 def _coerce(where: str, name: str, value):
     """``value`` as config key ``name`` takes it: an integer key takes only
-    integral numbers and a float key only numbers, neither booleans."""
+    integral numbers and a float key only finite numbers, neither booleans.
+    JSON's ``NaN`` and ``Infinity`` would pass every range check."""
     if name == "cutoffs":
         text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
         return tuple(_parse_cutoffs(text, "cutoffs"))
@@ -95,15 +97,17 @@ def _coerce(where: str, name: str, value):
             number = float(value)
         except ValueError:
             pass
+    shown = value if isinstance(value, str) else json.dumps(value)
     if isinstance(number, (int, float)) and not isinstance(number, bool):
         if isinstance(default, float):
+            if not math.isfinite(number):
+                raise UsageError(f"{where}: config key {name!r} must be finite, got {shown!r}")
             return float(number)
         if isinstance(number, int) or number.is_integer():
             return int(number)
     expects = "a number" if isinstance(default, float) else "an integer"
     if name == "refit_every":
         expects = '"once" or an integer'
-    shown = value if isinstance(value, str) else json.dumps(value)
     raise UsageError(f"{where}: config key {name!r} expects {expects}, got {shown!r}")
 
 

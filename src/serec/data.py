@@ -149,7 +149,6 @@ class InteractionMatrix:
         )
         self.csc_indptr = _offsets(self.item_idx, n_items)
         self.csc_indices = self.user_idx[by_item]
-        self._csr = None
 
     @property
     def n_entries(self) -> int:
@@ -161,14 +160,6 @@ class InteractionMatrix:
 
     def user_counts(self) -> np.ndarray:
         return np.diff(self.csr_indptr)
-
-    def to_csr(self):
-        """The clicks as a ``scipy.sparse.csr_matrix`` of ones, built on the
-        first call and cached.  Not for pool threads: build it first."""
-        if self._csr is None:
-            shape = (self.n_users, self.n_items)
-            self._csr = csr_matrix(np.ones(self.n_entries), self.item_idx, self.csr_indptr, shape)
-        return self._csr
 
 
 class SocialGraph:
@@ -192,7 +183,6 @@ class SocialGraph:
         self.src = (keys // n_users).astype(np.int64)
         self.dst = (keys % n_users).astype(np.int64)
         self.indptr = _offsets(self.src, n_users)
-        self._adj = None
 
     @property
     def n_edges(self) -> int:
@@ -200,16 +190,6 @@ class SocialGraph:
 
     def out_degree(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def adjacency(self):
-        """Row u holds indicator of Friends(u), a ``scipy.sparse.csr_matrix``
-        built on the first call and cached.  Not for pool threads: build it
-        first."""
-        if self._adj is None:
-            self._adj = csr_matrix(
-                np.ones(self.n_edges), self.dst, self.indptr, (self.n_users, self.n_users)
-            )
-        return self._adj
 
 
 @dataclass
@@ -594,12 +574,23 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
     """Inverse of :func:`save_split`: the parts from ``split.npz``, their
     lengths checked against ``split-meta.json``'s counts and their indices
     against its ``n_users`` and ``n_items``, and the ids from ``users.tsv``
-    and ``items.tsv``.  A fault names the file, and the array or line."""
+    and ``items.tsv``.  A fault names the file, and the key, array or line."""
     in_dir = Path(in_dir)
     counts = tuple(f"n_{name}" for name in SPLIT_PARTS)
-    meta = read_json_object(
-        in_dir / SPLIT_META_NAME, ("n_users", "n_items", "seed", "ratios", *counts)
+    meta_path = in_dir / SPLIT_META_NAME
+    meta = read_json_object(meta_path, ("n_users", "n_items", "seed", "ratios", *counts))
+    ratios, seed = meta["ratios"], meta["seed"]
+    numbers = isinstance(ratios, list) and all(
+        isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
     )
+    if not (numbers and len(ratios) == 2):
+        raise DataFormatError(
+            f"{meta_path}: key 'ratios' must be a list of two numbers, got {json.dumps(ratios)}"
+        )
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise DataFormatError(
+            f"{meta_path}: key 'seed' must be a non-negative integer, got {json.dumps(seed)}"
+        )
     id_map = IdMap.load(in_dir)
     n_users, n_items = meta["n_users"], meta["n_items"]
     for name, ids, key in (
@@ -629,4 +620,4 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
         )
         for name in SPLIT_PARTS
     )
-    return DatasetSplit(*parts, seed=meta["seed"], ratios=tuple(meta["ratios"])), id_map
+    return DatasetSplit(*parts, seed=seed, ratios=tuple(ratios)), id_map

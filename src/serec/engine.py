@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,14 +93,15 @@ class TrainConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
+        # each check fails for NaN, which no comparison holds for
         for name in ("k", "lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(name, "must be positive")
-        for name in ("max_em_iters", "seed"):
-            if getattr(self, name) < 0:
+        for name in ("max_em_iters", "seed", "dense_budget"):
+            if not getattr(self, name) >= 0:
                 raise ConfigError(name, "must be >= 0")
         for name in ("n_threads", "block_size"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigError(name, "must be >= 1")
 
 
@@ -122,7 +122,7 @@ class FactorModel:
             raise ValueError("theta and beta must be 2-d")
         if self.theta.shape[1] != self.beta.shape[1]:
             raise ValueError("theta and beta disagree on k")
-        if min(self.lambda_theta, self.lambda_beta, self.lambda_y) <= 0:
+        if not all(lam > 0 for lam in (self.lambda_theta, self.lambda_beta, self.lambda_y)):
             raise ValueError("precisions must be positive")
 
     @property
@@ -246,17 +246,13 @@ def _sweep(
 
     With ``p_out`` the posterior is written there (see :func:`e_step`);
     with ``with_ll`` the marginal log likelihood is returned, else 0.0.
-    Each block is one call, so its temporaries are freed when it returns,
-    except N0 and the likelihood's denominator: each thread keeps one
-    array for each and reuses it block after block.  Allocated per block,
-    two threads' U x block arrays and their smaller temporaries split up
-    the one malloc arena's free space in an order that varied from run to
-    run: on a 6000 x 2000 shard a train's peak RSS was 317-321 MiB in most
-    runs and 338-339 MiB in about one of ten.
-    Blocks run on ``n_threads`` threads: a block reads and writes only its
-    own columns of ``p_out`` (serec-boost's friend mass included), and its
-    likelihood terms are added in block order, so the result depends on
-    ``block_size`` but not on ``n_threads``.
+    Each block is one call of :func:`_sweep_block`, a function of the
+    read-only inputs and its own columns of ``p_out`` (serec-boost's
+    friend mass included), so its U x block arrays are allocated in the
+    call and freed when it returns.
+    Blocks run on ``n_threads`` threads, and their likelihood terms are
+    added in block order, so the result depends on ``block_size`` but not
+    on ``n_threads``.
     """
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
@@ -264,25 +260,13 @@ def _sweep(
     if with_ll:
         total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
         total += -0.5 * model.lambda_beta * float(np.sum(model.beta**2))
-
-    scratch: dict[int, dict] = {}  # thread id -> that thread's reused arrays
-
-    def block(j0: int, j1: int) -> float:
-        mine = scratch.setdefault(threading.get_ident(), {})
-        return _sweep_block(y, model, provider, p_out, j0, j1, with_ll, mine)
-
-    for part in _in_pool(block, list(_iter_blocks(y.n_items, block_size)), n_threads):
+    calls = [
+        (y, model, provider, p_out, j0, j1, with_ll)
+        for j0, j1 in _iter_blocks(y.n_items, block_size)
+    ]
+    for part in _in_pool(_sweep_block, calls, n_threads):
         total += part
     return total
-
-
-def _scratch(arrays: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """A C-contiguous float64 array of ``shape`` on the memory of
-    ``arrays[name]``, which is replaced when it is too small."""
-    size = shape[0] * shape[1]
-    if name not in arrays or arrays[name].size < size:
-        arrays[name] = np.empty(size)
-    return arrays[name][:size].reshape(shape)
 
 
 def _sweep_block(
@@ -293,7 +277,6 @@ def _sweep_block(
     j0: int,
     j1: int,
     with_ll: bool,
-    scratch: dict,
 ) -> float:
     """Items [j0, j1) of :func:`_sweep`; returns their likelihood terms.
 
@@ -301,16 +284,14 @@ def _sweep_block(
     N0 = N(0 | score) in place.  The likelihood's unclicked term is the
     log of mu * N0 + 1 - mu for the raw prior, which is the E-step's own
     denominator whenever the clamp leaves mu unchanged, so a sweep that
-    does both computes it once.  N0 and the likelihood's own denominator
-    are written on the calling thread's ``scratch`` arrays.
+    does both computes it once.
     """
     bypass = getattr(provider, "bypass_bayes", False)
     bayes = p_out is not None and not bypass
     mu, unclamped = _provider_mu_block(provider, y, j0, j1)
     rows, cols = _clicked_in_block(y, j0, j1)
     if with_ll or bayes:
-        shape = (y.n_users, j1 - j0)
-        n0 = np.matmul(model.theta, model.beta[j0:j1].T, out=_scratch(scratch, "n0", shape))
+        n0 = model.theta @ model.beta[j0:j1].T
         if with_ll:
             s_obs = n0[rows, cols]
         np.square(n0, out=n0)
@@ -321,7 +302,7 @@ def _sweep_block(
     if with_ll and not shared:
         # the E-step below still needs N0; otherwise it becomes mu * N0
         num = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
-        den = np.subtract(1.0, mu, out=_scratch(scratch, "den", shape))
+        den = 1.0 - mu
         den += num
     if p_out is not None:
         if bayes:
@@ -390,18 +371,6 @@ def _in_pool(fn, calls: list[tuple], n_threads: int) -> list:
     return [f.result() for f in futures]
 
 
-def _run_phase(work, n_rows: int, n_threads: int, row_len: int) -> None:
-    """Run ``work(lo, hi)`` over row chunks, in threads when asked.
-
-    Chunks write disjoint output rows, so the phase needs no locking; the
-    pool's shutdown is the barrier before the next phase.  Each chunk holds
-    at most ``CHUNK_ENTRIES`` posterior entries (``row_len`` per row), so a
-    chunk's copy of a spilled posterior stays bounded, and the chunks, like
-    the result, do not depend on ``n_threads``.
-    """
-    _in_pool(work, list(_iter_blocks(n_rows, max(1, CHUNK_ENTRIES // row_len))), n_threads)
-
-
 def _packed_gram(factors: np.ndarray) -> np.ndarray:
     """The K(K+1)/2 distinct entries of each outer product f_j f_j^T.
 
@@ -438,6 +407,13 @@ def _ridge_update(
     its K x K systems.  ``transpose`` selects columns of p instead of rows
     (the item update); the matmul reads that strided column chunk in
     place, so no part of a spilled posterior is copied into RAM.
+
+    The rows run in chunks, on a pool of ``n_threads`` threads when asked.
+    Chunks write disjoint output rows, so they need no locking; the pool's
+    shutdown is the barrier before the next phase.  Each chunk holds at
+    most ``CHUNK_ENTRIES`` posterior entries, so a chunk's copy of a
+    spilled posterior stays bounded, and the chunks, like the result, do
+    not depend on ``n_threads``.
     """
     k = factors.shape[1]
     n_out = clicked_rhs.shape[0]
@@ -459,7 +435,8 @@ def _ridge_update(
         a[:, diag, diag] += lambda_reg
         out[lo:hi] = np.linalg.solve(a, clicked_rhs[lo:hi, :, None])[:, :, 0]
 
-    _run_phase(work, n_out, n_threads, p_arr.shape[0] if transpose else p_arr.shape[1])
+    row_len = p_arr.shape[0] if transpose else p_arr.shape[1]
+    _in_pool(work, list(_iter_blocks(n_out, max(1, CHUNK_ENTRIES // row_len))), n_threads)
     return out
 
 

@@ -29,7 +29,7 @@ def popularity_update_mu(col, n_users: int, alpha1: float = 1.0, alpha2: float =
 
 def _check_beta_parameters(alpha1: float, alpha2: float) -> None:
     for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if value <= 0:
+        if not value > 0:
             raise ConfigError(name, "must be positive (a Beta parameter)")
 
 

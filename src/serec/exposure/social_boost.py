@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from serec.data import InteractionMatrix, SocialGraph
+from serec.data import InteractionMatrix, SocialGraph, csr_matrix
 from serec.engine import MU_EPS, ConfigError
 from serec.exposure.popularity import _check_beta_parameters
 
@@ -30,6 +30,8 @@ class BoostExposure:
     from them, with friend mass ``adjacency @ p[:, j0:j1]``.  The engine
     reads a block before its sweep overwrites that block of p, so every
     block the sweep reads is the prior of the posterior last handed over.
+    The adjacency is built once, by the constructor, and only read after
+    that, so the sweep's threads share it without locking.
 
     Once a sweep has overwritten p (for instance after ``fit`` returns),
     ``mu_block`` would pair the new p's friend mass with the old column
@@ -50,7 +52,7 @@ class BoostExposure:
         alpha1: float = 1.0,
         alpha2: float = 1.0,
     ) -> None:
-        if s_coeff < 1.0:
+        if not s_coeff >= 1.0:
             raise ConfigError("s_coeff", "must be >= 1")
         _check_beta_parameters(alpha1, alpha2)
         if alpha1 + alpha2 + y.n_users <= 2:
@@ -60,13 +62,18 @@ class BoostExposure:
         self.s_coeff = s_coeff
         self.alpha1 = alpha1
         self.alpha2 = alpha2
-        self.graph = graph
+        # row u holds the indicator of Friends(u)
+        self._adj = csr_matrix(
+            np.ones(graph.n_edges), graph.dst, graph.indptr, (graph.n_users, graph.n_users)
+        )
         self._den0 = alpha1 + alpha2 + y.n_users - 2.0
         self._num0 = alpha1 + y.item_counts().astype(np.float64) - 1.0
         # p proxy at init: the clicks themselves, so friend mass is sparse.
-        # This also builds the cached adjacency that mu_block reads on the
-        # sweep's pool threads.  Column-major, since mu_block slices columns.
-        self._source = (graph.adjacency() @ y.to_csr()).tocsc()
+        # Column-major, since mu_block slices columns.
+        clicks = csr_matrix(
+            np.ones(y.n_entries), y.item_idx, y.csr_indptr, (y.n_users, y.n_items)
+        )
+        self._source = (self._adj @ clicks).tocsc()
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         """The boosted Beta mode for items [j0, j1), a new array.
@@ -79,7 +86,7 @@ class BoostExposure:
         """
         src = self._source
         if isinstance(src, np.ndarray):  # posterior handed over by the engine
-            mass = self.graph.adjacency() @ np.asarray(src[:, j0:j1])
+            mass = self._adj @ np.asarray(src[:, j0:j1])
         else:  # sparse click proxy from initialization; row-major like the
             # posterior's mass, so the sums downstream add in the same order
             mass = src[:, j0:j1].toarray(order="C")

@@ -328,12 +328,12 @@ class RegularExposure:
             "n_sgd_epochs": n_sgd_epochs,
         }
         for name in ("k_sr", "learning_rate"):
-            if self.hyper[name] <= 0:
+            if not self.hyper[name] > 0:
                 raise ConfigError(name, "must be positive")
         for name in (
             "lambda_sr", "lambda_x", "lambda_t", "lambda_b", "lambda_gamma", "n_sgd_epochs"
         ):
-            if self.hyper[name] < 0:
+            if not self.hyper[name] >= 0:
                 raise ConfigError(name, "must be >= 0")
         if refit_every != "once" and (not isinstance(refit_every, int) or refit_every < 1):
             raise ConfigError("refit_every", 'must be "once" or a positive integer')

@@ -40,14 +40,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_users", "n_items", "k", "lambda_theta", "lambda_beta", "lambda_y"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(name, "must be positive")
         if not 0.0 <= self.social_density < 1.0:
             raise ConfigError("social_density", "must be in [0, 1)")
         if not 0.0 <= self.base_exposure <= 1.0:
             raise ConfigError("base_exposure", "must be in [0, 1]")
         for name in ("s_coeff", "seed"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(name, "must be >= 0")
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from serec.exposure.social_regular import _sgd_run
 from serec.metrics import _metric_table
@@ -382,7 +382,9 @@ def boost_update_mu(p, graph, s_coeff=5.0, alpha1=1.0, alpha2=1.0):
     arr = np.asarray(p, dtype=float)
     n_users = arr.shape[0]
     col = arr.sum(axis=0)
-    boost = (s_coeff - 1.0) * (graph.adjacency() @ arr)
+    edges = (np.ones(graph.n_edges), (graph.src, graph.dst))
+    adjacency = sparse.coo_matrix(edges, shape=(n_users, n_users)).tocsr()
+    boost = (s_coeff - 1.0) * (adjacency @ arr)
     num = alpha1 + col - 1.0 + boost
     den = alpha1 + alpha2 + n_users - 2.0 + boost
     if np.any(den <= 0):

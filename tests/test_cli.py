@@ -7,6 +7,7 @@ files each command writes are all observable without subprocesses.
 import dataclasses
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -395,6 +396,30 @@ def test_train_rejects_out_of_range_value_naming_its_key(
     key = setting.split("=")[0]
     assert f"error: config key '{key}' {reason}" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("setting", ["lambda_y=NaN", "s_coeff=NaN", "convergence_tol=nan",
+                                     "alpha1=Infinity", "init_scale=-Infinity", "lambda_y=inf"])
+def test_train_rejects_non_finite_set_value_naming_its_key(
+    dataset, split_dir, tmp_path, capsys, setting
+):
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--social", str(dataset / "social.tsv"), "--set", setting])
+    assert rc == 1
+    key, raw = setting.split("=")
+    assert f"--set: config key '{key}' must be finite, got '{raw}'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_train_rejects_non_finite_config_value_naming_the_file(split_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"lambda_theta": NaN}')
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", "wmf", "--config", str(cfg_path)])
+    assert rc == 1
+    assert f"{cfg_path}: config key 'lambda_theta' must be finite, got 'NaN'" in (
+        capsys.readouterr().err
+    )
 
 
 def test_config_takes_integral_numbers_for_integer_keys():
@@ -801,14 +826,29 @@ def test_evaluate_invalid_utf8_id_map_exits_2_naming_file_and_line(
     assert f"{users}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def _edit_json(text, **changes):
+    """The JSON object ``text`` with ``changes`` applied, as JSON."""
+    return json.dumps({**json.loads(text), **changes})
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda t: t.replace('"n_items"', '"n_items_"'), "missing key 'n_items'"),
         (lambda t: t[: len(t) // 2], "not valid JSON: "),
         (lambda t: "[]", "expected a JSON object"),
+        (lambda t: _edit_json(t, ratios=5), "key 'ratios' must be a list of two numbers, got 5"),
+        (lambda t: _edit_json(t, ratios=[0.7]),
+         "key 'ratios' must be a list of two numbers, got [0.7]"),
+        (lambda t: _edit_json(t, ratios=[0.7, "x"]),
+         'key \'ratios\' must be a list of two numbers, got [0.7, "x"]'),
+        (lambda t: _edit_json(t, seed=-1), "key 'seed' must be a non-negative integer, got -1"),
+        (lambda t: _edit_json(t, seed=1.5), "key 'seed' must be a non-negative integer, got 1.5"),
+        (lambda t: _edit_json(t, seed=True),
+         "key 'seed' must be a non-negative integer, got true"),
     ],
-    ids=["missing-key", "truncated", "not-an-object"],
+    ids=["missing-key", "truncated", "not-an-object", "ratios-a-number", "one-ratio",
+         "ratio-a-string", "negative-seed", "fractional-seed", "boolean-seed"],
 )
 def test_evaluate_malformed_split_meta_exits_2_naming_the_file(
     wmf_dir, split_dir, tmp_path, capsys, edit, message
@@ -981,12 +1021,14 @@ def test_exposure_curve_reads_settings_from_meta_config(
         (lambda meta: meta["config"].update(granularity=9), "unknown config key 'granularity'"),
         (lambda meta: meta["config"].update(alpha1="x"), "config key 'alpha1' expects a number"),
         (lambda meta: meta["config"].update(alpha1=0), "config key 'alpha1' must be positive"),
+        (lambda meta: meta["config"].update(alpha1=math.nan),
+         "config key 'alpha1' must be finite, got 'NaN'"),
         (lambda meta: meta["config"].update(target="bogus"), "config key 'target' expects"),
         (lambda meta: meta["config"].update(model="svd"), "config key 'model' expects"),
         (lambda meta: meta.update(config=[1]), "config must be a JSON object"),
     ],
-    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "bad-target", "bad-model",
-         "not-an-object"],
+    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "non-finite", "bad-target",
+         "bad-model", "not-an-object"],
 )
 def test_exposure_curve_bad_meta_config_exits_2_naming_meta_json(
     dataset, expomf_dir, split_dir, tmp_path, capsys, edit, message

@@ -28,6 +28,7 @@ from serec import (
     InteractionMatrix,
     PopularityExposure,
     RegularExposure,
+    SyntheticSpec,
     TrainConfig,
     TrainingError,
     e_step,
@@ -655,14 +656,17 @@ class TestThreadedSweep:
             assert len(provider.started) < n_items // block // 2 + 10
         assert messages[1] == messages[4] == "no prior for items 200-204"
 
-    def test_each_thread_reuses_its_arrays_block_after_block(self):
-        scratch = {}
-        first = serec.engine._scratch(scratch, "n0", (4, 3))
-        narrower = serec.engine._scratch(scratch, "n0", (4, 2))  # the last block
-        assert np.shares_memory(first, narrower) and narrower.flags.c_contiguous
-        wider = serec.engine._scratch(scratch, "n0", (4, 5))
-        assert wider.shape == (4, 5) and not np.shares_memory(first, wider)
-        assert scratch["n0"].size == 20
+    @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost"])
+    def test_fit_leaves_the_clicks_and_the_graph_as_they_were(self, rng, kind):
+        # the sweep's threads share y and graph, so nothing may add to them
+        y = random_interactions(rng, 12, 14, density=0.2)
+        graph = random_graph(rng, 12, density=0.3)
+        before = [dict(vars(y)), dict(vars(graph))]
+        provider = _provider_of_kind(kind, y, graph)
+        fit(y, provider, TrainConfig(k=2, max_em_iters=2, n_threads=4, block_size=3))
+        for obj, attrs in zip((y, graph), before):
+            assert vars(obj).keys() == attrs.keys()
+            assert all(vars(obj)[name] is value for name, value in attrs.items())
 
     @pytest.mark.parametrize("kind", ["wmf", "expomf", "serec-regular", "serec-boost"])
     def test_two_thread_sweep_holds_a_few_blocks_per_thread(self, rng, kind, monkeypatch):
@@ -753,6 +757,34 @@ class TestValidation:
             with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 1") as err:
                 TrainConfig(**{key: 0})
             assert err.value.key == key
+        with pytest.raises(ConfigError, match="config key 'dense_budget' must be >= 0"):
+            TrainConfig(dense_budget=-3)
+
+    @pytest.mark.parametrize(
+        "key", ["lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"]
+    )
+    def test_train_config_rejects_nan(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be positive"):
+            TrainConfig(**{key: math.nan})
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda y, g: BoostExposure(y, g, s_coeff=math.nan), "s_coeff"),
+            (lambda y, g: PopularityExposure(y, alpha2=math.nan), "alpha2"),
+            (lambda y, g: RegularExposure(y, g, learning_rate=math.nan), "learning_rate"),
+            (lambda y, g: RegularExposure(y, g, lambda_x=math.nan), "lambda_x"),
+            (lambda y, g: SyntheticSpec(lambda_y=math.nan), "lambda_y"),
+            (lambda y, g: SyntheticSpec(s_coeff=math.nan), "s_coeff"),
+        ],
+        ids=["boost", "popularity", "regular-positive", "regular-non-negative",
+             "sampler-positive", "sampler-non-negative"],
+    )
+    def test_providers_and_sampler_reject_nan(self, rng, make, key):
+        y = random_interactions(rng, 5, 6)
+        with pytest.raises(ConfigError) as err:
+            make(y, random_graph(rng, 5))
+        assert err.value.key == key
 
     def test_factor_model_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -761,6 +793,8 @@ class TestValidation:
             FactorModel(np.zeros((2, 2)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
             FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), lambda_y=0.0)
+        with pytest.raises(ValueError, match="precisions must be positive"):
+            FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), lambda_theta=math.nan)
 
     def test_validate_finite(self):
         model = make_model(np.array([[np.inf]]), np.array([[1.0]]))
