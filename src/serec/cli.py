@@ -100,9 +100,13 @@ def _coerce(where: str, name: str, value):
     shown = value if isinstance(value, str) else json.dumps(value)
     if isinstance(number, (int, float)) and not isinstance(number, bool):
         if isinstance(default, float):
+            try:
+                number = float(number)
+            except OverflowError:  # an integer past the float range
+                number = math.inf
             if not math.isfinite(number):
                 raise UsageError(f"{where}: config key {name!r} must be finite, got {shown!r}")
-            return float(number)
+            return number
         if isinstance(number, int) or number.is_integer():
             return int(number)
     expects = "a number" if isinstance(default, float) else "an integer"
@@ -240,7 +244,7 @@ def cmd_split(args) -> int:
     ratios = _parse_floats(args.ratios, "--ratios")
     if len(ratios) != 2:
         raise UsageError("--ratios expects two fractions, e.g. 0.7,0.2")
-    if min(ratios) <= 0 or sum(ratios) >= 1:
+    if not (min(ratios) > 0 and sum(ratios) < 1):  # NaN fails both
         raise UsageError("--ratios must be positive and sum to less than 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")

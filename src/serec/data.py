@@ -104,18 +104,6 @@ def _offsets(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return out
 
 
-def csr_matrix(values: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
-    """``scipy.sparse.csr_matrix((values, indices, indptr), shape=shape)``.
-
-    scipy is imported here, on the first call: only the factor solves and
-    serec-boost's prior multiply sparse matrices, so the other commands
-    never load it.
-    """
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((values, indices, indptr), shape=shape)
-
-
 class InteractionMatrix:
     """Sparse binary user-by-item click matrix.
 
@@ -397,7 +385,7 @@ def split_interactions(
     test set.  Deterministic for a fixed seed.
     """
     r_train, r_val = ratios
-    if r_train <= 0 or r_val <= 0 or r_train + r_val >= 1:
+    if not (r_train > 0 and r_val > 0 and r_train + r_val < 1):  # NaN fails each
         raise ValueError("ratios must be positive and sum to less than 1")
     n = src.n_entries
     order = np.random.default_rng(seed).permutation(n)

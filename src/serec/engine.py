@@ -37,7 +37,6 @@ import numpy as np
 from serec.data import (
     DataFormatError,
     InteractionMatrix,
-    csr_matrix,
     load_arrays,
     read_json_object,
     save_arrays,
@@ -177,13 +176,13 @@ def _log_pdf_const(lambda_y: float) -> float:
     return 0.5 * math.log(lambda_y / (2.0 * math.pi))
 
 
-def _clicked_in_block(y: InteractionMatrix, j0: int, j1: int):
-    """Row indices and block-local column indices of clicks in items [j0, j1)."""
-    start, end = y.csc_indptr[j0], y.csc_indptr[j1]
-    rows = y.csc_indices[start:end]
-    counts = np.diff(y.csc_indptr[j0 : j1 + 1])
-    cols = np.repeat(np.arange(j1 - j0), counts)
-    return rows, cols
+def _clicked_in_block(indptr: np.ndarray, indices: np.ndarray, j0: int, j1: int):
+    """The clicks of slots [j0, j1) of a compressed layout (``csc_indptr``
+    and ``csc_indices`` for items, ``csr_indptr`` and ``item_idx`` for
+    users): each one's index on the other side and its block-local slot."""
+    other = indices[indptr[j0] : indptr[j1]]
+    local = np.repeat(np.arange(j1 - j0), np.diff(indptr[j0 : j1 + 1]))
+    return other, local
 
 
 def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int):
@@ -289,7 +288,7 @@ def _sweep_block(
     bypass = getattr(provider, "bypass_bayes", False)
     bayes = p_out is not None and not bypass
     mu, unclamped = _provider_mu_block(provider, y, j0, j1)
-    rows, cols = _clicked_in_block(y, j0, j1)
+    rows, cols = _clicked_in_block(y.csc_indptr, y.csc_indices, j0, j1)
     if with_ll or bayes:
         n0 = model.theta @ model.beta[j0:j1].T
         if with_ll:
@@ -343,12 +342,6 @@ def e_step(
     return post
 
 
-def _clicked_weights(y: InteractionMatrix, p_arr):
-    """The clicks as a sparse matrix holding p at each clicked pair."""
-    weights = np.asarray(p_arr[y.user_idx, y.item_idx], dtype=np.float64)
-    return csr_matrix(weights, y.item_idx, y.csr_indptr, (y.n_users, y.n_items))
-
-
 def _in_pool(fn, calls: list[tuple], n_threads: int) -> list:
     """``fn(*args)`` for each tuple in ``calls``, results in call order.
 
@@ -390,7 +383,8 @@ def _packed_gram(factors: np.ndarray) -> np.ndarray:
 
 def _ridge_update(
     p_arr,
-    clicked_rhs: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     factors: np.ndarray,
     lambda_y: float,
     lambda_reg: float,
@@ -399,14 +393,18 @@ def _ridge_update(
 ) -> np.ndarray:
     """Shared body of the two factor updates.
 
-    Solves, for every row u of the output,
-        (lambda_y * sum_j p_uj f_j f_j^T + lambda_reg I) x = clicked_rhs[u]
-    where f ranges over the opposite side's factor rows.  The weighted sum
-    is one matmul per chunk against the packed Gram (:func:`_packed_gram`),
-    and one ``take`` over a flat index map expands a chunk's packed sums to
-    its K x K systems.  ``transpose`` selects columns of p instead of rows
-    (the item update); the matmul reads that strided column chunk in
-    place, so no part of a spilled posterior is copied into RAM.
+    Solves, for every row u of the output, with u's clicks j in
+    ``indices[indptr[u]:indptr[u + 1]]``,
+        (lambda_y * sum_j p_uj f_j f_j^T + lambda_reg I) x = lambda_y * sum_{j clicked} p_uj f_j
+    where f ranges over the opposite side's factor rows.  Per chunk, the
+    left-hand sums are one matmul against the packed Gram
+    (:func:`_packed_gram`), expanded to K x K systems by one ``take`` over
+    a flat index map, and the right-hand side is one ``bincount`` per
+    factor column over the chunk's clicks, which adds each row's terms in
+    index order from 0.0, as a sparse product does.  ``transpose`` selects
+    columns of p instead of rows (the item update); the matmul reads that
+    strided column chunk in place, so no part of a spilled posterior is
+    copied into RAM.
 
     The rows run in chunks, on a pool of ``n_threads`` threads when asked.
     Chunks write disjoint output rows, so they need no locking; the pool's
@@ -416,7 +414,7 @@ def _ridge_update(
     not depend on ``n_threads``.
     """
     k = factors.shape[1]
-    n_out = clicked_rhs.shape[0]
+    n_out = indptr.size - 1
     out = np.empty((n_out, k), dtype=np.float64)
     packed = _packed_gram(factors)
     rows, cols = np.triu_indices(k)
@@ -426,14 +424,21 @@ def _ridge_update(
     diag = np.arange(k)
 
     def work(lo: int, hi: int) -> None:
+        other, local = _clicked_in_block(indptr, indices, lo, hi)
         if transpose:
-            sums = (packed @ p_arr[:, lo:hi]).T
+            chunk = p_arr[:, lo:hi]
+            sums = (packed @ chunk).T
+            w = chunk[other, local]
         else:
-            sums = p_arr[lo:hi] @ packed.T
+            chunk = p_arr[lo:hi]
+            sums = chunk @ packed.T
+            w = chunk[local, other]
         sums *= lambda_y
         a = sums.take(full, axis=1).reshape(-1, k, k)
         a[:, diag, diag] += lambda_reg
-        out[lo:hi] = np.linalg.solve(a, clicked_rhs[lo:hi, :, None])[:, :, 0]
+        rhs = np.stack([np.bincount(local, w * factors[other, t], hi - lo) for t in range(k)], 1)
+        rhs *= lambda_y
+        out[lo:hi] = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
 
     row_len = p_arr.shape[0] if transpose else p_arr.shape[1]
     _in_pool(work, list(_iter_blocks(n_out, max(1, CHUNK_ENTRIES // row_len))), n_threads)
@@ -449,23 +454,23 @@ def update_user_factors(
               (lambda_y * sum_{i clicked} p_ui beta_i)
 
     The left-hand sum runs over all items; only clicks contribute to the
-    right-hand side.  Unique minimizer since lambda_theta > 0.
+    right-hand side, read from ``y``'s CSR layout.  Unique minimizer since
+    lambda_theta > 0.
     """
-    beta = model.beta
-    rhs = model.lambda_y * (_clicked_weights(y, p) @ beta)
     return _ridge_update(
-        p, rhs, beta, model.lambda_y, model.lambda_theta, n_threads, transpose=False
+        p, y.csr_indptr, y.item_idx, model.beta, model.lambda_y, model.lambda_theta,
+        n_threads, transpose=False,
     )
 
 
 def update_item_factors(
     y: InteractionMatrix, p, model: FactorModel, n_threads: int = 1
 ) -> np.ndarray:
-    """Per-item ridge solve, the mirror image of the user update."""
-    theta = model.theta
-    rhs = model.lambda_y * (_clicked_weights(y, p).T @ theta)
+    """Per-item ridge solve, the mirror image of the user update; the
+    clicks come from ``y``'s CSC layout."""
     return _ridge_update(
-        p, rhs, theta, model.lambda_y, model.lambda_beta, n_threads, transpose=True
+        p, y.csc_indptr, y.csc_indices, model.theta, model.lambda_y, model.lambda_beta,
+        n_threads, transpose=True,
     )
 
 

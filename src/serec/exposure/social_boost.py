@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from serec.data import InteractionMatrix, SocialGraph, csr_matrix
+from serec.data import InteractionMatrix, SocialGraph
 from serec.engine import MU_EPS, ConfigError
 from serec.exposure.popularity import _check_beta_parameters
 
@@ -59,19 +59,21 @@ class BoostExposure:
             raise ValueError("alpha1 + alpha2 + n_users must exceed 2")
         if graph.n_users != y.n_users:
             raise ValueError("graph and interactions disagree on n_users")
+        import scipy.sparse as sp  # here: no other kind multiplies sparse matrices
+
         self.s_coeff = s_coeff
         self.alpha1 = alpha1
         self.alpha2 = alpha2
         # row u holds the indicator of Friends(u)
-        self._adj = csr_matrix(
-            np.ones(graph.n_edges), graph.dst, graph.indptr, (graph.n_users, graph.n_users)
+        self._adj = sp.csr_matrix(
+            (np.ones(graph.n_edges), graph.dst, graph.indptr), shape=(graph.n_users, graph.n_users)
         )
         self._den0 = alpha1 + alpha2 + y.n_users - 2.0
         self._num0 = alpha1 + y.item_counts().astype(np.float64) - 1.0
         # p proxy at init: the clicks themselves, so friend mass is sparse.
         # Column-major, since mu_block slices columns.
-        clicks = csr_matrix(
-            np.ones(y.n_entries), y.item_idx, y.csr_indptr, (y.n_users, y.n_items)
+        clicks = sp.csr_matrix(
+            (np.ones(y.n_entries), y.item_idx, y.csr_indptr), shape=(y.n_users, y.n_items)
         )
         self._source = (self._adj @ clicks).tocsc()
 

@@ -398,8 +398,13 @@ def test_train_rejects_out_of_range_value_naming_its_key(
     assert not (tmp_path / "m").exists()
 
 
+PAST_FLOAT_RANGE = "1" + "0" * 400  # an integer that float() cannot hold
+
+
 @pytest.mark.parametrize("setting", ["lambda_y=NaN", "s_coeff=NaN", "convergence_tol=nan",
-                                     "alpha1=Infinity", "init_scale=-Infinity", "lambda_y=inf"])
+                                     "alpha1=Infinity", "init_scale=-Infinity", "lambda_y=inf",
+                                     pytest.param(f"lambda_y={PAST_FLOAT_RANGE}",
+                                                  id="lambda_y=past-float-range")])
 def test_train_rejects_non_finite_set_value_naming_its_key(
     dataset, split_dir, tmp_path, capsys, setting
 ):
@@ -411,13 +416,14 @@ def test_train_rejects_non_finite_set_value_naming_its_key(
     assert not (tmp_path / "m").exists()
 
 
-def test_train_rejects_non_finite_config_value_naming_the_file(split_dir, tmp_path, capsys):
+@pytest.mark.parametrize("raw", ["NaN", PAST_FLOAT_RANGE], ids=["nan", "past-float-range"])
+def test_train_rejects_non_finite_config_value_naming_the_file(split_dir, tmp_path, capsys, raw):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"lambda_theta": NaN}')
+    cfg_path.write_text(f'{{"lambda_theta": {raw}}}')
     rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
               "--model", "wmf", "--config", str(cfg_path)])
     assert rc == 1
-    assert f"{cfg_path}: config key 'lambda_theta' must be finite, got 'NaN'" in (
+    assert f"{cfg_path}: config key 'lambda_theta' must be finite, got '{raw}'" in (
         capsys.readouterr().err
     )
 
@@ -600,15 +606,24 @@ def test_cli_import_does_not_load_scipy_stats():
     _run_python(f"import serec.cli, sys; loaded = {SCIPY_LOADED}; assert not loaded, loaded")
 
 
-def test_split_evaluate_and_friend_groups_do_not_load_scipy(dataset, wmf_dir, tmp_path):
+def test_no_command_but_serec_boost_loads_scipy(dataset, wmf_dir, tmp_path):
+    # the factor solves read the clicks from InteractionMatrix's own index
+    # arrays; only serec-boost's prior multiplies sparse matrices
     split, out = tmp_path / "split", tmp_path / "out"
+    social = str(dataset / "social.tsv")
+    train = ["train", "--split-dir", str(split), "--social", social, *FAST, "--out-dir"]
     argv = [
         ["split", "--interactions", str(dataset / "interactions.tsv"), "--out-dir", str(split),
          "--seed", "3"],
         ["evaluate", "--model-dir", str(wmf_dir), "--split-dir", str(split), "--out-dir", str(out)],
         ["friend-groups", "--model-dir", str(wmf_dir), "--split-dir", str(split),
-         "--social", str(dataset / "social.tsv")],
+         "--social", social],
+        *[[*train, str(tmp_path / kind), "--model", kind]
+          for kind in ("wmf", "expomf", "serec-regular")],
+        ["exposure-curve", "--model-dir", str(tmp_path / "serec-regular"), "--split-dir",
+         str(split), "--social", social, "--user", _raw_user_ids(dataset)[0]],
     ]
+    boost = [*train, str(tmp_path / "serec-boost"), "--model", "serec-boost"]
     _run_python(
         "import sys\n"
         "from serec import cli\n"
@@ -616,6 +631,8 @@ def test_split_evaluate_and_friend_groups_do_not_load_scipy(dataset, wmf_dir, tm
         "    assert cli.main(argv) == 0, argv\n"
         f"loaded = {SCIPY_LOADED}\n"
         "assert not loaded, loaded\n"
+        f"assert cli.main({boost!r}) == 0\n"
+        f"assert {SCIPY_LOADED}\n"
     )
     assert json.loads((out / "report.json").read_text())["n_users_evaluated"] > 0
 
@@ -1023,12 +1040,14 @@ def test_exposure_curve_reads_settings_from_meta_config(
         (lambda meta: meta["config"].update(alpha1=0), "config key 'alpha1' must be positive"),
         (lambda meta: meta["config"].update(alpha1=math.nan),
          "config key 'alpha1' must be finite, got 'NaN'"),
+        (lambda meta: meta["config"].update(alpha1=int(PAST_FLOAT_RANGE)),
+         f"config key 'alpha1' must be finite, got '{PAST_FLOAT_RANGE}'"),
         (lambda meta: meta["config"].update(target="bogus"), "config key 'target' expects"),
         (lambda meta: meta["config"].update(model="svd"), "config key 'model' expects"),
         (lambda meta: meta.update(config=[1]), "config must be a JSON object"),
     ],
-    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "non-finite", "bad-target",
-         "bad-model", "not-an-object"],
+    ids=["no-config", "unknown-key", "wrong-type", "out-of-range", "non-finite",
+         "past-float-range", "bad-target", "bad-model", "not-an-object"],
 )
 def test_exposure_curve_bad_meta_config_exits_2_naming_meta_json(
     dataset, expomf_dir, split_dir, tmp_path, capsys, edit, message
@@ -1259,6 +1278,8 @@ def test_robustness_requires_social_flag(split_dir):
     "argv, flag",
     [
         (["split", "--ratios", "0.7,0.3"], "--ratios"),
+        (["split", "--ratios", "nan,0.2"], "--ratios"),
+        (["split", "--ratios", "0.7,nan"], "--ratios"),
         (["split", "--seed", "-1"], "--seed"),
         (["robustness", "--seed", "-1", "--keep-probs", "0.5"], "--seed"),
         (["exposure-curve", "--bins", "0"], "--bins"),
@@ -1267,8 +1288,9 @@ def test_robustness_requires_social_flag(split_dir):
         (["generate", "--social-density", "2"], "--social-density"),
         (["generate", "--seed", "-1"], "--seed"),
     ],
-    ids=["split-ratios", "split-seed", "robustness-seed", "curve-bins-zero",
-         "curve-bins-negative", "generate-n-users", "generate-social-density", "generate-seed"],
+    ids=["split-ratios", "split-ratios-nan-first", "split-ratios-nan-second", "split-seed",
+         "robustness-seed", "curve-bins-zero", "curve-bins-negative", "generate-n-users",
+         "generate-social-density", "generate-seed"],
 )
 def test_bad_flag_value_exits_1_naming_the_flag(
     dataset, split_dir, expomf_dir, tmp_path, capsys, argv, flag

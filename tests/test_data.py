@@ -233,8 +233,9 @@ class TestSplit:
         assert split.validation.n_entries == int(np.floor(0.2 * n))
 
     def test_bad_ratios(self, toy_matrix):
-        for ratios in [(0.0, 0.2), (0.7, 0.0), (0.8, 0.3), (-0.1, 0.5)]:
-            with pytest.raises(ValueError):
+        nan = float("nan")
+        for ratios in [(0.0, 0.2), (0.7, 0.0), (0.8, 0.3), (-0.1, 0.5), (nan, 0.2), (0.7, nan)]:
+            with pytest.raises(ValueError, match="ratios must be positive"):
                 split_interactions(toy_matrix, ratios=ratios)
 
 

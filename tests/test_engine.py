@@ -218,9 +218,10 @@ class TestFactorUpdates:
         self, rng, monkeypatch, solve, n_threads
     ):
         # traced heap bound: the packed Gram (K(K+1)/2 x n), per thread one
-        # chunk's packed sums and K x K systems, and the n x K arrays (factors
-        # transposed, right-hand side, output), plus the clicked-pair weights
-        # in a CSR copy.  A full K x K Gram, a packed one built from whole
+        # chunk's packed sums and K x K systems, and three n x K arrays: the
+        # factors transposed, the output, and one more that covers each
+        # chunk's own clicked entries and right-hand side; no copy of the
+        # clicks is made.  A full K x K Gram, a packed one built from whole
         # gathered temporaries, or a transposed copy of each chunk of p
         # breaks it.
         n, k, chunk = 2000, 20, 64
@@ -235,7 +236,7 @@ class TestFactorUpdates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 8 * (m * n + n_threads * chunk * (m + k * k) + 3 * n * k) + 20 * y.n_entries
+        bound = 8 * (m * n + n_threads * chunk * (m + k * k) + 3 * n * k)
         assert peak < bound
 
     @pytest.mark.parametrize("n_threads", [1, 2])
