@@ -658,11 +658,14 @@ def test_evaluate_report_does_not_depend_on_the_core_count(
     assert reports[0] == reports[1]
 
 
-@pytest.mark.skipif(
+glibc_on_linux = pytest.mark.skipif(
     not sys.platform.startswith("linux") or not hasattr(os, "confstr")
     or "glibc" not in (os.confstr("CS_GNU_LIBC_VERSION") or ""),
     reason="mallopt and /proc/self/statm are glibc on Linux",
 )
+
+
+@glibc_on_linux
 @pytest.mark.parametrize("shared, kept_mib", [(False, 40), (True, 20)])
 def test_one_malloc_arena_reuses_what_another_thread_freed(shared, kept_mib):
     # two live threads each allocate and free a 20 MiB array three times;
@@ -702,6 +705,36 @@ def test_one_malloc_arena_reuses_what_another_thread_freed(shared, kept_mib):
 def test_main_shares_one_malloc_arena(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(cli, "_share_one_malloc_arena", lambda: calls.append(1))
+    run(["stats", "--interactions", str(tmp_path / "nope.tsv")])
+    assert calls == [1]
+
+
+@glibc_on_linux
+@pytest.mark.parametrize("mapped, kept_mib", [(False, 20), (True, 0)])
+def test_a_freed_large_array_gives_its_pages_back(mapped, kept_mib):
+    # a 20 MiB array allocated and freed three times; by default glibc
+    # serves the second from the heap once it has unmapped the first, and
+    # the heap keeps those pages, where a smaller array may split them
+    _run_python(
+        "import os\n"
+        "import numpy as np\n"
+        "from serec import cli\n"
+        f"if {mapped}:\n"
+        "    cli._map_large_arrays()\n"
+        "def rss_mib():\n"
+        "    with open('/proc/self/statm') as f:\n"
+        "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+        "base = rss_mib()\n"
+        "for _ in range(3):\n"
+        "    np.ones(20 * 2**20 // 8)\n"
+        "kept = rss_mib() - base\n"
+        f"assert abs(kept - {kept_mib}) < 2, kept\n"
+    )
+
+
+def test_main_maps_large_arrays_on_their_own(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_map_large_arrays", lambda: calls.append(1))
     run(["stats", "--interactions", str(tmp_path / "nope.tsv")])
     assert calls == [1]
 
