@@ -82,8 +82,9 @@ CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 def _coerce(where: str, name: str, value):
     """``value`` as config key ``name`` takes it: an integer key takes only
-    integral numbers and a float key only finite numbers, neither booleans.
-    JSON's ``NaN`` and ``Infinity`` would pass every range check."""
+    integral numbers that fit in 64 bits and a float key only finite
+    numbers, neither booleans.  JSON's ``NaN`` and ``Infinity`` would pass
+    every range check, and numpy takes no array dimension past 64 bits."""
     if name == "cutoffs":
         text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
         return tuple(_parse_cutoffs(text, "cutoffs"))
@@ -111,7 +112,10 @@ def _coerce(where: str, name: str, value):
                 raise UsageError(f"{where}: config key {name!r} must be finite, got {shown!r}")
             return number
         if isinstance(number, int) or number.is_integer():
-            return int(number)
+            number = int(number)
+            if not -(2**63) <= number < 2**63:
+                raise UsageError(f"{where}: config key {name!r} must fit in 64 bits, got {shown!r}")
+            return number
     expects = "a number" if isinstance(default, float) else "an integer"
     if name == "refit_every":
         expects = '"once" or an integer'
@@ -377,6 +381,8 @@ def cmd_exposure_curve(args) -> int:
         # overwriting that block
         engine.e_step(y, model, provider, out=post, block_size=cfg.block_size)
     p_user = np.array(post[u])
+    # a no-op but for wmf, whose constant view leaves its clicks' 1 implied
+    p_user[y.item_idx[y.csr_indptr[u] : y.csr_indptr[u + 1]]] = 1.0
     popularity = y.item_counts()
     edges = np.linspace(0, popularity.max() + 1, args.bins + 1)
     which = np.clip(np.digitize(popularity, edges) - 1, 0, args.bins - 1)

@@ -17,10 +17,12 @@ Provider protocol (duck-typed):
     kind -> str                         short model name for persistence
     state -> tuple of str (optional)    names of the array attributes that
                                         save_model writes to model.npz
-    bypass_bayes -> bool (optional)     when True the E-step stores the
-                                        prior directly as p (fixed-weight
-                                        mode); clicked pairs weigh 1 in p
-                                        and in the likelihood
+    mu_unobserved -> float (optional)   marks a fixed-weight provider (wmf):
+                                        p is this constant at every
+                                        unclicked pair and 1 at every click,
+                                        without the Bayes rule; its
+                                        posterior is the read-only constant
+                                        view of ExposurePosterior
 """
 
 from __future__ import annotations
@@ -141,17 +143,29 @@ class FactorModel:
             raise TrainingError(f"non-finite factor values in {where}")
 
 
+def _fixed_weight(provider) -> float | None:
+    """The constant weight of a fixed-weight provider, else None."""
+    return getattr(provider, "mu_unobserved", None)
+
+
 def ExposurePosterior(
     provider, n_users: int, n_items: int, dense_budget: int = DEFAULT_DENSE_BUDGET
 ) -> np.ndarray:
-    """A zeroed U x V array for p_ui = E[alpha_ui | y_ui].
+    """The U x V posterior p_ui = E[alpha_ui | y_ui] of ``provider``.
 
-    ``provider`` is unused; it stays so that existing callers keep working.
-    In RAM while n_users * n_items fits the budget, otherwise a memmap of
-    an unnamed temporary file (under ``$TMPDIR``).  The mapping keeps its
-    own descriptor, so the file lives exactly as long as the array's last
+    A fixed-weight provider (one with ``mu_unobserved``) gets the
+    read-only, zero-stride view of that constant, 8 bytes whatever the
+    shape: its clicks weigh 1 by definition, and the factor solves, which
+    see the zero strides, put them in per row chunk.  Any other provider
+    gets a zeroed array for the E-step to fill: in RAM while
+    n_users * n_items fits the budget, otherwise a memmap of an unnamed
+    temporary file (under ``$TMPDIR``).  The mapping keeps its own
+    descriptor, so the file lives exactly as long as the array's last
     reference, however the process ends.
     """
+    weight = _fixed_weight(provider)
+    if weight is not None:
+        return np.broadcast_to(np.float64(weight), (n_users, n_items))
     if n_users * n_items <= dense_budget:
         return np.zeros((n_users, n_items), dtype=np.float64)
     with tempfile.TemporaryFile() as fh:
@@ -243,8 +257,10 @@ def _sweep(
 ) -> float:
     """One pass over item blocks: the E-step, the log likelihood, or both.
 
-    With ``p_out`` the posterior is written there (see :func:`e_step`);
-    with ``with_ll`` the marginal log likelihood is returned, else 0.0.
+    With ``p_out`` the posterior is written there (see :func:`e_step`),
+    unless the provider is fixed-weight: its posterior is the constant view
+    of :func:`ExposurePosterior`, so a dense ``p_out`` raises.  With
+    ``with_ll`` the marginal log likelihood is returned, else 0.0.
     Each block is one call of :func:`_sweep_block`, a function of the
     read-only inputs and its own columns of ``p_out`` (serec-boost's
     friend mass included), so its U x block arrays are allocated in the
@@ -255,6 +271,12 @@ def _sweep(
     """
     if model.n_users != y.n_users or model.n_items != y.n_items:
         raise ValueError("model and interaction matrix disagree on dimensions")
+    if _fixed_weight(provider) is not None and p_out is not None:
+        if any(p_out.strides):
+            raise ValueError("a fixed-weight posterior is the constant view of ExposurePosterior")
+        p_out = None  # nothing to write
+    if p_out is None and not with_ll:
+        return 0.0
     total = 0.0
     if with_ll:
         total = -0.5 * model.lambda_theta * float(np.sum(model.theta**2))
@@ -285,39 +307,34 @@ def _sweep_block(
     denominator whenever the clamp leaves mu unchanged, so a sweep that
     does both computes it once.
     """
-    bypass = getattr(provider, "bypass_bayes", False)
-    bayes = p_out is not None and not bypass
+    bayes = p_out is not None
     mu, unclamped = _provider_mu_block(provider, y, j0, j1)
     rows, cols = _clicked_in_block(y.csc_indptr, y.csc_indices, j0, j1)
-    if with_ll or bayes:
-        n0 = model.theta @ model.beta[j0:j1].T
-        if with_ll:
-            s_obs = n0[rows, cols]
-        np.square(n0, out=n0)
-        n0 *= -0.5 * model.lambda_y
-        np.exp(n0, out=n0)
-        n0 *= math.sqrt(model.lambda_y / (2.0 * math.pi))
+    n0 = model.theta @ model.beta[j0:j1].T
+    if with_ll:
+        s_obs = n0[rows, cols]
+    np.square(n0, out=n0)
+    n0 *= -0.5 * model.lambda_y
+    np.exp(n0, out=n0)
+    n0 *= math.sqrt(model.lambda_y / (2.0 * math.pi))
     shared = bayes and unclamped
     if with_ll and not shared:
         # the E-step below still needs N0; otherwise it becomes mu * N0
         num = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
         den = 1.0 - mu
         den += num
-    if p_out is not None:
-        if bayes:
-            mu_e = mu if unclamped else np.clip(mu, MU_EPS, 1.0 - MU_EPS)
-            n0 *= mu_e
-            e_den = 1.0 - mu_e
-            e_den += n0
-            np.divide(n0, e_den, out=p_out[:, j0:j1])
-            if shared:
-                den = e_den
-        else:
-            p_out[:, j0:j1] = mu
+    if bayes:
+        mu_e = mu if unclamped else np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+        n0 *= mu_e
+        e_den = 1.0 - mu_e
+        e_den += n0
+        np.divide(n0, e_den, out=p_out[:, j0:j1])
+        if shared:
+            den = e_den
         p_out[rows, j0 + cols] = 1.0
     if not with_ll:
         return 0.0
-    mu_obs = 1.0 if bypass else mu[rows, cols]
+    mu_obs = 1.0 if _fixed_weight(provider) is not None else mu[rows, cols]
     return _block_log_likelihood(model, mu_obs, den, rows, cols, s_obs, j0)
 
 
@@ -331,11 +348,12 @@ def e_step(
     """Fill the exposure posterior for every pair.
 
     Clicked pairs get p = 1 exactly; unclicked pairs get the Bayes update
-    of the provider's prior against the Gaussian evidence at 0.  Providers
-    flagged ``bypass_bayes`` have their prior stored as p directly (the
-    fixed-weight mode).  Priors are clamped to [1e-6, 1 - 1e-6] before the
-    Bayes rule so the posterior stays numerically stable; values outside
-    [0, 1] are a provider contract violation and raise.
+    of the provider's prior against the Gaussian evidence at 0.  Priors
+    are clamped to [1e-6, 1 - 1e-6] before the Bayes rule so the posterior
+    stays numerically stable; values outside [0, 1] are a provider
+    contract violation and raise.  A fixed-weight provider has nothing to
+    fill: its posterior is the constant view of :func:`ExposurePosterior`,
+    returned as it is, and a dense ``out`` for one raises.
     """
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
     _sweep(y, model, provider, post, block_size, with_ll=False)
@@ -404,14 +422,17 @@ def _ridge_update(
     index order from 0.0, as a sparse product does.  ``transpose`` selects
     columns of p instead of rows (the item update); the matmul reads that
     strided column chunk in place, so no part of a spilled posterior is
-    copied into RAM.
+    copied into RAM.  A fixed-weight posterior, the zero-stride constant
+    view of :func:`ExposurePosterior`, is the one p a chunk does not read
+    in place: the chunk builds its weights in an array of its own, the
+    constant with 1 at its clicks, the values of the dense posterior.
 
     The rows run in chunks, on a pool of ``n_threads`` threads when asked.
     Chunks write disjoint output rows, so they need no locking; the pool's
     shutdown is the barrier before the next phase.  Each chunk holds at
     most ``CHUNK_ENTRIES`` posterior entries, so a chunk's copy of a
-    spilled posterior stays bounded, and the chunks, like the result, do
-    not depend on ``n_threads``.
+    spilled posterior or its own weights stay bounded, and the chunks,
+    like the result, do not depend on ``n_threads``.
     """
     k = factors.shape[1]
     n_out = indptr.size - 1
@@ -422,17 +443,19 @@ def _ridge_update(
     where[rows, cols] = where[cols, rows] = np.arange(rows.size)
     full = where.ravel()  # packed index of each entry of a row-major K x K
     diag = np.arange(k)
+    fixed = p_arr.size > 0 and not any(p_arr.strides)
 
     def work(lo: int, hi: int) -> None:
         other, local = _clicked_in_block(indptr, indices, lo, hi)
-        if transpose:
-            chunk = p_arr[:, lo:hi]
-            sums = (packed @ chunk).T
-            w = chunk[other, local]
+        clicks = (other, local) if transpose else (local, other)
+        if fixed:
+            shape = (p_arr.shape[0], hi - lo) if transpose else (hi - lo, p_arr.shape[1])
+            chunk = np.full(shape, p_arr[0, 0])
+            chunk[clicks] = 1.0
         else:
-            chunk = p_arr[lo:hi]
-            sums = chunk @ packed.T
-            w = chunk[local, other]
+            chunk = p_arr[:, lo:hi] if transpose else p_arr[lo:hi]
+        sums = (packed @ chunk).T if transpose else chunk @ packed.T
+        w = chunk[clicks]
         sums *= lambda_y
         a = sums.take(full, axis=1).reshape(-1, k, k)
         a[:, diag, diag] += lambda_reg
@@ -454,8 +477,9 @@ def update_user_factors(
               (lambda_y * sum_{i clicked} p_ui beta_i)
 
     The left-hand sum runs over all items; only clicks contribute to the
-    right-hand side, read from ``y``'s CSR layout.  Unique minimizer since
-    lambda_theta > 0.
+    right-hand side, read from ``y``'s CSR layout.  ``p`` is a U x V
+    posterior, in RAM or spilled, or a fixed-weight provider's constant
+    view, whose clicks weigh 1.  Unique minimizer since lambda_theta > 0.
     """
     return _ridge_update(
         p, y.csr_indptr, y.item_idx, model.beta, model.lambda_y, model.lambda_theta,
@@ -499,11 +523,13 @@ def fit(train: InteractionMatrix, provider, cfg: TrainConfig) -> FitResult:
     new factors and prior.  That likelihood comes from the next
     iteration's E-step sweep, so n iterations make n + 1 passes over the
     prior, and the returned posterior is the E-step of the returned model
-    and prior.  Every pass runs its item blocks on ``cfg.n_threads``
-    threads and gives the results of the serial :func:`e_step` and
-    :func:`log_likelihood` at the same ``block_size``.  Stops when the
-    relative likelihood change drops below ``cfg.convergence_tol`` or
-    after ``max_em_iters`` iterations.
+    and prior.  A fixed-weight provider's posterior is the constant view
+    of :func:`ExposurePosterior`, which no pass writes, so its first pass
+    is skipped and n iterations make n.  Every pass runs its item blocks
+    on ``cfg.n_threads`` threads and gives the results of the serial
+    :func:`e_step` and :func:`log_likelihood` at the same ``block_size``.
+    Stops when the relative likelihood change drops below
+    ``cfg.convergence_tol`` or after ``max_em_iters`` iterations.
     A provider that derives its prior from the posterior it was last
     handed (serec-boost) needs ``provider.update(result.posterior, train)``
     before its prior is read again: the final sweep overwrote that

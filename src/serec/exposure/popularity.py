@@ -2,8 +2,9 @@
 
 ``PopularityExposure`` shares one prior per item, updated as the mode of a
 Beta posterior over how many users saw the item.  ``FixedExposure`` is a
-constant prior that the engine stores as the posterior, which turns the EM
-engine into plain weighted matrix factorization.
+constant weight that the engine takes as the posterior, with weight 1 at
+every click, which turns the EM engine into plain weighted matrix
+factorization.
 """
 
 from __future__ import annotations
@@ -63,14 +64,15 @@ class PopularityExposure:
 class FixedExposure:
     """Constant exposure weights: the WMF special case.
 
-    The prior is ``mu_unobserved`` at every pair.  The engine skips the
-    Bayes E-step for this provider (``bypass_bayes``), stores the prior as
-    p, and gives clicked pairs weight 1 in p and in the likelihood.
+    The prior is ``mu_unobserved`` at every pair.  That attribute marks a
+    fixed-weight provider to the engine: it skips the Bayes E-step, takes
+    the read-only constant view of ``mu_unobserved`` as the posterior, and
+    gives clicked pairs weight 1 in the factor solves and the likelihood.
+    No U x V array is stored.
     """
 
     kind = "wmf"
     state = ()
-    bypass_bayes = True
 
     def __init__(self, y: InteractionMatrix, mu_unobserved: float = 0.4) -> None:
         if not 0.0 < mu_unobserved <= 1.0:

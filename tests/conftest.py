@@ -76,9 +76,8 @@ class MatrixProvider:
 
     kind = "matrix"
 
-    def __init__(self, mu, bypass=False):
+    def __init__(self, mu):
         self.mu = np.asarray(mu, dtype=float)
-        self.bypass_bayes = bypass
         self.updates = 0
 
     def mu_block(self, j0, j1):

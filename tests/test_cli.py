@@ -428,6 +428,25 @@ def test_train_rejects_non_finite_config_value_naming_the_file(split_dir, tmp_pa
     )
 
 
+@pytest.mark.parametrize("raw", ["1e30", PAST_FLOAT_RANGE, "9223372036854775808"],
+                         ids=["1e30", "past-float-range", "2**63"])
+def test_train_rejects_integer_past_64_bits_naming_its_key(split_dir, tmp_path, capsys, raw):
+    # numpy would take k as an array dimension and fail with exit 2
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", "wmf", "--set", f"k={raw}"])
+    assert rc == 1
+    # the message shows the value as JSON spells it: 1e30 as 1e+30
+    assert "--set: config key 'k' must fit in 64 bits, got '" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"seed": {raw}}}')
+    rc = run(["train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "m"),
+              "--model", "wmf", "--config", str(cfg_path)])
+    assert rc == 1
+    assert f"{cfg_path}: config key 'seed' must fit in 64 bits, got '" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    assert cli.load_config(None, [f"k={2**63 - 1}"]).k == 2**63 - 1
+
+
 def test_config_takes_integral_numbers_for_integer_keys():
     cfg = cli.load_config(None, ["k=3.0", "lambda_y=1", "refit_every=2", "seed=1e3"])
     assert (cfg.k, cfg.lambda_y, cfg.refit_every, cfg.seed) == (3, 1.0, 2, 1000)

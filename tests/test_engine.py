@@ -18,7 +18,13 @@ import pytest
 import serec.engine
 from serec.engine import DEFAULT_BLOCK_SIZE, DEFAULT_DENSE_BUDGET
 from conftest import MatrixProvider, dense_clicks, random_graph, random_interactions
-from reference_impls import brute_force_posterior, e_step_pair, ll_oracle, ridge_row_oracle
+from reference_impls import (
+    brute_force_posterior,
+    e_step_pair,
+    fixed_exposure_p,
+    ll_oracle,
+    ridge_row_oracle,
+)
 from serec import (
     BoostExposure,
     ConfigError,
@@ -95,14 +101,28 @@ class TestEStep:
         assert np.allclose(post[~clicked], expected[~clicked], atol=1e-15)
         assert post.min() >= 0.0 and post.max() <= 1.0
 
-    def test_bypass_stores_prior_directly(self, rng):
-        y = random_interactions(rng, 4, 5)
-        mu = rng.uniform(0, 1, (4, 5))
-        model = make_model(np.zeros((4, 2)), np.zeros((5, 2)))
-        post = e_step(y, model, MatrixProvider(mu, bypass=True))
-        clicked = dense_clicks(y).astype(bool)
-        assert np.all(post[clicked] == 1.0)
-        assert np.array_equal(post[~clicked], mu[~clicked])
+    def test_fixed_weight_posterior_is_a_read_only_constant_view(self, rng, monkeypatch):
+        # wmf's posterior is the 8-byte view of its weight: e_step and fit
+        # return it unwritten, and a fit builds no U x V array on the way
+        n_u, n_v = 300, 400
+        y = random_interactions(rng, n_u, n_v, density=0.05)
+        provider = FixedExposure(y, mu_unobserved=0.4)
+        model = make_model(rng.normal(0, 1, (n_u, 2)), rng.normal(0, 1, (n_v, 2)))
+        with pytest.raises(ValueError, match="constant view"):
+            e_step(y, model, provider, out=np.zeros((n_u, n_v)))
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", n_u * n_v // 8)
+        cfg = TrainConfig(k=2, max_em_iters=2, convergence_tol=1e-15, block_size=64)
+        tracemalloc.start()
+        try:
+            res = fit(y, provider, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_u * n_v * 8
+        for post in (e_step(y, model, provider), res.posterior):
+            assert post.shape == (n_u, n_v) and post.strides == (0, 0)
+            assert not post.flags.writeable
+            assert np.all(post == 0.4)
 
     def test_dimension_mismatch(self, rng):
         y = random_interactions(rng, 4, 5)
@@ -211,6 +231,28 @@ class TestFactorUpdates:
                 model.theta, p[:, i], y_dense[:, i], model.lambda_y, model.lambda_beta
             )
             assert np.allclose(beta[i], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
+    def test_fixed_weight_view_solves_as_its_dense_weights(
+        self, rng, monkeypatch, tmp_path, solve, n_threads
+    ):
+        # each chunk builds its weights, the constant with 1 at its clicks, so
+        # over several chunks the factors equal those of the dense fixed-weight
+        # posterior, in RAM or spilled, byte for byte
+        n_u, n_v = 40, 55
+        y = random_interactions(rng, n_u, n_v, density=0.2)
+        model = make_model(
+            rng.normal(0, 1, (n_u, 20)), rng.normal(0, 1, (n_v, 20)), lt=0.3, lb=0.7, ly=2.0
+        )
+        view = ExposurePosterior(FixedExposure(y, mu_unobserved=0.4), n_u, n_v)
+        dense = fixed_exposure_p(dense_clicks(y), 0.4)
+        disk = np.memmap(tmp_path / "p.dat", dtype=np.float64, mode="w+", shape=dense.shape)
+        disk[:] = dense
+        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 7 * max(n_u, n_v))
+        got = solve(y, view, model, n_threads)
+        for ref in (dense, disk):
+            assert got.tobytes() == solve(y, ref, model, 1).tobytes()
 
     @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
@@ -609,8 +651,9 @@ class TestThreadedSweep:
             for n_threads in (1, 2, 4):
                 provider = _provider_of_kind(kind, y, graph)
                 post = ExposurePosterior(provider, 12, 14, dense_budget)
-                assert isinstance(post, np.memmap) is (dense_budget <= 1)
-                post[:] = start
+                if kind != "wmf":  # wmf's posterior is a constant view, never written
+                    assert isinstance(post, np.memmap) is (dense_budget <= 1)
+                    post[:] = start
                 # serec-boost now reads its friend mass from the p the sweep overwrites
                 provider.update(post, y)
                 serial = log_likelihood(y, model, provider, block_size)

@@ -122,8 +122,12 @@ class TestFixedExposureProvider:
         model_beta = rng.normal(0, 1, (8, 2))
         from serec import FactorModel
 
+        # the read-only constant view: the clicks' weight 1 is implied, and
+        # the solves and the likelihood put it in
         post = e_step(y, FactorModel(model_theta, model_beta), provider)
-        assert np.array_equal(post, fixed_exposure_p(dense_clicks(y), 0.4))
+        assert post.shape == (6, 8) and post.strides == (0, 0)
+        assert not post.flags.writeable
+        assert np.array_equal(post, np.full((6, 8), 0.4))
 
     def test_save_load_round_trip(self, tmp_path, toy_matrix):
         save_provider(tmp_path, FixedExposure(toy_matrix, mu_unobserved=0.7), toy_matrix,
