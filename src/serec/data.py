@@ -228,6 +228,10 @@ class StatsReport:
 # U+3000 is whitespace, so the last entry (U+3001) stands for all of them.
 _WHITESPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
+# characters per block of lines that _scan parses at once: a block's arrays
+# and field strings take about 25 bytes per character, 6.5 MB at this size
+SCAN_CHARS = 1 << 18
+
 
 def _read_text(path: str | Path) -> str:
     """The text of ``path`` as text mode reads it: UTF-8, with ``\\r\\n`` and
@@ -246,53 +250,67 @@ def _read_text(path: str | Path) -> str:
 
 
 def _scan(path: str | Path, widths: tuple[int, ...], expected: str):
-    """The records of an edge list, parsed without per-line Python.
+    """The records of an edge list, parsed without per-line Python, one
+    block of lines at a time.
 
-    The file is read by :func:`_read_text`.  Fields are the runs of
-    characters that are not whitespace, as ``str.split`` finds them, and only
-    ``\\n`` ends a line, as in text mode's line iterator.  A line whose first
-    field starts with ``#`` is a comment.
+    The file is read by :func:`_read_text` and cut into blocks of whole
+    lines, each ending at the first line end that makes it at least
+    ``SCAN_CHARS`` characters long (a longer line is one block), so only
+    one block's fields exist as ``str`` at a time.  Fields are the runs of
+    characters that are not whitespace, as ``str.split`` finds them, and
+    only ``\\n`` ends a line, as in text mode's line iterator.  A line
+    whose first field starts with ``#`` is a comment.
 
-    Returns ``(columns, counts, lines, fault)`` for the records before the
-    first one whose field count is not in ``widths``: ``counts[r]`` is the
-    number of fields of record r and ``lines[r]`` its line number, and
-    ``columns[j]`` lists field j of every record with more than j fields, in
-    file order.  ``fault`` is the :class:`DataFormatError` of that first
-    record, ``expected.format(count)`` after its line, or None; the caller
-    raises it after any fault it finds in the records before it, so the first
-    faulty line is named, as in a line-by-line parse.
+    Yields ``(columns, counts, lines, fault)`` per block, for its records
+    before the first one whose field count is not in ``widths``:
+    ``counts[r]`` is the number of fields of record r and ``lines[r]`` its
+    line number in the file, and ``columns[j]`` lists field j of every
+    record with more than j fields, in file order.  ``fault`` is the
+    :class:`DataFormatError` of that first record, ``expected.format(count)``
+    after its line, or None.  The caller raises it after any fault it finds
+    in the records before it, so the first faulty line is named, as in a
+    line-by-line parse, and no later block is read.
     """
     text = _read_text(path)
-    code = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space = _WHITESPACE.take(code, mode="clip")
-    starts = ~space
-    starts[1:] &= space[:-1]
-    starts = np.flatnonzero(starts)
-    line = np.searchsorted(np.flatnonzero(code == 10), starts)
-    first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
-    counts = np.diff(first, append=starts.size)
-    record = code[starts[first]] != ord("#")
-    first, counts = first[record], counts[record]
-    lines = line[first] + 1
-    fault = None
-    bad = np.flatnonzero(~np.isin(counts, widths))
-    if bad.size:
-        r = bad[0]
-        fault = DataFormatError(f"{path}:{lines[r]}: " + expected.format(counts[r]))
-        first, counts, lines = first[:r], counts[:r], lines[:r]
-    tokens = np.array(text.split(), dtype=object)
-    columns = [tokens[first[counts > j] + j].tolist() for j in range(max(widths))]
-    return columns, counts, lines, fault
-
-
-def _first_seen(ids: list[str]) -> dict[str, int]:
-    """Dense indices for the distinct ``ids`` in first-seen order."""
-    return dict(zip(dict.fromkeys(ids), itertools.count()))
+    start, line0 = 0, 0
+    while start < len(text):
+        end = text.find("\n", start + SCAN_CHARS - 1) + 1 or len(text)
+        block = text[start:end]
+        code = np.frombuffer(block.encode("utf-32-le"), dtype=np.uint32)
+        space = _WHITESPACE.take(code, mode="clip")
+        starts = ~space
+        starts[1:] &= space[:-1]
+        starts = np.flatnonzero(starts)
+        ends = np.flatnonzero(code == 10)
+        line = np.searchsorted(ends, starts)
+        first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+        counts = np.diff(first, append=starts.size)
+        record = code[starts[first]] != ord("#")
+        first, counts = first[record], counts[record]
+        lines = line[first] + line0 + 1
+        fault = None
+        bad = np.flatnonzero(~np.isin(counts, widths))
+        if bad.size:
+            r = bad[0]
+            fault = DataFormatError(f"{path}:{lines[r]}: " + expected.format(counts[r]))
+            first, counts, lines = first[:r], counts[:r], lines[:r]
+        tokens = np.array(block.split(), dtype=object)
+        columns = [tokens[first[counts > j] + j].tolist() for j in range(max(widths))]
+        yield columns, counts, lines, fault
+        start, line0 = end, line0 + ends.size
 
 
 def _indices(index: dict[str, int], ids: list[str]) -> np.ndarray:
     """``index[id]`` for every id, -1 for an id not in ``index``."""
     return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.int64, count=len(ids))
+
+
+def _add_indices(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """``index[id]`` for every id, after giving each id not in ``index`` the
+    next dense index in first-seen order."""
+    new = itertools.filterfalse(index.__contains__, dict.fromkeys(ids))
+    index.update(zip(new, itertools.count(len(index))))
+    return _indices(index, ids)
 
 
 def _first_non_number(values: list[str]) -> int:
@@ -314,28 +332,32 @@ def load_interactions(
     collapse to one entry.  Returns the matrix together with the
     first-seen id-to-index mapping.
     """
-    (users, items, ratings), counts, lines, fault = _scan(
+    user_index, item_index = {}, {}
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for (users, items, ratings), counts, lines, fault in _scan(
         path, (2, 3), "expected 'user item [rating]', got {} fields"
-    )
-    rated = np.flatnonzero(counts == 3)
-    try:
-        rating = np.fromiter(map(float, ratings), dtype=np.float64, count=len(ratings))
-    except ValueError:
-        k = _first_non_number(ratings)
-        raise DataFormatError(
-            f"{path}:{lines[rated[k]]}: rating {ratings[k]!r} is not a number"
-        ) from None
-    if fault:
-        raise fault
-    if min_rating is not None:
-        keep = np.ones(counts.size, dtype=bool)
-        keep[rated] = ~(rating < min_rating)  # a nan rating is kept
-        users = list(itertools.compress(users, keep))
-        items = list(itertools.compress(items, keep))
-    if not users:
+    ):
+        rated = np.flatnonzero(counts == 3)
+        try:
+            rating = np.fromiter(map(float, ratings), dtype=np.float64, count=len(ratings))
+        except ValueError:
+            k = _first_non_number(ratings)
+            raise DataFormatError(
+                f"{path}:{lines[rated[k]]}: rating {ratings[k]!r} is not a number"
+            ) from None
+        if fault:
+            raise fault
+        if min_rating is not None:
+            keep = np.ones(counts.size, dtype=bool)
+            keep[rated] = ~(rating < min_rating)  # a nan rating is kept
+            users = list(itertools.compress(users, keep))
+            items = list(itertools.compress(items, keep))
+        pairs.append(
+            np.column_stack([_add_indices(user_index, users), _add_indices(item_index, items)])
+        )
+    if not user_index:
         raise DataFormatError(f"{path}: no interaction records")
-    user_index, item_index = _first_seen(users), _first_seen(items)
-    pairs = np.column_stack([_indices(user_index, users), _indices(item_index, items)])
+    pairs = np.concatenate(pairs)
     matrix = InteractionMatrix(len(user_index), len(item_index), pairs)
     id_map = IdMap(
         users=list(user_index),
@@ -353,18 +375,21 @@ def load_social(path: str | Path, id_map: IdMap) -> tuple[SocialGraph, SocialLoa
     networks overhang rating logs); self-loops and duplicates likewise,
     all counted in the returned stats.
     """
-    columns, counts, _, fault = _scan(path, (2,), "expected 'truster trustee', got {} fields")
-    if fault:
-        raise fault
-    src, dst = (_indices(id_map.user_index, ids) for ids in columns)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for columns, _, _, fault in _scan(path, (2,), "expected 'truster trustee', got {} fields"):
+        if fault:
+            raise fault
+        edges.append(np.column_stack([_indices(id_map.user_index, ids) for ids in columns]))
+    edges = np.concatenate(edges)
+    src, dst = edges.T
     known = (src >= 0) & (dst >= 0)
     self_loop = known & (src == dst)
-    edges = np.column_stack([src, dst])[known & ~self_loop]
+    edges = edges[known & ~self_loop]
     graph = SocialGraph(len(id_map.users), edges)
     stats = SocialLoadStats(
         n_kept=graph.n_edges,
         n_self_loops=int(self_loop.sum()),
-        n_unknown_users=int(counts.size - known.sum()),
+        n_unknown_users=int(known.size - known.sum()),
         n_duplicates=len(edges) - graph.n_edges,
     )
     if stats.n_unknown_users:

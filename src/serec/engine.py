@@ -305,7 +305,10 @@ def _sweep_block(
     N0 = N(0 | score) in place.  The likelihood's unclicked term is the
     log of mu * N0 + 1 - mu for the raw prior, which is the E-step's own
     denominator whenever the clamp leaves mu unchanged, so a sweep that
-    does both computes it once.
+    does both computes it once.  A sweep that writes no posterior builds
+    the denominator in N0's own array, taking 1 - mu from one row when the
+    prior's rows are one view (zero row stride, as for wmf and expomf),
+    so it holds one U x block array.
     """
     bayes = p_out is not None
     mu, unclamped = _provider_mu_block(provider, y, j0, j1)
@@ -319,10 +322,10 @@ def _sweep_block(
     n0 *= math.sqrt(model.lambda_y / (2.0 * math.pi))
     shared = bayes and unclamped
     if with_ll and not shared:
-        # the E-step below still needs N0; otherwise it becomes mu * N0
-        num = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
-        den = 1.0 - mu
-        den += num
+        # the E-step below still needs N0; otherwise it becomes mu * N0 and
+        # then the denominator
+        den = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
+        den += 1.0 - (mu[:1] if mu.strides[0] == 0 else mu)
     if bayes:
         mu_e = mu if unclamped else np.clip(mu, MU_EPS, 1.0 - MU_EPS)
         n0 *= mu_e

@@ -3,13 +3,16 @@ import json
 import logging
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import edge_set, edit_npz, entry_set
+import serec.data
 from reference_impls import (
     friends_of,
     items_of,
@@ -481,11 +484,15 @@ def _outcome(load, *args):
 class TestReaderPaths:
     """The vectorized scan and a line-at-a-time oracle agree on every file:
     matrix, id maps in order, drop counts, and the message of the first
-    fault."""
+    fault, whatever blocks of lines the scan cuts the file into."""
 
     @settings(max_examples=200, deadline=None)
-    @given(text=edge_files(USER_IDS, ratings=True), min_rating=st.sampled_from([None, 2.0]))
-    def test_interactions(self, text, min_rating):
+    @given(
+        text=edge_files(USER_IDS, ratings=True),
+        min_rating=st.sampled_from([None, 2.0]),
+        scan_chars=st.integers(1, 64),
+    )
+    def test_interactions(self, text, min_rating, scan_chars):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "y.tsv"
             path.write_text(text, encoding="utf-8", newline="")
@@ -497,11 +504,12 @@ class TestReaderPaths:
                             [(i, k) for k, i in enumerate(items)])
             except ValueError as exc:
                 expected = str(exc)
-            assert _outcome(load_interactions, path, min_rating) == expected
+            with mock.patch.object(serec.data, "SCAN_CHARS", scan_chars):
+                assert _outcome(load_interactions, path, min_rating) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(text=edge_files(USER_IDS + ["ghost"], ratings=False))
-    def test_social(self, text):
+    @given(text=edge_files(USER_IDS + ["ghost"], ratings=False), scan_chars=st.integers(1, 64))
+    def test_social(self, text, scan_chars):
         ids = IdMap(users=USER_IDS + ["ü"], items=["x"])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.tsv"
@@ -513,7 +521,76 @@ class TestReaderPaths:
                             SocialLoadStats(n_kept=len(edges), **counts))
             except ValueError as exc:
                 expected = str(exc)
-            assert _outcome(load_social, path, ids) == expected
+            with mock.patch.object(serec.data, "SCAN_CHARS", scan_chars):
+                assert _outcome(load_social, path, ids) == expected
+
+
+class TestScanBlocks:
+    """The reader parses one block of whole lines at a time: a block ends at
+    the first line end that makes it at least ``SCAN_CHARS`` characters
+    long."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ({11: "a"}, "11: expected 'user item [rating]', got 1 fields"),
+            ({11: "a\tx\tmany"}, "11: rating 'many' is not a number"),
+            # the first faulty line is named, whichever kind and block
+            ({5: "a", 11: "a\tx\tmany"}, "5: expected 'user item [rating]', got 1 fields"),
+            ({5: "a\tx\tmany", 11: "a"}, "5: rating 'many' is not a number"),
+            ({5: "a", 6: "a\tx\tmany"}, "5: expected 'user item [rating]', got 1 fields"),
+            ({5: "a\tx\tmany", 6: "a"}, "5: rating 'many' is not a number"),
+        ],
+    )
+    def test_fault_in_a_later_block_names_its_file_line(self, tmp_path, monkeypatch, lines,
+                                                        message):
+        # 4-character lines, two to a block: line 11 is in block 6
+        text = "".join(lines.get(k, "a\tx") + "\n" for k in range(1, 15))
+        monkeypatch.setattr(serec.data, "SCAN_CHARS", 8)
+        p = write(tmp_path / "y.tsv", text)
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:{message}")):
+            load_interactions(p)
+
+    def test_social_fault_in_a_later_block_names_its_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serec.data, "SCAN_CHARS", 8)
+        p = write(tmp_path / "s.tsv", "a\tb\n" * 10 + "# c\n" + "a b c\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:12: expected 'truster")):
+            load_social(p, IdMap(users=["a", "b"], items=["x"]))
+
+    def test_id_dropped_in_one_block_and_kept_in_the_next(self, tmp_path, monkeypatch):
+        # b and y first appear on a line min_rating drops, in block 1; their
+        # first kept line is in block 2, after c and z's
+        monkeypatch.setattr(serec.data, "SCAN_CHARS", 12)
+        p = write(tmp_path / "y.tsv", "a\tx\t5\nb\ty\t1\nc\tz\t5\nb\ty\t4\n")
+        y, ids = load_interactions(p, min_rating=3.0)
+        assert (ids.users, ids.items) == (["a", "c", "b"], ["x", "z", "y"])
+        assert ids.user_index == {"a": 0, "c": 1, "b": 2}
+        assert entry_set(y) == {(0, 0), (1, 1), (2, 2)}
+        users, items, _ = load_interactions_reference(p, 3.0)
+        assert (users, items) == (ids.users, ids.items)
+
+    def test_line_longer_than_a_block_parses_whole(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serec.data, "SCAN_CHARS", 4)
+        user, item = "u" * 40, "i" * 30
+        p = write(tmp_path / "y.tsv", f"a\tx\n{user} \t {item}\t3\nb\t{item}\n")
+        y, ids = load_interactions(p)
+        assert (ids.users, ids.items) == (["a", user, "b"], ["x", item])
+        assert entry_set(y) == {(0, 0), (1, 1), (2, 1)}
+
+    def test_ingest_heap_stays_within_a_few_file_sizes(self, tmp_path, monkeypatch):
+        # the text, one block's fields and the records' index arrays; a
+        # whole-file parse held one str per field, 26 times the file's bytes
+        monkeypatch.setattr(serec.data, "SCAN_CHARS", 1 << 12)
+        p = tmp_path / "y.tsv"
+        p.write_text("".join(f"u{k % 997}\ti{k * 7 % 1009}\t{k % 5}\n" for k in range(100_000)))
+        tracemalloc.start()
+        try:
+            y, _ = load_interactions(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.n_entries > 0
+        assert peak < 6 * p.stat().st_size
 
 
 DEEP = 50_000  # records before the fault, far past any chunk a reader might take

@@ -737,9 +737,9 @@ class TestThreadedSweep:
         fit(y, _provider_of_kind(kind, y, graph), cfg)
         # three U x block arrays per block in flight (the prior, N0 and the
         # E-step denominator; serec-boost's friend mass replaces one), plus
-        # slack; wmf's prior is a view, so it holds N0 and the likelihood's
-        # denominator only
-        blocks = 2.5 if kind == "wmf" else 4
+        # slack; wmf's prior is a view and its likelihood's denominator is
+        # built in N0's array, so it holds that one array only
+        blocks = 1.5 if kind == "wmf" else 4
         bound = blocks * n_users * DEFAULT_BLOCK_SIZE * 8 * cfg.n_threads
         assert len(calls) == 3
         for block_size, n_threads, peak in calls:
