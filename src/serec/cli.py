@@ -253,8 +253,8 @@ def cmd_split(args) -> int:
         raise UsageError("--ratios expects two fractions, e.g. 0.7,0.2")
     if not (min(ratios) > 0 and sum(ratios) < 1):  # NaN fails both
         raise UsageError("--ratios must be positive and sum to less than 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
+    if not 0 <= args.seed < 2**63:  # split.npz stores it as an int64
+        raise UsageError(f"--seed must be in 0..2**63 - 1, got {args.seed}")
     y, id_map = dm.load_interactions(args.interactions, min_rating=args.min_rating)
     split = dm.split_interactions(y, ratios=(ratios[0], ratios[1]), seed=args.seed)
     dm.save_split(args.out_dir, split, id_map)

@@ -20,7 +20,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SPLIT_META_NAME = "split-meta.json"
-SPLIT_NAME = "split.npz"  # each part's user and item index arrays
+SPLIT_NAME = "split.npz"  # the split: index arrays, ids, seed and ratios
 SPLIT_PARTS = ("train", "validation", "test")
 
 
@@ -44,47 +44,12 @@ class IdMap:
             self.item_index = {i: idx for idx, i in enumerate(self.items)}
 
     def save(self, out_dir: str | Path) -> None:
+        """Write ``users.tsv`` and ``items.tsv``, ``index<TAB>id`` lines."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, ids in (("users.tsv", self.users), ("items.tsv", self.items)):
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
-                for idx, raw in enumerate(ids):
-                    fh.write(f"{idx}\t{raw}\n")
-
-    @classmethod
-    def load(cls, in_dir: str | Path) -> "IdMap":
-        """Read ``users.tsv`` and ``items.tsv``, whose ``index<TAB>id`` lines
-        must hold each index 0..n-1 exactly once, in any order."""
-        in_dir = Path(in_dir)
-        ids = []
-        for name in ("users.tsv", "items.tsv"):
-            path = in_dir / name
-            rows: dict[int, tuple[int, str]] = {}  # index -> (line number, id)
-            lines = _read_text(path).split("\n")
-            if not lines[-1]:
-                lines.pop()  # the empty remainder after the last line end
-            for lineno, line in enumerate(lines, start=1):
-                idx, tab, raw = line.partition("\t")
-                if not tab:
-                    raise DataFormatError(f"{path}:{lineno}: expected 'index<TAB>id'")
-                try:
-                    idx = int(idx)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: index {idx!r} is not an integer"
-                    ) from None
-                if idx in rows:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: index {idx} repeats line {rows[idx][0]}"
-                    )
-                rows[idx] = (lineno, raw)
-            for idx, (lineno, _) in rows.items():
-                if not 0 <= idx < len(rows):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: index {idx} is outside 0..{len(rows) - 1}"
-                    )
-            ids.append([rows[idx][1] for idx in range(len(rows))])
-        return cls(users=ids[0], items=ids[1])
+            rows = np.arange(len(ids))
+            _write_pairs(out_dir / name, rows, rows, range(len(ids)), ids)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -231,6 +196,10 @@ _WHITESPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 # characters per block of lines that _scan parses at once: a block's arrays
 # and field strings take about 25 bytes per character, 6.5 MB at this size
 SCAN_CHARS = 1 << 18
+
+# lines per block that _write_pairs builds at once: a block's strings and
+# object arrays take about 90 bytes per line, 6 MB at this size
+WRITE_ROWS = 1 << 16
 
 
 def _read_text(path: str | Path) -> str:
@@ -460,11 +429,14 @@ def prune_social(s: SocialGraph, keep_prob: float, seed: int = 0) -> SocialGraph
 
 
 def _write_pairs(path: str | Path, left: np.ndarray, right: np.ndarray, left_ids, right_ids):
-    """Write ``left_ids[l]<TAB>right_ids[r]`` lines, each id formatted once."""
+    """Write ``left_ids[l]<TAB>right_ids[r]`` lines, each id formatted once,
+    ``WRITE_ROWS`` lines at a time."""
     lhs = np.array([f"{raw}\t" for raw in left_ids], dtype=object)
     rhs = np.array([f"{raw}\n" for raw in right_ids], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join((lhs[left] + rhs[right]).tolist()))
+        for start in range(0, len(left), WRITE_ROWS):
+            rows = slice(start, start + WRITE_ROWS)
+            fh.write("".join((lhs[left[rows]] + rhs[right[rows]]).tolist()))
 
 
 def write_interactions(
@@ -517,11 +489,12 @@ def load_arrays(
     path: Path, command: str, dtype, shapes: dict[str, tuple], meta: tuple[str, dict] | None = None
 ) -> dict[str, np.ndarray]:
     """The arrays of the ``.npz`` file ``path`` that ``shapes`` names, each
-    of ``dtype`` and of the shape ``shapes`` gives it: a tuple of sizes or,
-    with ``meta`` a ``(file name, object)`` pair, of the object's keys that
-    hold them.  Nothing is unpickled: an object array fails like any other
-    malformed array.  A fault names the file and the array; a missing file
-    says to run ``serec <command>`` again."""
+    of ``dtype`` and of the shape ``shapes`` gives it: a tuple of sizes
+    (None for a size that may be any) or, with ``meta`` a ``(file name,
+    object)`` pair, of the object's keys that hold them.  Nothing is
+    unpickled: an object array fails like any other malformed array.  A
+    fault names the file and the array; a missing file or array says to run
+    ``serec <command>`` again."""
     if not path.exists():
         raise DataFormatError(
             f"{path} is missing (directories from an older serec lack it); "
@@ -539,7 +512,10 @@ def load_arrays(
             try:
                 array = npz[name]
             except KeyError:
-                raise DataFormatError(f"{path}: no array {name!r}") from None
+                raise DataFormatError(
+                    f"{path}: no array {name!r} (files from an older serec lack it); "
+                    f"run serec {command} again"
+                ) from None
             # an object array, which only pickle reads, or a damaged member
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
                 raise DataFormatError(f"{path}: array {name!r}: {exc}") from None
@@ -548,9 +524,11 @@ def load_arrays(
                     f"{path}: array {name!r} is {array.dtype}, expected {np.dtype(dtype)}"
                 )
             shape = dims if meta is None else tuple(meta[1][key] for key in dims)
+            if meta is None and array.ndim == len(dims):
+                shape = tuple(s if d is None else d for d, s in zip(dims, array.shape))
             if array.shape != shape:
                 if meta is None:
-                    expected = f"expected {shape}"
+                    expected = f"expected {dims}".replace("None", "n")
                 else:
                     sizes = " and ".join(f"{key} = {meta[1][key]}" for key in dims)
                     expected = f"but {meta[0]} has {sizes}"
@@ -560,9 +538,23 @@ def load_arrays(
 
 
 def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
-    """Write ``split.npz``, the id maps and ``split-meta.json``, which
-    :func:`load_split` reads, and the parts as edge lists, a readable copy
-    that it does not."""
+    """Write ``split.npz``, the one file :func:`load_split` reads: each part
+    as two int64 index arrays, ``train_user`` and ``train_item``, then
+    ``validation_*`` and ``test_*``; ``users`` and ``items``, the UTF-8
+    bytes of the ids joined by line ends, as uint8; ``seed``, a 0-d int64;
+    and ``ratios``, two float64.  Also write readable copies that serec
+    never reads back: the parts as edge lists, the id maps as
+    ``users.tsv`` and ``items.tsv``, and ``split-meta.json``.  A seed that
+    does not fit in 64 bits, or an id that holds a line end, is a
+    ``ValueError`` raised before any file is written."""
+    if not -(2**63) <= split.seed < 2**63:
+        raise ValueError(f"seed must fit in 64 bits, got {split.seed}")
+    ids = {}
+    for name, raw in (("users", id_map.users), ("items", id_map.items)):
+        text = "\n".join(raw)
+        if text.count("\n") != len(raw) - 1:
+            raise ValueError(f"an id in id_map.{name} holds a line end")
+        ids[name] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     parts = dict(zip(SPLIT_PARTS, (split.train, split.validation, split.test)))
@@ -570,7 +562,9 @@ def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
     for name, part in parts.items():
         write_interactions(out_dir / f"{name}.tsv", part, id_map)
         arrays[f"{name}_user"], arrays[f"{name}_item"] = part.user_idx, part.item_idx
-    save_arrays(out_dir / SPLIT_NAME, **arrays)
+    seed = np.asarray(split.seed, dtype=np.int64)
+    ratios = np.asarray(split.ratios, dtype=np.float64)
+    save_arrays(out_dir / SPLIT_NAME, **arrays, **ids, seed=seed, ratios=ratios)
     id_map.save(out_dir)
     meta = {
         "seed": split.seed,
@@ -584,41 +578,34 @@ def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
 
 
 def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
-    """Inverse of :func:`save_split`: the parts from ``split.npz``, their
-    lengths checked against ``split-meta.json``'s counts and their indices
-    against its ``n_users`` and ``n_items``, and the ids from ``users.tsv``
-    and ``items.tsv``.  A fault names the file, and the key, array or line."""
-    in_dir = Path(in_dir)
-    counts = tuple(f"n_{name}" for name in SPLIT_PARTS)
-    meta_path = in_dir / SPLIT_META_NAME
-    meta = read_json_object(meta_path, ("n_users", "n_items", "seed", "ratios", *counts))
-    ratios, seed = meta["ratios"], meta["seed"]
-    numbers = isinstance(ratios, list) and all(
-        isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
-    )
-    if not (numbers and len(ratios) == 2):
-        raise DataFormatError(
-            f"{meta_path}: key 'ratios' must be a list of two numbers, got {json.dumps(ratios)}"
-        )
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        raise DataFormatError(
-            f"{meta_path}: key 'seed' must be a non-negative integer, got {json.dumps(seed)}"
-        )
-    id_map = IdMap.load(in_dir)
-    n_users, n_items = meta["n_users"], meta["n_items"]
-    for name, ids, key in (
-        ("users.tsv", id_map.users, "n_users"),
-        ("items.tsv", id_map.items, "n_items"),
-    ):
-        if len(ids) != meta[key]:
+    """Inverse of :func:`save_split`, read from ``split.npz`` alone: the
+    ids, then the parts, whose user and item arrays must be of one length
+    and hold indices below the number of ids, then the seed and ratios.  A
+    fault names the file and the array; a file without the id arrays, as
+    an older serec wrote, says to run ``serec split`` again."""
+    path = Path(in_dir) / SPLIT_NAME
+    ids = load_arrays(path, "split", np.uint8, {"users": (None,), "items": (None,)})
+    for name, array in ids.items():
+        raw = array.tobytes()
+        try:
+            ids[name] = raw.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
             raise DataFormatError(
-                f"{in_dir / name}: {len(ids)} ids, but {SPLIT_META_NAME} has {key} = {meta[key]}"
+                f"{path}: array {name!r} is not valid UTF-8 "
+                f"(byte {raw[exc.start]:#04x} at position {exc.start}: {exc.reason})"
+            ) from None
+    id_map = IdMap(users=ids["users"], items=ids["items"])
+    n_users, n_items = len(id_map.users), len(id_map.items)
+    shapes = {f"{name}_{axis}": (None,) for name in SPLIT_PARTS for axis in ("user", "item")}
+    arrays = load_arrays(path, "split", np.int64, {**shapes, "seed": ()})
+    seed = int(arrays.pop("seed"))
+    for name in SPLIT_PARTS:
+        user, item = arrays[f"{name}_user"], arrays[f"{name}_item"]
+        if user.shape != item.shape:
+            raise DataFormatError(
+                f"{path}: array '{name}_item' has shape {item.shape}, "
+                f"but array '{name}_user' has shape {user.shape}"
             )
-    path = in_dir / SPLIT_NAME
-    shapes = {
-        f"{name}_{axis}": (f"n_{name}",) for name in SPLIT_PARTS for axis in ("user", "item")
-    }
-    arrays = load_arrays(path, "split", np.int64, shapes, (SPLIT_META_NAME, meta))
     for name, array in arrays.items():
         n = n_users if name.endswith("_user") else n_items
         if array.size and not (array.min() >= 0 and array.max() < n):
@@ -627,10 +614,11 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
                 f"{path}: array {name!r} holds index {array[at]} at position {at}, "
                 f"outside 0..{n - 1}"
             )
+    ratios = load_arrays(path, "split", np.float64, {"ratios": (2,)})["ratios"]
     parts = (
         InteractionMatrix(
             n_users, n_items, np.column_stack([arrays[f"{name}_user"], arrays[f"{name}_item"]])
         )
         for name in SPLIT_PARTS
     )
-    return DatasetSplit(*parts, seed=seed, ratios=tuple(ratios)), id_map
+    return DatasetSplit(*parts, seed=seed, ratios=tuple(ratios.tolist())), id_map

@@ -326,20 +326,45 @@ class TestRoundTrips:
             (lambda a: a.update(train_item=a["train_item"].astype(float)),
              "array 'train_item' is float64, expected int64"),
             (lambda a: a.update(train_user=a["train_user"][:, None]),
-             "array 'train_user' has shape ({n_train}, 1), but split-meta.json has "
-             "n_train = {n_train}"),
-            (lambda a: a.update(test_user=a["test_user"][1:], test_item=a["test_item"][1:]),
-             "array 'test_user' has shape ({short},), but split-meta.json has n_test = {n_test}"),
+             "array 'train_user' has shape ({n_train}, 1), expected (n,)"),
             # user and item arrays of unequal length
+            (lambda a: a.update(test_user=a["test_user"][1:]),
+             "array 'test_item' has shape ({n_test},), but array 'test_user' has shape ({short},)"),
             (lambda a: a.update(test_item=a["test_item"][1:]),
-             "array 'test_item' has shape ({short},), but split-meta.json has n_test = {n_test}"),
+             "array 'test_item' has shape ({short},), but array 'test_user' has shape ({n_test},)"),
             (lambda a: a["validation_user"].__setitem__(0, 4),
              "array 'validation_user' holds index 4 at position 0, outside 0..3"),
             (lambda a: a["train_item"].__setitem__(-1, -1),
              "array 'train_item' holds index -1 at position {last}, outside 0..4"),
+            # the arrays an older serec did not write
+            *[(lambda a, name=name: a.pop(name),
+               f"no array {name!r} (files from an older serec lack it); run serec split again")
+              for name in ("users", "items", "seed", "ratios")],
+            (lambda a: a.update(users=a["users"].astype(np.int8)),
+             "array 'users' is int8, expected uint8"),
+            (lambda a: a.update(items=a["items"].astype(np.int64)),
+             "array 'items' is int64, expected uint8"),
+            (lambda a: a.update(seed=a["seed"].astype(np.uint64)),
+             "array 'seed' is uint64, expected int64"),
+            (lambda a: a.update(ratios=a["ratios"].astype(np.float32)),
+             "array 'ratios' is float32, expected float64"),
+            (lambda a: a.update(users=a["users"].reshape(1, -1)),
+             "array 'users' has shape (1, 7), expected (n,)"),
+            (lambda a: a.update(items=np.stack([a["items"]] * 2)),
+             "array 'items' has shape (2, 9), expected (n,)"),
+            (lambda a: a.update(seed=a["seed"][None]), "array 'seed' has shape (1,), expected ()"),
+            (lambda a: a.update(ratios=a["ratios"][:1]),
+             "array 'ratios' has shape (1,), expected (2,)"),
+            (lambda a: a.update(users=a["users"][2:]),  # "b\nc\nd": 3 users
+             "array 'train_user' holds index 3 at position {user3}, outside 0..2"),
+            (lambda a: a["items"].__setitem__(0, 0xC3),  # a lead byte, then "\n"
+             "array 'items' is not valid UTF-8 "
+             "(byte 0xc3 at position 0: invalid continuation byte)"),
         ],
         ids=["missing", "object", "float", "2-d", "short", "unequal", "user-range",
-             "item-negative"],
+             "item-negative", "no-users", "no-items", "no-seed", "no-ratios", "int8-users",
+             "int64-items", "unsigned-seed", "float32-ratios", "2-d-users", "2-d-items",
+             "1-d-seed", "one-ratio", "fewer-users", "utf8-items"],
     )
     def test_load_split_npz_fault_names_file_and_array(self, tmp_path, toy_matrix, edit, message):
         ids = IdMap(users=list("abcd"), items=list("vwxyz"))
@@ -348,7 +373,8 @@ class TestRoundTrips:
         edit_npz(tmp_path / "split.npz", edit)
         n_test = split.test.n_entries
         message = message.format(n_train=split.train.n_entries, last=split.train.n_entries - 1,
-                                 n_test=n_test, short=n_test - 1)
+                                 n_test=n_test, short=n_test - 1,
+                                 user3=np.flatnonzero(split.train.user_idx == 3)[0])
         path = tmp_path / "split.npz"
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
             load_split(tmp_path)
@@ -375,10 +401,12 @@ class TestRoundTrips:
         ids = IdMap(users=list("abcd"), items=list("vwxyz"))
         split = split_interactions(toy_matrix, seed=11)
         save_split(tmp_path, split, ids)
-        for name in ("train.tsv", "validation.tsv", "test.tsv"):
+        for name in ("train.tsv", "validation.tsv", "test.tsv",
+                     "users.tsv", "items.tsv", "split-meta.json"):
             (tmp_path / name).unlink()
-        loaded, _ = load_split(tmp_path)
+        loaded, loaded_ids = load_split(tmp_path)
         assert entry_set(loaded.test) == entry_set(split.test)
+        assert loaded_ids.users == ids.users and loaded_ids.items == ids.items
         (tmp_path / "split.npz").unlink()
         with pytest.raises(DataFormatError, match=re.escape(
             f"{tmp_path / 'split.npz'} is missing (directories from an older serec lack it); "
@@ -386,45 +414,44 @@ class TestRoundTrips:
         )):
             load_split(tmp_path)
 
-    @pytest.mark.parametrize(
-        "name, lines, message",
-        [
-            ("users.tsv", "0\ta\n1 b\n", "users.tsv:2: expected 'index<TAB>id'"),
-            ("items.tsv", "0\tv\nx\tw\n", "items.tsv:2: index 'x' is not an integer"),
-        ],
-    )
-    def test_idmap_malformed_line_names_file_and_line(self, tmp_path, name, lines, message):
-        IdMap(users=["a", "b"], items=["v", "w"]).save(tmp_path)
-        write(tmp_path / name, lines)
-        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / message}")):
-            IdMap.load(tmp_path)
-
-    @pytest.mark.parametrize(
-        "items, message",
-        [
-            ("0\tv\n2\tw\n1\tx\n2\ty\n", "items.tsv:4: index 2 repeats line 2"),
-            ("0\tv\n1\tw\n3\tx\n", "items.tsv:3: index 3 is outside 0..2"),
-            ("0\tv\n1\tw\n2\tx\n3\ty\n4\tz\n5\tu\n",
-             "items.tsv: 6 ids, but split-meta.json has n_items = 5"),
-        ],
-    )
-    def test_load_split_rejects_a_scrambled_item_map(self, tmp_path, toy_matrix, items, message):
-        ids = IdMap(users=list("abcd"), items=list("vwxyz"))
-        save_split(tmp_path, split_interactions(toy_matrix, seed=11), ids)
-        write(tmp_path / "items.tsv", items)
-        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path / message}")):
-            load_split(tmp_path)
-
-    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_idmap_round_trip(self, tmp_path, end):
-        ids = IdMap(users=["u9", "u1"], items=["i5"])
-        ids.save(tmp_path)
-        for name in ("users.tsv", "items.tsv"):  # line ends as text mode reads them
-            path = tmp_path / name
-            path.write_bytes(path.read_bytes().replace(b"\n", end))
-        back = IdMap.load(tmp_path)
+    def test_split_round_trip_keeps_every_id(self, tmp_path):
+        ids = IdMap(users=["ü", "u1", "日本\x00"], items=["#i5", "i\x00\x00", " x"])
+        y = InteractionMatrix(3, 3, [(u, i) for u in range(3) for i in range(3)])
+        split = split_interactions(y, seed=2**63 - 1)
+        with mock.patch.object(serec.data, "WRITE_ROWS", 2):  # each TSV copy spans blocks
+            save_split(tmp_path, split, ids)
+        loaded, back = load_split(tmp_path)
         assert back.users == ids.users and back.items == ids.items
-        assert back.user_index == {"u9": 0, "u1": 1}
+        assert back.user_index == {"ü": 0, "u1": 1, "日本\x00": 2}
+        assert loaded.seed == 2**63 - 1
+        text = lambda name: (tmp_path / name).read_text(encoding="utf-8")
+        assert text("items.tsv") == "0\t#i5\n1\ti\x00\x00\n2\t x\n"
+        train = split.train
+        assert text("train.tsv") == "".join(
+            f"{ids.users[u]}\t{ids.items[i]}\n" for u, i in zip(train.user_idx, train.item_idx)
+        )
+
+    @pytest.mark.parametrize(
+        "seed, users, items, message",
+        [
+            (2**63, list("abcd"), list("vwxyz"), f"seed must fit in 64 bits, got {2**63}"),
+            (-(2**63) - 1, list("abcd"), list("vwxyz"),
+             f"seed must fit in 64 bits, got {-(2**63) - 1}"),
+            (0, ["a", "b\nc", "d", "e"], list("vwxyz"), "an id in id_map.users holds a line end"),
+            (0, list("abcd"), ["v", "w", "x", "y", "z\n"],
+             "an id in id_map.items holds a line end"),
+        ],
+        ids=["seed-past-64-bits", "seed-below-64-bits", "id-with-a-line-end",
+             "item-id-with-a-line-end"],
+    )
+    def test_save_split_rejects_what_split_npz_cannot_hold(
+        self, tmp_path, toy_matrix, seed, users, items, message
+    ):
+        split = split_interactions(toy_matrix)
+        split.seed = seed  # split_interactions' generator takes no negative seed
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_split(tmp_path, split, IdMap(users=users, items=items))
+        assert not any(tmp_path.iterdir())
 
 
 # Edge-list files for the reader differential: every layout the format allows,
