@@ -196,9 +196,9 @@ def load_provider(
         provider = make_provider(cfg, y, graph)
     except engine.ConfigError as exc:
         raise dm.DataFormatError(f"{meta_path}: {exc}") from None
-    shapes = {name: getattr(provider, name).shape for name in provider.state}
+    specs = {name: (np.float64, getattr(provider, name).shape) for name in provider.state}
     path = Path(model_dir) / engine.MODEL_NAME
-    for name, array in dm.load_arrays(path, "train", np.float64, shapes).items():
+    for name, array in dm.load_arrays(path, "train", specs).items():
         setattr(provider, name, array)
     return provider, cfg
 
@@ -305,12 +305,13 @@ def cmd_train(args) -> int:
 
 
 def _load_model(args, split: dm.DatasetSplit) -> tuple[engine.FactorModel, dict]:
-    """The model in ``--model-dir`` and its meta, checked against ``split``'s shape."""
+    """The model in ``--model-dir`` and its meta, checked against the shape
+    of ``split``, read from ``--split-dir``."""
     model, meta = engine.load_model(args.model_dir)
     if model.n_users != split.n_users or model.n_items != split.n_items:
         raise ValueError(
-            f"model is {model.n_users}x{model.n_items} but split is "
-            f"{split.n_users}x{split.n_items}"
+            f"model {Path(args.model_dir) / engine.MODEL_NAME} is {model.n_users}x{model.n_items} "
+            f"but split {Path(args.split_dir) / dm.SPLIT_NAME} is {split.n_users}x{split.n_items}"
         )
     return model, meta
 

@@ -485,16 +485,12 @@ def save_arrays(path: str | Path, **arrays: np.ndarray) -> None:
                 np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
 
 
-def load_arrays(
-    path: Path, command: str, dtype, shapes: dict[str, tuple], meta: tuple[str, dict] | None = None
-) -> dict[str, np.ndarray]:
-    """The arrays of the ``.npz`` file ``path`` that ``shapes`` names, each
-    of ``dtype`` and of the shape ``shapes`` gives it: a tuple of sizes
-    (None for a size that may be any) or, with ``meta`` a ``(file name,
-    object)`` pair, of the object's keys that hold them.  Nothing is
-    unpickled: an object array fails like any other malformed array.  A
-    fault names the file and the array; a missing file or array says to run
-    ``serec <command>`` again."""
+def load_arrays(path: Path, command: str, specs: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """The arrays of the ``.npz`` file ``path`` that ``specs`` names, each
+    of the dtype and shape of its ``(dtype, sizes)`` pair: a tuple of sizes,
+    None for a size that may be any.  Nothing is unpickled: an object array
+    fails like any other malformed array.  A fault names the file and the
+    array; a missing file or array says to run ``serec <command>`` again."""
     if not path.exists():
         raise DataFormatError(
             f"{path} is missing (directories from an older serec lack it); "
@@ -508,7 +504,7 @@ def load_arrays(
     if not isinstance(npz, np.lib.npyio.NpzFile):  # a lone .npy array
         raise DataFormatError(f"{path}: not an .npz archive")
     with npz:
-        for name, dims in shapes.items():
+        for name, (dtype, dims) in specs.items():
             try:
                 array = npz[name]
             except KeyError:
@@ -523,15 +519,9 @@ def load_arrays(
                 raise DataFormatError(
                     f"{path}: array {name!r} is {array.dtype}, expected {np.dtype(dtype)}"
                 )
-            shape = dims if meta is None else tuple(meta[1][key] for key in dims)
-            if meta is None and array.ndim == len(dims):
-                shape = tuple(s if d is None else d for d, s in zip(dims, array.shape))
-            if array.shape != shape:
-                if meta is None:
-                    expected = f"expected {dims}".replace("None", "n")
-                else:
-                    sizes = " and ".join(f"{key} = {meta[1][key]}" for key in dims)
-                    expected = f"but {meta[0]} has {sizes}"
+            sizes_ok = all(d in (None, n) for d, n in zip(dims, array.shape))
+            if array.ndim != len(dims) or not sizes_ok:
+                expected = f"expected {dims}".replace("None", "n")
                 raise DataFormatError(f"{path}: array {name!r} has shape {array.shape}, {expected}")
             arrays[name] = array
     return arrays
@@ -578,15 +568,20 @@ def save_split(out_dir: str | Path, split: DatasetSplit, id_map: IdMap) -> None:
 
 
 def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
-    """Inverse of :func:`save_split`, read from ``split.npz`` alone: the
-    ids, then the parts, whose user and item arrays must be of one length
-    and hold indices below the number of ids, then the seed and ratios.  A
-    fault names the file and the array; a file without the id arrays, as
-    an older serec wrote, says to run ``serec split`` again."""
+    """Inverse of :func:`save_split`, read from ``split.npz`` alone in one
+    :func:`load_arrays` call: the ids, the parts, whose user and item
+    arrays must be of one length and hold indices below the number of ids,
+    and the seed and ratios.  A fault names the file and the array; a file
+    without the id arrays, as an older serec wrote, says to run ``serec
+    split`` again."""
     path = Path(in_dir) / SPLIT_NAME
-    ids = load_arrays(path, "split", np.uint8, {"users": (None,), "items": (None,)})
-    for name, array in ids.items():
-        raw = array.tobytes()
+    specs = {name: (np.uint8, (None,)) for name in ("users", "items")}
+    specs |= {f"{p}_{axis}": (np.int64, (None,)) for p in SPLIT_PARTS for axis in ("user", "item")}
+    specs |= {"seed": (np.int64, ()), "ratios": (np.float64, (2,))}
+    arrays = load_arrays(path, "split", specs)
+    ids = {}
+    for name in ("users", "items"):
+        raw = arrays.pop(name).tobytes()
         try:
             ids[name] = raw.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
@@ -596,9 +591,7 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
             ) from None
     id_map = IdMap(users=ids["users"], items=ids["items"])
     n_users, n_items = len(id_map.users), len(id_map.items)
-    shapes = {f"{name}_{axis}": (None,) for name in SPLIT_PARTS for axis in ("user", "item")}
-    arrays = load_arrays(path, "split", np.int64, {**shapes, "seed": ()})
-    seed = int(arrays.pop("seed"))
+    seed, ratios = int(arrays.pop("seed")), arrays.pop("ratios")
     for name in SPLIT_PARTS:
         user, item = arrays[f"{name}_user"], arrays[f"{name}_item"]
         if user.shape != item.shape:
@@ -614,7 +607,6 @@ def load_split(in_dir: str | Path) -> tuple[DatasetSplit, IdMap]:
                 f"{path}: array {name!r} holds index {array[at]} at position {at}, "
                 f"outside 0..{n - 1}"
             )
-    ratios = load_arrays(path, "split", np.float64, {"ratios": (2,)})["ratios"]
     parts = (
         InteractionMatrix(
             n_users, n_items, np.column_stack([arrays[f"{name}_user"], arrays[f"{name}_item"]])

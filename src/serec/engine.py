@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import tempfile
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -94,10 +95,12 @@ class TrainConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        # each check fails for NaN, which no comparison holds for
+        # each check fails for NaN, which no comparison holds for; a bool
+        # would pass as 0 or 1
         for name in ("k", "lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(name, "must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < math.inf:
+                raise ConfigError(name, "must be positive and finite")
         for name in ("max_em_iters", "seed", "dense_budget"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(name, "must be >= 0")
@@ -123,8 +126,11 @@ class FactorModel:
             raise ValueError("theta and beta must be 2-d")
         if self.theta.shape[1] != self.beta.shape[1]:
             raise ValueError("theta and beta disagree on k")
-        if not all(lam > 0 for lam in (self.lambda_theta, self.lambda_beta, self.lambda_y)):
-            raise ValueError("precisions must be positive")
+        for key in ("lambda_theta", "lambda_beta", "lambda_y"):
+            lam = getattr(self, key)
+            # bool is an int to Python, and NaN fails the comparison
+            if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
+                raise ValueError(f"precision {key!r} must be a finite positive number, got {lam!r}")
 
     @property
     def n_users(self) -> int:
@@ -613,17 +619,25 @@ def save_model(
 
 
 def load_model(model_dir: str | Path) -> tuple[FactorModel, dict]:
-    """Read back the factor matrices from ``model.npz`` and the meta
-    manifest.  A fault names the file, and the meta.json key or the array
-    and the shape it breaks."""
+    """Read back the factor matrices from ``model.npz``, at their own 2-d
+    shapes, which must agree on k, and the meta manifest, of which only the
+    three precisions are needed: its ``k``, ``n_users`` and ``n_items`` are
+    readable copies.  A fault names the file, and the array or the
+    meta.json key."""
     model_dir = Path(model_dir)
-    meta_path = model_dir / META_NAME
+    meta_path, model_path = model_dir / META_NAME, model_dir / MODEL_NAME
     precisions = ("lambda_theta", "lambda_beta", "lambda_y")
-    meta = read_json_object(meta_path, ("k", "n_users", "n_items", *precisions))
-    shapes = {"theta": ("n_users", "k"), "beta": ("n_items", "k")}
-    factors = load_arrays(model_dir / MODEL_NAME, "train", np.float64, shapes, (META_NAME, meta))
+    meta = read_json_object(meta_path, precisions)
+    matrix = (np.float64, (None, None))
+    factors = load_arrays(model_path, "train", {"theta": matrix, "beta": matrix})
+    theta, beta = factors["theta"], factors["beta"]
+    if beta.shape[1] != theta.shape[1]:
+        raise DataFormatError(
+            f"{model_path}: array 'beta' has shape {beta.shape}, "
+            f"but array 'theta' has shape {theta.shape}"
+        )
     try:
-        model = FactorModel(**factors, **{key: meta[key] for key in precisions})
-    except (TypeError, ValueError) as exc:
+        model = FactorModel(theta, beta, **{key: meta[key] for key in precisions})
+    except ValueError as exc:
         raise DataFormatError(f"{meta_path}: {exc}") from None
     return model, meta

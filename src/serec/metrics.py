@@ -118,12 +118,11 @@ def _rank_block(model: FactorModel, users, target, seen, hits, n_relevant, batch
 
     A step writes each user's scores into a row of one buffer and sets the
     seen items to NaN.  One row-wise ``np.partition`` of the negated scores
-    finds each row's n-th best score, the floor, and the items at or above
-    the floor are the top n.  A row with more items tied at the floor than
-    places left takes its tied items in index order; so does a row with
-    fewer than n scores that are not NaN (its floor is NaN), whose tied
-    items are its NaN candidates.  A stable sort of each row's list, in
-    index order, puts it in rank order.
+    finds each row's n-th best score, the floor, and each row lists, in
+    index order, its items at or above the floor; a row with fewer than n
+    scores that are not NaN (its floor is NaN) lists every item in no part
+    of ``seen``.  A stable sort of each row's list puts it in rank order,
+    ties at the floor in index order, and is cut to its first n.
     """
     n_items = model.n_items
     n_take = min(hits.shape[1], n_items)
@@ -149,46 +148,34 @@ def _rank_block(model: FactorModel, users, target, seen, hits, n_relevant, batch
         np.negative(scores, out=neg).partition(n_take - 1, axis=1)
         floor = -neg[:, n_take - 1 : n_take]
         np.greater_equal(scores, floor, out=sel)  # False at NaN, and everywhere for a NaN floor
+        no_floor = np.isnan(floor[:, 0])
+        sel[no_floor] = ~mark[no_floor]
         rows, cols, counts = _listed(sel)
-        fix = np.flatnonzero(np.isnan(floor[:, 0]) | (counts > n_take))
-        if fix.size:
-            sub, at = scores[fix], floor[fix]
-            missing, no_floor = np.isnan(sub), np.isnan(at)
-            above = np.where(no_floor, ~missing, sub > at)
-            tied = np.where(no_floor, missing & ~mark[fix], sub == at)
-            need = n_take - np.count_nonzero(above, axis=1)
-            sel[fix] = above | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
-            rows, cols, counts = _listed(sel)
         for er, ec in excluded:
             mark[er, ec] = False
+        width = max(n_take, counts.max())
         place = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        key = np.full((m, n_take), np.nan)  # a short row's padding sorts after its NaN items
+        key = np.full((m, width), np.nan)  # a short row's padding sorts after its NaN items
         key[rows, place] = -scores[rows, cols]
-        top = np.zeros((m, n_take), dtype=np.int64)
+        top = np.zeros((m, width), dtype=np.int64)
         top[rows, place] = cols
-        top = np.take_along_axis(top, np.argsort(key, axis=1, kind="stable"), axis=1)
+        top = np.take_along_axis(top, np.argsort(key, axis=1, kind="stable")[:, :n_take], axis=1)
         mark[tr, tc] = True
         hits[b0 : b0 + m, :n_take] = mark[np.arange(m)[:, None], top] & (places < counts[:, None])
         mark[tr, tc] = False
 
 
 def _per_user_metrics(
-    model: FactorModel,
-    split: DatasetSplit,
-    cutoffs,
-    target: str,
-    n_threads: int = 1,
-    batch: int | None = None,
+    model: FactorModel, split: DatasetSplit, cutoffs, target: str, n_threads: int = 1
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Metric arrays (one entry per evaluated user) plus the user indices.
 
     Scores are ``model.beta @ model.theta[u]``, one user at a time: a
     batched ``theta @ beta.T`` rounds differently in the last bits, which
     reorders near-ties.  The users with a target item are ranked in
-    ``n_threads`` contiguous blocks on the pool, ``batch`` users a step (by
-    default as many as fit ``RANK_STEP_ENTRIES``); neither number changes
-    any user's list (:func:`_rank_block`).  Those with a relevant item are
-    evaluated.
+    ``n_threads`` contiguous blocks on the pool, as many users a step as
+    fit ``RANK_STEP_ENTRIES``; neither number changes any user's list
+    (:func:`_rank_block`).  Those with a relevant item are evaluated.
     """
     if target not in ("test", "validation"):
         raise ValueError('target must be "test" or "validation"')
@@ -202,7 +189,7 @@ def _per_user_metrics(
     users = np.flatnonzero(target_matrix.user_counts())
     hits = np.zeros((len(users), cutoffs[-1]), dtype=bool)
     n_relevant = np.zeros(len(users), dtype=np.int64)
-    batch = batch or max(1, RANK_STEP_ENTRIES // split.n_items)
+    batch = max(1, RANK_STEP_ENTRIES // split.n_items)
     bounds = [len(users) * t // n_threads for t in range(n_threads + 1)]
     calls = [
         (model, users[lo:hi], target_matrix, seen, hits[lo:hi], n_relevant[lo:hi], batch)

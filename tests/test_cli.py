@@ -758,25 +758,39 @@ def test_main_maps_large_arrays_on_their_own(monkeypatch, tmp_path):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "friend-groups", "exposure-curve"])
+@pytest.mark.parametrize(
+    "command, case",
+    [(command, case) for case in ("other-split", "missing-row")
+     for command in ("evaluate", "friend-groups", "exposure-curve")],
+    ids=["evaluate", "friend-groups", "exposure-curve",
+         "evaluate-missing-row", "friend-groups-missing-row", "exposure-curve-missing-row"],
+)
 def test_model_of_another_shape_than_the_split_exits_2_naming_both(
-    wmf_dir, tmp_path, capsys, command
+    dataset, wmf_dir, split_dir, tmp_path, capsys, command, case
 ):
-    assert run(["generate", "--out-dir", str(tmp_path / "d"), "--n-users", "30",
-                "--n-items", "25", "--seed", "2"]) == 0
-    assert run(["split", "--interactions", str(tmp_path / "d" / "interactions.tsv"),
-                "--out-dir", str(tmp_path / "s")]) == 0
-    model = json.loads((wmf_dir / "meta.json").read_text())
-    split, ids = dm.load_split(tmp_path / "s")
-    argv = [command, "--model-dir", str(wmf_dir), "--split-dir", str(tmp_path / "s")]
+    model_dir = tmp_path / "model"
+    shutil.copytree(wmf_dir, model_dir)
+    if case == "missing-row":  # theta and beta still agree on k
+        edit_npz(model_dir / "model.npz", lambda a: a.update(theta=a["theta"][1:]))
+        data_dir = dataset
+    else:
+        data_dir, split_dir = tmp_path / "d", tmp_path / "s"
+        assert run(["generate", "--out-dir", str(data_dir), "--n-users", "30",
+                    "--n-items", "25", "--seed", "2"]) == 0
+        assert run(["split", "--interactions", str(data_dir / "interactions.tsv"),
+                    "--out-dir", str(split_dir)]) == 0
+    with np.load(model_dir / "model.npz") as npz:
+        n_users, n_items = len(npz["theta"]), len(npz["beta"])
+    split, ids = dm.load_split(split_dir)
+    argv = [command, "--model-dir", str(model_dir), "--split-dir", str(split_dir)]
     if command != "evaluate":
-        argv += ["--social", str(tmp_path / "d" / "social.tsv")]
+        argv += ["--social", str(data_dir / "social.tsv")]
     if command == "exposure-curve":
         argv += ["--user", ids.users[0]]
     assert run(argv) == 2
     assert (
-        f"error: model is {model['n_users']}x{model['n_items']} "
-        f"but split is {split.n_users}x{split.n_items}"
+        f"error: model {model_dir / 'model.npz'} is {n_users}x{n_items} "
+        f"but split {split_dir / 'split.npz'} is {split.n_users}x{split.n_items}"
     ) in capsys.readouterr().err
 
 
@@ -877,21 +891,26 @@ def test_evaluate_invalid_utf8_id_array_exits_2_naming_file_and_array(
         ("model.npz", lambda a: a.update(theta=a["theta"].astype(np.float32)),
          "model.npz: array 'theta' is float32, expected float64"),
         ("model.npz", lambda a: a.update(theta=a["theta"].ravel()),
-         "model.npz: array 'theta' has shape (120,), but meta.json has n_users = 40 and k = 3"),
-        ("model.npz", lambda a: a.update(theta=a["theta"][1:]),
-         "model.npz: array 'theta' has shape (39, 3), but meta.json has n_users = 40 and k = 3"),
+         "model.npz: array 'theta' has shape (120,), expected (n, n)"),
         ("model.npz", lambda a: a.update(beta=np.hstack([a["beta"], np.zeros((60, 2))])),
-         "model.npz: array 'beta' has shape (60, 5), but meta.json has n_items = 60 and k = 3"),
+         "model.npz: array 'beta' has shape (60, 5), but array 'theta' has shape (40, 3)"),
         ("meta.json", lambda t: t[: len(t) // 2], "meta.json: not valid JSON: "),
         ("meta.json", lambda t: "[]", "meta.json: expected a JSON object"),
         ("meta.json", lambda t: t.replace('"lambda_y"', '"lambda_y_"'),
          "meta.json: missing key 'lambda_y'"),
         ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": -1'),
-         "meta.json: precisions must be positive"),
+         "meta.json: precision 'lambda_y' must be a finite positive number, got -1"),
+        ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": Infinity'),
+         "meta.json: precision 'lambda_y' must be a finite positive number, got inf"),
+        ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": 1e400'),
+         "meta.json: precision 'lambda_y' must be a finite positive number, got inf"),
+        ("meta.json", lambda t: t.replace('"lambda_y": 0.01', '"lambda_y": true'),
+         "meta.json: precision 'lambda_y' must be a finite positive number, got True"),
     ],
-    ids=["no-theta", "object-beta", "float32-theta", "flat-theta", "missing-row", "wide-beta",
+    ids=["no-theta", "object-beta", "float32-theta", "flat-theta", "wide-beta",
          "truncated-meta",
-         "meta-not-an-object", "meta-missing-key", "meta-bad-precision"],
+         "meta-not-an-object", "meta-missing-key", "meta-bad-precision",
+         "meta-infinite-precision", "meta-overflowing-precision", "meta-bool-precision"],
 )
 def test_evaluate_malformed_model_exits_2_naming_the_file(
     wmf_dir, split_dir, tmp_path, capsys, name, edit, message
@@ -1330,6 +1349,30 @@ def test_every_command_reads_a_split_from_split_npz_alone(dataset, split_dir, tm
                  "curve.tsv", "robustness.tsv"):
         full, bare = (tmp_path / which / name for which in ("full", "bare"))
         assert full.read_bytes() == bare.read_bytes(), name
+
+
+def test_every_command_reads_a_model_without_meta_shapes(dataset, boost_dir, split_dir, tmp_path):
+    """meta.json's k, n_users and n_items are readable copies: without them
+    each command that reads a model writes the same bytes."""
+    bare = tmp_path / "bare"
+    shutil.copytree(boost_dir, bare)
+    meta = json.loads((bare / "meta.json").read_text())
+    for key in ("k", "n_users", "n_items"):
+        del meta[key]
+    (bare / "meta.json").write_text(json.dumps(meta, indent=2))
+    social, user = str(dataset / "social.tsv"), _raw_user_ids(dataset)[0]
+    outputs = []
+    for model_dir in (boost_dir, bare):
+        out = tmp_path / f"{model_dir.name}-out"
+        model = ["--model-dir", str(model_dir), "--split-dir", str(split_dir)]
+        assert run(["evaluate", *model, "--out-dir", str(out)]) == 0
+        assert run(["friend-groups", *model, "--social", social,
+                    "--out", str(out / "groups.tsv")]) == 0
+        assert run(["exposure-curve", *model, "--social", social, "--user", user,
+                    "--out", str(out / "curve.tsv")]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["curve.tsv", "groups.tsv", "report.json", "report.tsv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_boost_without_social_matches_popularity_model(split_dir, tmp_path):

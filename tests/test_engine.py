@@ -812,6 +812,14 @@ class TestValidation:
             TrainConfig(**{key: math.nan})
 
     @pytest.mark.parametrize(
+        "key", ["lambda_theta", "lambda_beta", "lambda_y", "init_scale", "convergence_tol"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, True])
+    def test_train_config_rejects_infinity_and_bool(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be positive and finite"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize(
         "make, key",
         [
             (lambda y, g: BoostExposure(y, g, s_coeff=math.nan), "s_coeff"),
@@ -837,8 +845,13 @@ class TestValidation:
             FactorModel(np.zeros((2, 2)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
             FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), lambda_y=0.0)
-        with pytest.raises(ValueError, match="precisions must be positive"):
+        with pytest.raises(ValueError, match="precision 'lambda_theta' must be a finite positive"):
             FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), lambda_theta=math.nan)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, True, "1", None])
+    def test_factor_model_rejects_a_precision_not_a_finite_number(self, value):
+        with pytest.raises(ValueError, match=f"precision 'lambda_y' must be .*, got {value!r}"):
+            FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), lambda_y=value)
 
     def test_validate_finite(self):
         model = make_model(np.array([[np.inf]]), np.array([[1.0]]))

@@ -340,21 +340,23 @@ def ranking_case(rng, n_users, n_items, scores):
 
 class TestBlockRanker:
     """``_per_user_metrics`` against the per-user loop it replaced
-    (``reference_impls.per_user_metrics_reference``), bit for bit."""
+    (``reference_impls.per_user_metrics_reference``), bit for bit, at
+    ``RANK_STEP_ENTRIES`` for steps of 1, 3 and 7 users and at its own."""
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("scores", ["ties", "special"])
     @pytest.mark.parametrize("target", ["test", "validation"])
-    def test_matches_per_user_loop_bit_for_bit(self, rng, scores, target):
+    def test_matches_per_user_loop_bit_for_bit(self, rng, monkeypatch, scores, target):
+        default_step = metrics.RANK_STEP_ENTRIES
         for n_items, cutoffs in ((40, (1, 5, 20)), (12, (3, 50)), (300, (1, 10, 100))):
             split, model = ranking_case(rng, 50, n_items, scores)
             want, want_users = per_user_metrics_reference(model, split, cutoffs, target)
             assert 0 not in want_users and 1 not in want_users and 2 not in want_users
             for n_threads in (1, 2, 4):
                 for batch in (1, 3, 7, None):  # 50 users: none divides them but 1
-                    got, users = metrics._per_user_metrics(
-                        model, split, cutoffs, target, n_threads, batch
-                    )
+                    step = default_step if batch is None else batch * n_items
+                    monkeypatch.setattr(metrics, "RANK_STEP_ENTRIES", step)
+                    got, users = metrics._per_user_metrics(model, split, cutoffs, target, n_threads)
                     assert users.tolist() == want_users.tolist()
                     assert got.keys() == want.keys()
                     for name in want:
