@@ -47,7 +47,6 @@ from serec.exposure.popularity import (
 from serec.exposure.social_boost import BoostExposure
 from serec.exposure.social_regular import (
     RegularExposure,
-    build_targets,
     fit_exposure,
     sgd_triplet_step,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TrainingError",
-    "build_targets",
     "dataset_stats",
     "e_step",
     "evaluate",

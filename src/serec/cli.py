@@ -216,7 +216,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers") from None
     if not values:
-        raise UsageError(f"{flag} must not be empty")
+        raise UsageError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
     return values
 
 
@@ -415,8 +415,6 @@ def cmd_robustness(args) -> int:
         raise UsageError("--seed must be >= 0")
     split, id_map = dm.load_split(args.split_dir)
     graph = _load_graph(args.social, id_map)
-    if graph is None:
-        raise UsageError("robustness needs --social")
     rows = []
     for kp in keep_probs:
         pruned = dm.prune_social(graph, kp, seed=args.seed)

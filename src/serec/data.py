@@ -400,8 +400,6 @@ def dataset_stats(y: InteractionMatrix, s: SocialGraph) -> StatsReport:
     """Counts plus rating/social density, average out-degree, and their product."""
     if y.n_users != s.n_users:
         raise ValueError("interaction matrix and social graph disagree on n_users")
-    if y.n_users == 0:
-        raise ValueError("empty dataset")
     rating_density = y.n_entries / (y.n_users * y.n_items)
     social_density = s.n_edges / (s.n_users**2)
     avg_social_links = s.n_edges / s.n_users
@@ -488,9 +486,11 @@ def save_arrays(path: str | Path, **arrays: np.ndarray) -> None:
 def load_arrays(path: Path, command: str, specs: dict[str, tuple]) -> dict[str, np.ndarray]:
     """The arrays of the ``.npz`` file ``path`` that ``specs`` names, each
     of the dtype and shape of its ``(dtype, sizes)`` pair: a tuple of sizes,
-    None for a size that may be any.  Nothing is unpickled: an object array
-    fails like any other malformed array.  A fault names the file and the
-    array; a missing file or array says to run ``serec <command>`` again."""
+    None for a size that may be any.  A float array must hold finite
+    numbers only.  Nothing is unpickled: an object array fails like any
+    other malformed array.  A fault names the file and the array, and a
+    non-finite entry its position; a missing file or array says to run
+    ``serec <command>`` again."""
     if not path.exists():
         raise DataFormatError(
             f"{path} is missing (directories from an older serec lack it); "
@@ -523,6 +523,12 @@ def load_arrays(path: Path, command: str, specs: dict[str, tuple]) -> dict[str, 
             if array.ndim != len(dims) or not sizes_ok:
                 expected = f"expected {dims}".replace("None", "n")
                 raise DataFormatError(f"{path}: array {name!r} has shape {array.shape}, {expected}")
+            if array.dtype.kind == "f" and not np.isfinite(array).all():
+                at = np.unravel_index(np.flatnonzero(~np.isfinite(array))[0], array.shape)
+                raise DataFormatError(
+                    f"{path}: array {name!r} holds {array[at]} at position "
+                    f"{tuple(map(int, at))}, not a finite number"
+                )
             arrays[name] = array
     return arrays
 

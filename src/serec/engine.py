@@ -11,7 +11,8 @@ generic over providers and alternates
     prior    provider.update(p, y)
 
 Provider protocol (duck-typed):
-    mu_block(j0, j1) -> (n_users, j1 - j0) priors in [0, 1]; may be a read-only view
+    mu_block(j0, j1) -> (n_users, j1 - j0) priors in BAYES_RANGE, or in [0, 1]
+                        for a fixed-weight provider; may be a read-only view
     update(p, y) -> None                refresh internal state from the
                                         U x V posterior array p
     kind -> str                         short model name for persistence
@@ -46,7 +47,8 @@ from serec.data import (
     write_matrix,
 )
 
-MU_EPS = 1e-6
+# the priors the E-step's Bayes rule takes; only the likelihood takes [0, 1]
+BAYES_RANGE = (1e-6, 1.0 - 1e-6)
 _TINY = np.finfo(np.float64).tiny
 DEFAULT_DENSE_BUDGET = 200_000_000  # posterior entries kept in RAM
 # Item columns per block of a sweep.  Each sweep thread holds a few U x block
@@ -205,28 +207,28 @@ def _clicked_in_block(indptr: np.ndarray, indices: np.ndarray, j0: int, j1: int)
     return other, local
 
 
-def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int):
-    """The provider's prior for items [j0, j1), checked with one min and one
-    max (NaN fails both comparisons).
+def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int, bound: tuple):
+    """The provider's prior for items [j0, j1), which may be the provider's
+    own storage and is never written.
 
-    Returns the block, which may be the provider's own storage and is
-    never written, and whether the E-step clamp leaves it unchanged.
+    It must lie in ``bound``, the closed range its pass needs, checked
+    with one min and one max (NaN fails both comparisons).
     """
     mu = np.asarray(provider.mu_block(j0, j1), dtype=np.float64)
     if mu.shape != (y.n_users, j1 - j0):
         raise ValueError(
             f"provider returned mu of shape {mu.shape}, expected {(y.n_users, j1 - j0)}"
         )
-    lo, hi = mu.min(), mu.max()
-    if not (lo >= 0.0 and hi <= 1.0):
-        raise ValueError("provider contract violation: mu outside [0, 1]")
-    return mu, bool(lo >= MU_EPS and hi <= 1.0 - MU_EPS)
+    lo, hi = bound
+    if not (mu.min() >= lo and mu.max() <= hi):
+        raise ValueError(f"provider contract violation: mu outside [{lo:g}, {hi:g}]")
+    return mu
 
 
 def _block_log_likelihood(model: FactorModel, mu_obs, den, rows, cols, s_obs, j0: int) -> float:
     """Likelihood terms of the item block starting at ``j0``; consumes ``den``.
 
-    ``den`` holds mu * N0 + 1 - mu for the raw prior, whose log is the
+    ``den`` holds mu * N0 + 1 - mu for the block's prior, whose log is the
     unclicked term.  The clicked pairs (``rows``, ``cols``, block-local)
     are set to 1 there (log 1 = 0) and add log(mu_obs * N(1 | score))
     instead, from their priors ``mu_obs`` and scores ``s_obs``; mu_obs = 0
@@ -307,17 +309,18 @@ def _sweep_block(
 ) -> float:
     """Items [j0, j1) of :func:`_sweep`; returns their likelihood terms.
 
-    The provider's prior is read once, and the scores become
-    N0 = N(0 | score) in place.  The likelihood's unclicked term is the
-    log of mu * N0 + 1 - mu for the raw prior, which is the E-step's own
-    denominator whenever the clamp leaves mu unchanged, so a sweep that
-    does both computes it once.  A sweep that writes no posterior builds
-    the denominator in N0's own array, taking 1 - mu from one row when the
-    prior's rows are one view (zero row stride, as for wmf and expomf),
-    so it holds one U x block array.
+    The provider's prior is read once, in ``BAYES_RANGE`` for a sweep that
+    writes the posterior and in [0, 1] for one that does not, and the
+    scores become N0 = N(0 | score) and then mu * N0 in place.  The
+    likelihood's unclicked term is the log of mu * N0 + 1 - mu, which is
+    the E-step's own denominator, so a sweep that does both computes it
+    once.  A sweep that writes no posterior builds the denominator in
+    N0's own array, taking 1 - mu from one row when the prior's rows are
+    one view (zero row stride, as for wmf and expomf), so it holds one
+    U x block array.
     """
     bayes = p_out is not None
-    mu, unclamped = _provider_mu_block(provider, y, j0, j1)
+    mu = _provider_mu_block(provider, y, j0, j1, BAYES_RANGE if bayes else (0.0, 1.0))
     rows, cols = _clicked_in_block(y.csc_indptr, y.csc_indices, j0, j1)
     n0 = model.theta @ model.beta[j0:j1].T
     if with_ll:
@@ -326,21 +329,15 @@ def _sweep_block(
     n0 *= -0.5 * model.lambda_y
     np.exp(n0, out=n0)
     n0 *= math.sqrt(model.lambda_y / (2.0 * math.pi))
-    shared = bayes and unclamped
-    if with_ll and not shared:
-        # the E-step below still needs N0; otherwise it becomes mu * N0 and
-        # then the denominator
-        den = mu * n0 if bayes else np.multiply(n0, mu, out=n0)
-        den += 1.0 - (mu[:1] if mu.strides[0] == 0 else mu)
+    n0 *= mu
     if bayes:
-        mu_e = mu if unclamped else np.clip(mu, MU_EPS, 1.0 - MU_EPS)
-        n0 *= mu_e
-        e_den = 1.0 - mu_e
-        e_den += n0
-        np.divide(n0, e_den, out=p_out[:, j0:j1])
-        if shared:
-            den = e_den
+        den = 1.0 - mu
+        den += n0
+        np.divide(n0, den, out=p_out[:, j0:j1])
         p_out[rows, j0 + cols] = 1.0
+    else:  # a likelihood pass, which _sweep runs only with with_ll
+        den = n0
+        den += 1.0 - (mu[:1] if mu.strides[0] == 0 else mu)
     if not with_ll:
         return 0.0
     mu_obs = 1.0 if _fixed_weight(provider) is not None else mu[rows, cols]
@@ -357,12 +354,12 @@ def e_step(
     """Fill the exposure posterior for every pair.
 
     Clicked pairs get p = 1 exactly; unclicked pairs get the Bayes update
-    of the provider's prior against the Gaussian evidence at 0.  Priors
-    are clamped to [1e-6, 1 - 1e-6] before the Bayes rule so the posterior
-    stays numerically stable; values outside [0, 1] are a provider
-    contract violation and raise.  A fixed-weight provider has nothing to
-    fill: its posterior is the constant view of :func:`ExposurePosterior`,
-    returned as it is, and a dense ``out`` for one raises.
+    of the provider's prior against the Gaussian evidence at 0.  The prior
+    must lie in ``BAYES_RANGE``, [1e-6, 1 - 1e-6], to which every Bayes
+    provider clips it; a value outside is a provider contract violation
+    and raises.  A fixed-weight provider has nothing to fill: its posterior
+    is the constant view of :func:`ExposurePosterior`, returned as it is,
+    and a dense ``out`` for one raises.
     """
     post = out if out is not None else ExposurePosterior(provider, y.n_users, y.n_items)
     _sweep(y, model, provider, post, block_size, with_ll=False)
@@ -513,11 +510,11 @@ def log_likelihood(
     """Marginal log likelihood of the clicks plus the Gaussian factor priors.
 
     Unclicked pairs contribute log(mu * N(0 | score) + 1 - mu), the log of
-    the E-step's own denominator for the unclamped prior: exactly 0 at
-    mu = 0, and log N(0 | score) from the score at mu = 1 when N0
-    underflows.  Clicked pairs contribute log(mu * N(1 | score)).  A
-    clicked pair with mu = 0 is inconsistent (zero exposure prior, observed
-    click) and raises.
+    the E-step's own denominator.  Unlike the E-step, this pass takes any
+    prior in [0, 1]: the term is exactly 0 at mu = 0, and log N(0 | score)
+    from the score at mu = 1 when N0 underflows.  Clicked pairs contribute
+    log(mu * N(1 | score)).  A clicked pair with mu = 0 is inconsistent
+    (zero exposure prior, observed click) and raises.
     """
     return _sweep(y, model, provider, None, block_size, with_ll=True)
 

@@ -8,7 +8,6 @@ from serec.exposure.popularity import (
 from serec.exposure.social_boost import BoostExposure
 from serec.exposure.social_regular import (
     RegularExposure,
-    build_targets,
     fit_exposure,
     sgd_triplet_step,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "FixedExposure",
     "PopularityExposure",
     "RegularExposure",
-    "build_targets",
     "fit_exposure",
     "popularity_update_mu",
     "sgd_triplet_step",

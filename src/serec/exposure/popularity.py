@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from serec.data import InteractionMatrix
-from serec.engine import MU_EPS, ConfigError
+from serec.engine import BAYES_RANGE, ConfigError
 
 
 def popularity_update_mu(col, n_users: int, alpha1: float = 1.0, alpha2: float = 1.0) -> np.ndarray:
@@ -25,7 +25,7 @@ def popularity_update_mu(col, n_users: int, alpha1: float = 1.0, alpha2: float =
     if alpha1 + alpha2 + n_users <= 2:
         raise ValueError("alpha1 + alpha2 + n_users must exceed 2")
     mu = (alpha1 + np.asarray(col, dtype=np.float64) - 1.0) / (alpha1 + alpha2 + n_users - 2.0)
-    return np.clip(mu, MU_EPS, 1.0 - MU_EPS)
+    return np.clip(mu, *BAYES_RANGE)
 
 
 def _check_beta_parameters(alpha1: float, alpha2: float) -> None:

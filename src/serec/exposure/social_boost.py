@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError
+from serec.engine import BAYES_RANGE, ConfigError
 from serec.exposure.popularity import _check_beta_parameters
 
 
@@ -96,7 +96,7 @@ class BoostExposure:
         den = mass + self._den0
         mass += self._num0[j0:j1]
         np.divide(mass, den, out=mass)
-        np.clip(mass, MU_EPS, 1.0 - MU_EPS, out=mass)
+        np.clip(mass, *BAYES_RANGE, out=mass)
         return mass
 
     def update(self, p, y: InteractionMatrix) -> None:

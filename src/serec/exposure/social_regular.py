@@ -16,29 +16,13 @@ posterior p_ui, the exposure estimate the likelihood itself produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from serec.data import InteractionMatrix, SocialGraph
-from serec.engine import MU_EPS, ConfigError, TrainingError
+from serec.engine import BAYES_RANGE, ConfigError, TrainingError
 
 DIVERGENCE_FACTOR = 10.0
 OBJECTIVE_CHUNK = 8192  # triplets per gather of the sampled objective
-
-
-@dataclass
-class ExposureTargets:
-    """Regression targets for the prior fit, clamped to [1e-6, 1 - 1e-6]."""
-
-    observed_per_item: np.ndarray  # n_i / U per item
-    posterior: object = field(repr=False)  # (U, V) array-like for Y- lookups
-
-
-def build_targets(y: InteractionMatrix, p) -> ExposureTargets:
-    """Targets per the module contract: n_i / U on clicks, p_ui elsewhere."""
-    per_item = np.clip(y.item_counts() / y.n_users, MU_EPS, 1.0 - MU_EPS)
-    return ExposureTargets(observed_per_item=per_item, posterior=p)
 
 
 def _run_gradients(h, xu, ti, bk, gamma, target, s_uk):
@@ -211,16 +195,19 @@ def _draw_trust_partners(graph: SocialGraph, users: np.ndarray, rng):
     return partners, has_friends.astype(np.int64)
 
 
-def _epoch_sample(y, graph, targets: ExposureTargets, seed: int, epoch: int):
+def _epoch_sample(y, graph, p, seed: int, epoch: int):
     """Triplets for one epoch: all clicks plus an equal-size fresh negative
-    sample, each paired with a trust partner."""
+    sample, each paired with a trust partner.  Each click's target is its
+    item's audience share n_i / U and each negative's its posterior p_ui,
+    both clipped to [1e-6, 1 - 1e-6]."""
     rng = np.random.default_rng([seed, epoch])
     pos = np.column_stack([y.user_idx, y.item_idx])
     neg = _sample_negatives(y, len(pos), rng)
     pairs = np.vstack([pos, neg])
     t_vals = np.empty(len(pairs))
-    t_vals[: len(pos)] = targets.observed_per_item[pos[:, 1]]
-    t_vals[len(pos) :] = np.clip(targets.posterior[neg[:, 0], neg[:, 1]], MU_EPS, 1.0 - MU_EPS)
+    t_vals[: len(pos)] = (y.item_counts() / y.n_users)[pos[:, 1]]
+    t_vals[len(pos) :] = p[neg[:, 0], neg[:, 1]]
+    np.clip(t_vals, *BAYES_RANGE, out=t_vals)
     partners, s_flags = _draw_trust_partners(graph, pairs[:, 0], rng)
     order = rng.permutation(len(pairs))
     return pairs[order], t_vals[order], partners[order], s_flags[order]
@@ -258,17 +245,17 @@ def fit_exposure(state, y: InteractionMatrix, p, social: SocialGraph, seed: int 
 
     The objective is tracked on the first epoch's sample; growth past 10x
     its starting value aborts with a hint to lower the learning rate.
-    Returns the state (updated in place).
+    Returns the state (updated in place).  Each epoch's sample reads its
+    negatives' targets from the posterior ``p`` (:func:`_epoch_sample`).
     """
     h = state.hyper
     if h["n_sgd_epochs"] == 0:
         return state
-    targets = build_targets(y, p)
     lr = h["learning_rate"]
     ref = None
     initial = None
     for epoch in range(h["n_sgd_epochs"]):
-        pairs, t_vals, partners, s_flags = _epoch_sample(y, social, targets, seed, epoch)
+        pairs, t_vals, partners, s_flags = _epoch_sample(y, social, p, seed, epoch)
         if ref is None:
             ref = (pairs, t_vals, partners, s_flags)
             initial = _sampled_objective(state, *ref)
@@ -352,7 +339,7 @@ class RegularExposure:
 
     def mu_block(self, j0: int, j1: int) -> np.ndarray:
         raw = self.x @ self.t[j0:j1].T + self.gamma[j0:j1]
-        return np.clip(raw, MU_EPS, 1.0 - MU_EPS)
+        return np.clip(raw, *BAYES_RANGE)
 
     def update(self, p, y: InteractionMatrix) -> None:
         due = (

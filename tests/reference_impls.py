@@ -227,14 +227,6 @@ def is_observed(y, u: int, i: int) -> bool:
     return bool(np.any((y.user_idx == u) & (y.item_idx == i)))
 
 
-def target_lookup(targets, y, u: int, i: int) -> float:
-    """The refit's regression target for one pair: the item's audience
-    share on a click, the clamped posterior elsewhere."""
-    if is_observed(y, u, i):
-        return float(targets.observed_per_item[i])
-    return float(np.clip(targets.posterior[u, i], REF_MU_EPS, 1.0 - REF_MU_EPS))
-
-
 def sample_negatives_reference(y, n, rng):
     """n unobserved (u, i) pairs, rejected against a Python set of clicks."""
     observed = set((y.user_idx * y.n_items + y.item_idx).tolist())

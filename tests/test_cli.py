@@ -206,6 +206,18 @@ def test_stats_reports_json(dataset, capsys, tmp_path):
     assert json.loads(out_file.read_text()) == payload
 
 
+def test_stats_notes_dropped_edges_on_stderr(dataset, capsys, tmp_path):
+    social = tmp_path / "social.tsv"
+    users = _raw_user_ids(dataset)
+    social.write_text(f"{users[0]}\t{users[1]}\n{users[0]}\t{users[0]}\nghost\t{users[1]}\n")
+    rc = run(["stats", "--interactions", str(dataset / "interactions.tsv"),
+              "--social", str(social)])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["n_social_links"] == 1
+    assert "dropped 1 edges with unknown users, 1 self-loops" in err
+
+
 def test_stats_missing_file_exits_2(tmp_path, capsys):
     rc = run(["stats", "--interactions", str(tmp_path / "nope.tsv"),
               "--social", str(tmp_path / "also-nope.tsv")])
@@ -894,6 +906,10 @@ def test_evaluate_invalid_utf8_id_array_exits_2_naming_file_and_array(
          "model.npz: array 'theta' has shape (120,), expected (n, n)"),
         ("model.npz", lambda a: a.update(beta=np.hstack([a["beta"], np.zeros((60, 2))])),
          "model.npz: array 'beta' has shape (60, 5), but array 'theta' has shape (40, 3)"),
+        ("model.npz", lambda a: a["theta"].__setitem__((3, 0), np.nan),
+         "model.npz: array 'theta' holds nan at position (3, 0), not a finite number"),
+        ("model.npz", lambda a: a["beta"].__setitem__((5, 1), np.inf),
+         "model.npz: array 'beta' holds inf at position (5, 1), not a finite number"),
         ("meta.json", lambda t: t[: len(t) // 2], "meta.json: not valid JSON: "),
         ("meta.json", lambda t: "[]", "meta.json: expected a JSON object"),
         ("meta.json", lambda t: t.replace('"lambda_y"', '"lambda_y_"'),
@@ -908,7 +924,7 @@ def test_evaluate_invalid_utf8_id_array_exits_2_naming_file_and_array(
          "meta.json: precision 'lambda_y' must be a finite positive number, got True"),
     ],
     ids=["no-theta", "object-beta", "float32-theta", "flat-theta", "wide-beta",
-         "truncated-meta",
+         "nan-theta", "inf-beta", "truncated-meta",
          "meta-not-an-object", "meta-missing-key", "meta-bad-precision",
          "meta-infinite-precision", "meta-overflowing-precision", "meta-bool-precision"],
 )
@@ -1030,6 +1046,13 @@ def test_exposure_curve_reads_settings_from_meta_config(
         edit_npz(npz, lambda arrays: arrays.pop(name))
         assert run(argv) == 2
         assert f"{npz}: no array {name!r}" in capsys.readouterr().err
+        npz.write_bytes(kept)
+        with np.load(npz) as arrays:
+            shape = arrays[name].shape
+        edit_npz(npz, lambda arrays: arrays[name].flat.__setitem__([1, -1], [np.nan, np.inf]))
+        assert run(argv) == 2
+        at = tuple(map(int, np.unravel_index(1, shape)))
+        assert f"{npz}: array {name!r} holds nan at position {at}" in capsys.readouterr().err
         npz.write_bytes(kept)
     # a directory from before model.npz: its arrays are TSV files
     (model_dir / "model.npz").unlink()
@@ -1288,6 +1311,7 @@ def test_robustness_requires_social_flag(split_dir):
         (["split", "--ratios", "0.7,0.3"], "--ratios"),
         (["split", "--ratios", "nan,0.2"], "--ratios"),
         (["split", "--ratios", "0.7,nan"], "--ratios"),
+        (["split", "--ratios", ","], "--ratios"),
         (["split", "--seed", "-1"], "--seed"),
         (["split", "--seed", "100000000000000000000000"], "--seed"),
         (["robustness", "--seed", "-1", "--keep-probs", "0.5"], "--seed"),
@@ -1297,7 +1321,8 @@ def test_robustness_requires_social_flag(split_dir):
         (["generate", "--social-density", "2"], "--social-density"),
         (["generate", "--seed", "-1"], "--seed"),
     ],
-    ids=["split-ratios", "split-ratios-nan-first", "split-ratios-nan-second", "split-seed",
+    ids=["split-ratios", "split-ratios-nan-first", "split-ratios-nan-second",
+         "split-ratios-empty", "split-seed",
          "split-seed-past-64-bits", "robustness-seed", "curve-bins-zero", "curve-bins-negative", "generate-n-users",
          "generate-social-density", "generate-seed"],
 )
@@ -1398,6 +1423,30 @@ def _model_choices(command):
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     parser = sub.choices[command]
     return tuple(next(a for a in parser._actions if a.dest == "model").choices)
+
+
+def test_console_script_end_to_end(tmp_path):
+    """tests/cli_e2e.sh, the workflow's end-to-end step, run as the workflow
+    runs it (bash -eo pipefail, one BLAS thread) through python -m serec.cli
+    from this checkout."""
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("tests/cli_e2e.sh needs bash")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        SEREC=f"{sys.executable} -m serec.cli",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    script = Path(__file__).with_name("cli_e2e.sh")
+    proc = subprocess.run(
+        [bash, "-eo", "pipefail", str(script), str(tmp_path / "e2e")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_model_kinds_match_provider_table():

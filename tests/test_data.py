@@ -134,6 +134,23 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             InteractionMatrix(2, 2, [(-1, 0)])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: InteractionMatrix(0, 2, []), "n_users and n_items must be positive"),
+            (lambda: InteractionMatrix(2, -1, []), "n_users and n_items must be positive"),
+            (lambda: InteractionMatrix(2, 2, [(2, 0)]), "interaction index out of range"),
+            (lambda: SocialGraph(0, []), "n_users must be positive"),
+            (lambda: SocialGraph(2, [(0, 2)]), "social edge index out of range"),
+            (lambda: SocialGraph(2, [(-1, 0)]), "social edge index out of range"),
+        ],
+        ids=["no-users", "negative-items", "user-out-of-range", "graph-no-users",
+             "edge-out-of-range", "edge-negative"],
+    )
+    def test_non_positive_size_or_out_of_range_index_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_empty_matrix_allowed(self):
         y = InteractionMatrix(3, 4, [])
         assert y.n_entries == 0
@@ -279,6 +296,11 @@ class TestPrune:
         pruned = prune_social(g, 0.6, seed=3)
         assert edge_set(pruned) <= edge_set(g)
         assert 5_700 <= pruned.n_edges <= 6_300
+
+    @pytest.mark.parametrize("keep_prob", [-0.1, 1.5, float("nan")])
+    def test_keep_prob_outside_the_unit_interval_rejected(self, toy_graph, keep_prob):
+        with pytest.raises(ValueError, match=r"keep_prob must be in \[0, 1\]"):
+            prune_social(toy_graph, keep_prob)
 
     def test_seeded(self, toy_graph):
         a = edge_set(prune_social(toy_graph, 0.5, seed=1))

@@ -146,8 +146,29 @@ class TestEStep:
             e_step(y, model, MatrixProvider(np.full((4, 5), 1.5)))
         with pytest.raises(ValueError, match="contract violation"):
             e_step(y, model, MatrixProvider(np.full((4, 5), np.nan)))
+        with pytest.raises(ValueError, match=r"contract violation: mu outside \[0, 1\]"):
+            log_likelihood(y, model, MatrixProvider(np.full((4, 5), 1.5)))
         with pytest.raises(ValueError, match="shape"):
             e_step(y, model, MatrixProvider(np.full((3, 5), 0.5)))
+
+    @pytest.mark.parametrize("n_threads", [1, 4])
+    def test_bayes_passes_reject_the_priors_only_the_likelihood_takes(self, rng, n_threads):
+        # priors of exactly 0 and 1 lie in the likelihood's range, outside the Bayes rule's
+        y = random_interactions(rng, 6, 9, density=0.3)
+        mu = np.where(np.arange(6 * 9).reshape(6, 9) % 3 == 0, 0.0, 1.0)
+        mu[y.user_idx, y.item_idx] = 1.0
+        model = make_model(rng.normal(0, 1, (6, 2)), rng.normal(0, 1, (9, 2)))
+        assert math.isfinite(log_likelihood(y, model, MatrixProvider(mu), block_size=4))
+        message = r"provider contract violation: mu outside \[1e-06, 0.999999\]"
+        unclicked = np.argwhere(dense_clicks(y) == 0)[0]
+        for prior in (0.0, 1.0):
+            edge = np.full((6, 9), 0.5)
+            edge[tuple(unclicked)] = prior
+            with pytest.raises(ValueError, match=message):
+                e_step(y, model, MatrixProvider(edge), block_size=4)
+            cfg = TrainConfig(k=2, max_em_iters=2, block_size=4, n_threads=n_threads)
+            with pytest.raises(ValueError, match=message):
+                fit(y, MatrixProvider(edge), cfg)
 
     def test_failed_e_step_removes_the_posterior_it_spilled(self, rng, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -533,14 +554,10 @@ fit(y, KillingProvider(), TrainConfig(k=2, max_em_iters=3, dense_budget=1, block
         assert ref() is None
 
 
-KINDS = ["wmf", "expomf", "serec-regular", "serec-boost", "clamped"]
+KINDS = ["wmf", "expomf", "serec-regular", "serec-boost"]
 
 
 def _provider_of_kind(kind, y, graph):
-    if kind == "clamped":  # priors of exactly 0 and 1, which the E-step clamps
-        mu = np.where(np.arange(y.n_users * y.n_items).reshape(y.n_users, -1) % 3 == 0, 0.0, 1.0)
-        mu[y.user_idx, y.item_idx] = 1.0
-        return MatrixProvider(mu)
     if kind == "wmf":
         return FixedExposure(y)
     if kind == "expomf":

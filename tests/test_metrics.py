@@ -307,6 +307,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="target"):
             evaluate(model, None, split, target="holdout")
 
+    @pytest.mark.parametrize(
+        "shape, cutoffs, message",
+        [
+            ((2, 4), (5,), "model and split disagree on dimensions"),
+            ((3, 5), (5,), "model and split disagree on dimensions"),
+            ((3, 4), (), "cutoffs must be positive"),
+            ((3, 4), (5, 0), "cutoffs must be positive"),
+        ],
+        ids=["fewer-users", "more-items", "no-cutoffs", "zero-cutoff"],
+    )
+    def test_bad_model_shape_or_cutoffs(self, rng, shape, cutoffs, message):
+        y = random_interactions(rng, 3, 4)
+        split = DatasetSplit(train=y, validation=y, test=y, seed=0)
+        model = FactorModel(np.ones((shape[0], 1)), np.ones((shape[1], 1)))
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, None, split, cutoffs=cutoffs)
+
 
 def ranking_case(rng, n_users, n_items, scores):
     """A split whose users cover the ranker's edge cases, and a model.
@@ -421,3 +438,14 @@ class TestEvalReport:
         tsv = report.to_tsv()
         assert tsv.startswith("metric\tvalue\n")
         assert "recall@10\t0.5" in tsv
+        assert "groups" not in payload
+
+    def test_json_lists_the_groups(self):
+        groups = {"0": {"n_users": 3, "recall@10": 0.25}, "1-5": {"n_users": 4, "recall@10": 0.75}}
+        report = EvalReport(
+            metrics={"recall@10": 0.5}, n_users_evaluated=7, model_kind="wmf", groups=groups
+        )
+        payload = json.loads(report.to_json())
+        assert payload["groups"] == groups
+        assert list(payload["groups"]) == ["0", "1-5"]
+        assert payload["metrics"] == {"recall@10": 0.5}

@@ -23,7 +23,6 @@ from reference_impls import (
     sample_negatives_reference,
     sampled_triplet_loss,
     sgd_epoch_runs_reference,
-    target_lookup,
 )
 from serec import (
     DataFormatError,
@@ -32,7 +31,6 @@ from serec import (
     SocialGraph,
     TrainConfig,
     TrainingError,
-    build_targets,
     fit,
     fit_exposure,
     sgd_triplet_step,
@@ -174,32 +172,43 @@ class TestSgdStep:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
-class TestBuildTargets:
+def sampled_targets(y, p):
+    """The regression target of each (u, i) pair that one epoch of
+    ``_epoch_sample`` draws, and the number of draws that were negatives."""
+    pairs, t_vals, _, _ = _epoch_sample(y, SocialGraph(y.n_users, []), p, 0, 0)
+    targets = {}
+    for (u, i), t in zip(pairs.tolist(), t_vals.tolist()):
+        assert targets.setdefault((u, i), t) == t  # a pair drawn twice has one target
+    n_negatives = sum(not is_observed(y, u, i) for u, i in pairs.tolist())
+    return targets, n_negatives
+
+
+class TestEpochSampleTargets:
     def test_observed_pairs_pull_toward_audience_share(self):
         pairs = [(u, 0) for u in range(4)] + [(0, 1)]
         y = InteractionMatrix(10, 2, pairs)
-        targets = build_targets(y, np.full((10, 2), 0.123))
-        assert target_lookup(targets, y, 0, 0) == pytest.approx(0.4, abs=1e-12)
-        assert target_lookup(targets, y, 0, 1) == pytest.approx(0.1, abs=1e-12)
+        targets, _ = sampled_targets(y, np.full((10, 2), 0.123))
+        assert targets[0, 0] == 0.4
+        assert targets[0, 1] == 0.1
 
-    def test_unobserved_pairs_pull_toward_posterior(self):
-        y = InteractionMatrix(10, 2, [(0, 0)])
-        p = np.full((10, 2), 0.3)
-        p[5, 1] = 0.77
-        targets = build_targets(y, p)
-        assert target_lookup(targets, y, 5, 1) == pytest.approx(0.77, abs=1e-12)
-        assert not is_observed(y, 5, 1)
-        assert is_observed(y, 0, 0)
+    def test_unobserved_pairs_pull_toward_posterior(self, rng):
+        y = InteractionMatrix(10, 3, [(0, 0), (3, 1), (7, 2)])
+        p = rng.uniform(0.01, 0.99, (10, 3))
+        targets, n_negatives = sampled_targets(y, p)
+        assert n_negatives == y.n_entries
+        for (u, i), t in targets.items():
+            assert t == (y.item_counts()[i] / 10 if is_observed(y, u, i) else p[u, i])
 
     def test_single_user_share_clamps_below_one(self):
-        y = InteractionMatrix(1, 1, [(0, 0)])
-        targets = build_targets(y, np.ones((1, 1)))
-        assert target_lookup(targets, y, 0, 0) == 1.0 - 1e-6
+        y = InteractionMatrix(1, 2, [(0, 0)])
+        targets, _ = sampled_targets(y, np.ones((1, 2)))
+        assert targets == {(0, 0): 1.0 - 1e-6, (0, 1): 1.0 - 1e-6}
 
     def test_posterior_lookup_clamps(self):
         y = InteractionMatrix(2, 2, [(0, 0)])
-        targets = build_targets(y, np.zeros((2, 2)))
-        assert target_lookup(targets, y, 1, 1) == 1e-6
+        targets, _ = sampled_targets(y, np.zeros((2, 2)))
+        assert targets.pop((0, 0)) == 0.5
+        assert set(targets.values()) == {1e-6}
 
 
 class TestFitExposure:
@@ -477,7 +486,7 @@ class TestBatchedRefit:
     def test_objective_does_not_depend_on_the_chunk_size(self, monkeypatch):
         y, graph, p = befriended_instance(6, 40, 120, 10, 4)
         provider = RegularExposure(y, graph, k_sr=5, seed=1, init_scale=0.3)
-        sample = _epoch_sample(y, graph, build_targets(y, p), 0, 0)
+        sample = _epoch_sample(y, graph, p, 0, 0)
         whole = social_regular._sampled_objective(provider, *sample)
         monkeypatch.setattr(social_regular, "OBJECTIVE_CHUNK", 7)
         assert social_regular._sampled_objective(provider, *sample) == whole
@@ -485,13 +494,17 @@ class TestBatchedRefit:
     def test_epoch_sample_equals_reference_sampler(self):
         y, graph, p = befriended_instance(6, 40, 120, 10, 4)
         assert graph.out_degree().min() > 0
-        targets = build_targets(y, p)
         for seed, epoch in ((0, 0), (3, 1), (11, 7)):
-            got = _epoch_sample(y, graph, targets, seed, epoch)
+            got = _epoch_sample(y, graph, p, seed, epoch)
             want = epoch_sample_reference(y, graph, p, seed, epoch)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+    def test_no_negative_to_sample_when_every_pair_is_clicked(self):
+        y = InteractionMatrix(2, 3, [(u, i) for u in range(2) for i in range(3)])
+        with pytest.raises(ValueError, match="every pair is observed"):
+            _sample_negatives(y, 1, np.random.default_rng(0))
 
     def test_negatives_equal_reference_and_are_unobserved(self):
         y, _, _ = befriended_instance(2, 30, 12, 6, 1)  # dense: many rejections
