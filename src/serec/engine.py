@@ -59,6 +59,11 @@ DEFAULT_BLOCK_SIZE = 512
 # 32 MiB sit at glibc's cap on its mmap threshold, where a freed chunk may stay
 # in the heap: peak RSS then varied by ~70 MiB from run to run.
 CHUNK_ENTRIES = 1 << 21
+# Entries per chunk of a fixed-weight solve, in its gathered factor rows and
+# in its K x K systems each (1 MiB).  At the heavy-wmf shape (6000 x 2000,
+# K = 20, 2 threads) chunks of 2M entries solved about as fast and held 46 MiB
+# of traced heap, where these hold 4.6.
+GATHER_ENTRIES = 1 << 17
 META_NAME = "meta.json"
 MODEL_NAME = "model.npz"  # theta, beta and the provider's state arrays, by name
 
@@ -164,7 +169,8 @@ def ExposurePosterior(
     A fixed-weight provider (one with ``mu_unobserved``) gets the
     read-only, zero-stride view of that constant, 8 bytes whatever the
     shape: its clicks weigh 1 by definition, and the factor solves, which
-    see the zero strides, put them in per row chunk.  Any other provider
+    see the zero strides, split its Gram into the constant's share and
+    each row's clicks (:func:`_fixed_weight_update`).  Any other provider
     gets a zeroed array for the E-step to fill: in RAM while
     n_users * n_items fits the budget, otherwise a memmap of an unnamed
     temporary file (under ``$TMPDIR``).  The mapping keeps its own
@@ -212,7 +218,8 @@ def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int, bound: 
     own storage and is never written.
 
     It must lie in ``bound``, the closed range its pass needs, checked
-    with one min and one max (NaN fails both comparisons).
+    with one min and one max (NaN fails both comparisons), over one row
+    when the rows are one view (zero row stride, as for wmf and expomf).
     """
     mu = np.asarray(provider.mu_block(j0, j1), dtype=np.float64)
     if mu.shape != (y.n_users, j1 - j0):
@@ -220,7 +227,8 @@ def _provider_mu_block(provider, y: InteractionMatrix, j0: int, j1: int, bound: 
             f"provider returned mu of shape {mu.shape}, expected {(y.n_users, j1 - j0)}"
         )
     lo, hi = bound
-    if not (mu.min() >= lo and mu.max() <= hi):
+    seen = mu[:1] if mu.strides[0] == 0 else mu
+    if not (seen.min() >= lo and seen.max() <= hi):
         raise ValueError(f"provider contract violation: mu outside [{lo:g}, {hi:g}]")
     return mu
 
@@ -429,17 +437,21 @@ def _ridge_update(
     columns of p instead of rows (the item update); the matmul reads that
     strided column chunk in place, so no part of a spilled posterior is
     copied into RAM.  A fixed-weight posterior, the zero-stride constant
-    view of :func:`ExposurePosterior`, is the one p a chunk does not read
-    in place: the chunk builds its weights in an array of its own, the
-    constant with 1 at its clicks, the values of the dense posterior.
+    view of :func:`ExposurePosterior`, is solved by
+    :func:`_fixed_weight_update` instead, which never reads it but for
+    its constant.
 
     The rows run in chunks, on a pool of ``n_threads`` threads when asked.
     Chunks write disjoint output rows, so they need no locking; the pool's
     shutdown is the barrier before the next phase.  Each chunk holds at
     most ``CHUNK_ENTRIES`` posterior entries, so a chunk's copy of a
-    spilled posterior or its own weights stay bounded, and the chunks,
-    like the result, do not depend on ``n_threads``.
+    spilled posterior stays bounded, and the chunks, like the result, do
+    not depend on ``n_threads``.
     """
+    if p_arr.size > 0 and not any(p_arr.strides):
+        return _fixed_weight_update(
+            float(p_arr[0, 0]), indptr, indices, factors, lambda_y, lambda_reg, n_threads
+        )
     k = factors.shape[1]
     n_out = indptr.size - 1
     out = np.empty((n_out, k), dtype=np.float64)
@@ -449,19 +461,12 @@ def _ridge_update(
     where[rows, cols] = where[cols, rows] = np.arange(rows.size)
     full = where.ravel()  # packed index of each entry of a row-major K x K
     diag = np.arange(k)
-    fixed = p_arr.size > 0 and not any(p_arr.strides)
 
     def work(lo: int, hi: int) -> None:
         other, local = _clicked_in_block(indptr, indices, lo, hi)
-        clicks = (other, local) if transpose else (local, other)
-        if fixed:
-            shape = (p_arr.shape[0], hi - lo) if transpose else (hi - lo, p_arr.shape[1])
-            chunk = np.full(shape, p_arr[0, 0])
-            chunk[clicks] = 1.0
-        else:
-            chunk = p_arr[:, lo:hi] if transpose else p_arr[lo:hi]
+        chunk = p_arr[:, lo:hi] if transpose else p_arr[lo:hi]
         sums = (packed @ chunk).T if transpose else chunk @ packed.T
-        w = chunk[clicks]
+        w = chunk[(other, local) if transpose else (local, other)]
         sums *= lambda_y
         a = sums.take(full, axis=1).reshape(-1, k, k)
         a[:, diag, diag] += lambda_reg
@@ -471,6 +476,67 @@ def _ridge_update(
 
     row_len = p_arr.shape[0] if transpose else p_arr.shape[1]
     _in_pool(work, list(_iter_blocks(n_out, max(1, CHUNK_ENTRIES // row_len))), n_threads)
+    return out
+
+
+def _fixed_weight_update(
+    c: float,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    factors: np.ndarray,
+    lambda_y: float,
+    lambda_reg: float,
+    n_threads: int,
+) -> np.ndarray:
+    """:func:`_ridge_update` for weights that are ``c`` but 1 at the clicks.
+
+    Such a Gram splits (Hu, Koren and Volinsky, ICDM 2008) as
+        sum_j p_uj f_j f_j^T = c F^T F + (1 - c) sum_{j clicked} f_j f_j^T,
+    so each row's system is one K x K base, lambda_y c F^T F + lambda_reg I
+    formed once per solve, plus its own clicks' outer products, and the
+    solve costs O(nnz K^2 + n K^3) whatever the density.  The rows are
+    sorted by click count (stably) and cut into chunks; a chunk gathers
+    its rows' clicked factor rows into a zero-padded (m, width, K) array,
+    width being its widest row, and sums their outer products in one
+    stacked matmul and their right-hand sides in one sum.  A chunk's
+    gather and its K x K systems each hold at most ``GATHER_ENTRIES``
+    entries (a row wider than that is a chunk of its own), so the chunks
+    depend on the click counts alone, never on ``n_threads``, and neither
+    does the result.
+    """
+    k = factors.shape[1]
+    n_out = indptr.size - 1
+    out = np.empty((n_out, k), dtype=np.float64)
+    base = lambda_y * c * (factors.T @ factors) + lambda_reg * np.eye(k)
+    padded = np.vstack([factors, np.zeros((1, k))])  # row -1 pads the gathers
+    counts = np.diff(indptr)
+    order = np.argsort(counts, kind="stable")
+    widths = counts[order]
+
+    def work(lo: int, hi: int) -> None:
+        rows = order[lo:hi]
+        slot = np.arange(widths[hi - 1])
+        clicked = slot < counts[rows, None]
+        gather = np.full(clicked.shape, -1, dtype=np.intp)
+        gather[clicked] = indices[(indptr[rows, None] + slot)[clicked]]
+        f = padded[gather]
+        a = np.matmul(f.transpose(0, 2, 1), f)
+        a *= lambda_y * (1.0 - c)
+        a += base
+        rhs = f.sum(axis=1)
+        rhs *= lambda_y
+        out[rows] = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+
+    chunks, lo = [], 0
+    most = max(1, GATHER_ENTRIES // (k * k))  # rows of a chunk no wider than K
+    while lo < n_out:
+        # rows [lo, hi) hold (hi - lo) * max(width of row hi - 1, K) * K entries
+        wide = np.maximum(widths[lo : lo + most], k)
+        held = np.arange(1, wide.size + 1) * wide * k
+        hi = lo + max(1, int(np.searchsorted(held, GATHER_ENTRIES, side="right")))
+        chunks.append((lo, hi))
+        lo = hi
+    _in_pool(work, chunks, n_threads)
     return out
 
 
@@ -485,7 +551,10 @@ def update_user_factors(
     The left-hand sum runs over all items; only clicks contribute to the
     right-hand side, read from ``y``'s CSR layout.  ``p`` is a U x V
     posterior, in RAM or spilled, or a fixed-weight provider's constant
-    view, whose clicks weigh 1.  Unique minimizer since lambda_theta > 0.
+    view, whose clicks weigh 1: for that view the left-hand sum is
+    c * sum_i beta_i beta_i^T plus (1 - c) times the sum over u's clicks,
+    and the factors agree with those of the dense fixed-weight posterior
+    within the last bits.  Unique minimizer since lambda_theta > 0.
     """
     return _ridge_update(
         p, y.csr_indptr, y.item_idx, model.beta, model.lambda_y, model.lambda_theta,

@@ -24,15 +24,15 @@
 # provider from meta.json's config and reads its arrays from model.npz; wmf,
 # the fixed-weight kind, trains, curves and evaluates the same way;
 # robustness retrains at two keep probabilities and reports the decay_ratio
-# row; serec-boost, and wmf, whose solves build its fixed weights per row
-# chunk, trained on 1 and on 4 threads over five item blocks write the same
-# trace.tsv and model.npz byte for byte (this small a matrix is one chunk per
-# solve; the tests run several chunks on a pool); no model directory holds a
-# per-provider JSON file, and the spilled run must leave its private TMPDIR
-# empty; only serec-boost's prior multiplies sparse matrices, so the wmf
-# train's import log (PYTHONPROFILEIMPORTTIME) must name no scipy module, and
-# the first serec-boost train's must name one, which shows that the log
-# records the imports the check looks for.
+# row; serec-boost, and wmf, whose solves add each row's clicks to one shared
+# Gram in chunks cut by click count, trained on 1 and on 4 threads over five
+# item blocks write the same trace.tsv and model.npz byte for byte (this small
+# a matrix is one chunk per solve; the tests run several chunks on a pool); no
+# model directory holds a per-provider JSON file, and the spilled run must
+# leave its private TMPDIR empty; only serec-boost's prior multiplies sparse
+# matrices, so the wmf train's import log (PYTHONPROFILEIMPORTTIME) must name
+# no scipy module, and the first serec-boost train's must name one, which
+# shows that the log records the imports the check looks for.
 set -eo pipefail
 
 work="${1:?usage: cli_e2e.sh WORK_DIR}"

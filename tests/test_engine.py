@@ -148,6 +148,11 @@ class TestEStep:
             e_step(y, model, MatrixProvider(np.full((4, 5), np.nan)))
         with pytest.raises(ValueError, match=r"contract violation: mu outside \[0, 1\]"):
             log_likelihood(y, model, MatrixProvider(np.full((4, 5), 1.5)))
+        # a prior whose rows are one view is checked on its one row
+        row = np.array([0.5, 0.5, 0.5, 0.5, 1.5])
+        for sweep in (e_step, log_likelihood):
+            with pytest.raises(ValueError, match="contract violation"):
+                sweep(y, model, MatrixProvider(np.broadcast_to(row, (4, 5))))
         with pytest.raises(ValueError, match="shape"):
             e_step(y, model, MatrixProvider(np.full((3, 5), 0.5)))
 
@@ -253,27 +258,74 @@ class TestFactorUpdates:
             )
             assert np.allclose(beta[i], ref, atol=1e-10)
 
+    @staticmethod
+    def _fixed_weight_case(rng, n_u=30, n_v=45, k=7):
+        # user 0 and item 0 have no clicks; user 1 clicks all but item 0 and
+        # item 1 is clicked by all but user 0, each far wider than the rest
+        mask = rng.random((n_u, n_v)) < 0.1
+        mask[0], mask[:, 0] = False, False
+        mask[1, 1:], mask[1:, 1] = True, True
+        y = InteractionMatrix(n_u, n_v, np.argwhere(mask))
+        model = make_model(
+            rng.normal(0, 1, (n_u, k)), rng.normal(0, 1, (n_v, k)), lt=0.3, lb=0.7, ly=2.0
+        )
+        return y, model
+
+    @pytest.mark.parametrize("mu_unobserved", [0.4, 1.0])
+    def test_fixed_weight_view_matches_ridge_oracle(self, rng, monkeypatch, mu_unobserved):
+        # the split Gram, c F^T F plus each row's clicks, over chunks of at
+        # most 4 rows as narrow as K and one for each wide row, solves the
+        # systems of the fixed weights: c but 1 at the clicks
+        y, model = self._fixed_weight_case(rng)
+        k = model.k
+        monkeypatch.setattr(serec.engine, "GATHER_ENTRIES", 4 * k * k)
+        view = ExposurePosterior(FixedExposure(y, mu_unobserved), y.n_users, y.n_items)
+        y_dense = dense_clicks(y)
+        p = fixed_exposure_p(y_dense, mu_unobserved)
+        theta = update_user_factors(y, view, model)
+        beta = update_item_factors(y, view, model)
+        assert np.array_equal(theta[0], np.zeros(k)) and np.array_equal(beta[0], np.zeros(k))
+        for u in range(y.n_users):
+            ref = ridge_row_oracle(model.beta, p[u], y_dense[u], model.lambda_y, model.lambda_theta)
+            assert np.allclose(theta[u], ref, atol=1e-10)
+        for i in range(y.n_items):
+            ref = ridge_row_oracle(
+                model.theta, p[:, i], y_dense[:, i], model.lambda_y, model.lambda_beta
+            )
+            assert np.allclose(beta[i], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
+    def test_fixed_weight_solve_is_the_same_on_any_thread_count(self, rng, monkeypatch, solve):
+        # the chunks follow the click counts, so 1, 2 and 4 threads write
+        # the same bytes
+        y, model = self._fixed_weight_case(rng, k=20)
+        monkeypatch.setattr(serec.engine, "GATHER_ENTRIES", 3 * 20 * 20)
+        view = ExposurePosterior(FixedExposure(y, 0.4), y.n_users, y.n_items)
+        one = solve(y, view, model, 1)
+        for n_threads in (2, 4):
+            assert solve(y, view, model, n_threads).tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
-    def test_fixed_weight_view_solves_as_its_dense_weights(
-        self, rng, monkeypatch, tmp_path, solve, n_threads
-    ):
-        # each chunk builds its weights, the constant with 1 at its clicks, so
-        # over several chunks the factors equal those of the dense fixed-weight
-        # posterior, in RAM or spilled, byte for byte
-        n_u, n_v = 40, 55
-        y = random_interactions(rng, n_u, n_v, density=0.2)
-        model = make_model(
-            rng.normal(0, 1, (n_u, 20)), rng.normal(0, 1, (n_v, 20)), lt=0.3, lb=0.7, ly=2.0
-        )
-        view = ExposurePosterior(FixedExposure(y, mu_unobserved=0.4), n_u, n_v)
-        dense = fixed_exposure_p(dense_clicks(y), 0.4)
-        disk = np.memmap(tmp_path / "p.dat", dtype=np.float64, mode="w+", shape=dense.shape)
-        disk[:] = dense
-        monkeypatch.setattr(serec.engine, "CHUNK_ENTRIES", 7 * max(n_u, n_v))
-        got = solve(y, view, model, n_threads)
-        for ref in (dense, disk):
-            assert got.tobytes() == solve(y, ref, model, 1).tobytes()
+    def test_fixed_weight_solve_builds_no_weight_chunk(self, rng, solve, n_threads):
+        # traced heap bound: per thread one chunk's gather, its K x K systems
+        # and LAPACK's copy of them, and four n x K arrays (the padded
+        # factors, the output and two more for the row order and the
+        # temporaries); a chunk of rows x V weights, as the dense path
+        # reads, breaks it
+        n, k = 2000, 20
+        y = random_interactions(rng, n, n, density=0.01)
+        view = ExposurePosterior(FixedExposure(y, 0.4), n, n)
+        model = make_model(rng.normal(0, 1, (n, k)), rng.normal(0, 1, (n, k)))
+        tracemalloc.start()
+        try:
+            solve(y, view, model, n_threads=n_threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (n_threads * 3 * serec.engine.GATHER_ENTRIES + 4 * n * k)
+        assert bound < 8 * serec.engine.CHUNK_ENTRIES  # one chunk of weights
+        assert peak < bound
 
     @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("solve", [update_user_factors, update_item_factors])
